@@ -11,8 +11,8 @@ model over the basis {x, conj(x), x |x|^2} per transmit chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,18 +40,15 @@ class SaturationSpec:
 
 @dataclass
 class CancellerState:
-    """Configured canceller: tap support, tap gains, digital coefficients.
+    """Configured analog canceller: tap support and tap gains.
 
     `support` lists (rx chain, tx chain) tap positions; `gains` holds the
-    complex tap weight per position.  `digital_coeffs` is filled by
-    `train_digital_canceller` with shape (rx chains, 3 * tx chains) over
-    the regressor blocks [x, conj(x), x |x|^2].
+    complex tap weight per position.
     """
 
     support: List[Tuple[int, int]]
     gains: np.ndarray
     shape: Tuple[int, int]
-    digital_coeffs: Optional[np.ndarray] = field(default=None)
 
     def matrix(self) -> np.ndarray:
         """Dense tap matrix C with gains on the support, zero elsewhere."""

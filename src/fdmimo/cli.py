@@ -26,6 +26,7 @@ from fdmimo.link import (
     complexity_report,
     default_scenario,
     run_scenario,
+    thread_count,
 )
 
 CSV_HEADER = "power_dbm,scheme,mean_rate_bps_hz,std_err,trials"
@@ -234,6 +235,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(complexity_report(cfg.arch), indent=2, sort_keys=True))
         return 0
 
+    try:
+        thread_count()
+    except ValueError as exc:
+        print(f"fdmimo: config error: {exc}", file=sys.stderr)
+        return 1
     try:
         points = run_scenario(cfg)
     except Exception as exc:  # noqa: BLE001  simulation faults map to exit 2

@@ -12,6 +12,22 @@ draws and data bursts (common random numbers), so per-power curves are
 paired across schemes and runs are reproducible for a given seed no matter
 how many worker threads reduce the trial loop.
 
+The trial loop is staged by what each quantity depends on:
+
+  per run    pilot matrices, fixed by the config (`_run_constants`)
+  per trial  the draw plus everything independent of the transmit power:
+             beams and effective channels, the SI calibration estimate,
+             one canceller per (taps, layout), and in scenario c the
+             probe, half-duplex and ideal-CSI precoders (`_prepare_ab`,
+             `_prepare_c`); scenario d works from the draw alone
+  per power  what the schemes share (channel estimates, UL burst, one
+             precoded burst per distinct precoder in a and b), then each
+             scheme is scored
+
+Arrays shared across schemes or powers are read-only, so an in-place
+write by one scheme fails instead of leaking into the next.  Nothing of
+packet length outlives its power point.
+
 Rates are spectral efficiencies in bps/Hz.  A trial returns a (DL, UL)
 pair; scenarios c and d carry data in the DL only and report UL as zero.
 Half-duplex baselines return the two half-slot (or 90% DL slot) rates
@@ -23,7 +39,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -439,18 +455,25 @@ def _digital_cancel(x: np.ndarray, r: np.ndarray, resid_lin: np.ndarray) -> np.n
         return coeffs
 
 
+def _ro(a: np.ndarray) -> np.ndarray:
+    """Mark an array that several schemes or powers share as read-only.
+
+    An in-place write by one consumer would otherwise leak into the next;
+    read-only it fails loudly instead.
+    """
+    a.setflags(write=False)
+    return a
+
+
 def _pilot_estimate(
     h_true: np.ndarray,
     noise_std: np.ndarray,
-    per_stream_w: float,
+    pil: np.ndarray,
     noise_w: float,
     prior_var: float,
-    num_pilots: int,
 ) -> np.ndarray:
-    """Simulated orthogonal-pilot sounding followed by the LMMSE estimate."""
-    streams = h_true.shape[1]
-    pil = np.sqrt(per_stream_w) * orthogonal_pilots(streams, num_pilots)
-    y = h_true @ pil + np.sqrt(noise_w) * noise_std[:, :num_pilots]
+    """Simulated sounding with the scaled pilot matrix `pil`, then the LMMSE estimate."""
+    y = h_true @ pil + np.sqrt(noise_w) * noise_std[:, : pil.shape[1]]
     return mmse_estimate(y, pil, noise_w, prior_var).h_hat
 
 
@@ -466,10 +489,35 @@ def _build_taps(plan: _Plan, h_si_hat: np.ndarray, configured: int) -> Canceller
     return set_tap_gains(h_si_hat, support)
 
 
+@dataclass(frozen=True)
+class _Taps:
+    """Analog canceller of one (taps, layout) choice, fixed for a trial."""
+
+    state: CancellerState
+    matrix: np.ndarray  # dense tap matrix C
+    resid_lin: np.ndarray  # h_si_hat - C, the linear seed of the digital fit
+
+
+def _trial_taps(
+    plans: List[_Plan], h_si_hat: np.ndarray, configured: int
+) -> Dict[Tuple[str, str], _Taps]:
+    """One canceller per distinct (taps, layout) among the given plans."""
+    taps: Dict[Tuple[str, str], _Taps] = {}
+    for plan in plans:
+        key = (plan.taps, plan.layout)
+        if key not in taps:
+            state = _build_taps(plan, h_si_hat, configured)
+            _ro(state.gains)
+            c = _ro(state.matrix())
+            taps[key] = _Taps(state, c, _ro(h_si_hat - c))
+    return taps
+
+
 def _fd_precoder(
     h_dl_hat: np.ndarray,
     h_si_hat: np.ndarray,
-    state: CancellerState,
+    state: Optional[CancellerState],
+    null_v: Optional[np.ndarray],
     plan: _Plan,
     max_streams: int,
     mu_w: float,
@@ -477,8 +525,9 @@ def _fd_precoder(
 ) -> Tuple[Optional[np.ndarray], int]:
     """Eigen precoder plus the plan's self-interference spatial handling.
 
-    Returns (precoder, streams); the precoder is None when no stream
-    count admits a feasible projection.
+    `null_v` spans the strong half of the SI channel row space, used by
+    plans with a fixed null depth.  Returns (precoder, streams); the
+    precoder is None when no stream count admits a feasible projection.
     """
     streams = max_streams
     while streams >= 1:
@@ -487,10 +536,7 @@ def _fd_precoder(
             return w, streams
         if plan.null_depth:
             # Transmit in the weak half of the SI channel row space.
-            depth = h_dl_hat.shape[1] // 2
-            _, _, vh = np.linalg.svd(h_si_hat)
-            v = vh[:depth].conj().T
-            w = w - v @ (v.conj().T @ w)
+            w = w - null_v @ (null_v.conj().T @ w)
             norm = np.linalg.norm(w)
             if norm < 1e-12:
                 return None, 0
@@ -540,16 +586,10 @@ def _draw_ab(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     }
 
 
-def _eval_ab(cfg: ScenarioConfig, draw: dict, power_dbm: float, scheme: str) -> Tuple[float, float]:
-    plan = _PLANS[cfg.scenario][scheme]
+def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]) -> dict:
+    """Per-trial context: beams, effective channels, SI estimate, taps."""
     arch = cfg.arch
     bud = cfg.budget
-    imp = cfg.impairments if plan.impaired else replace(cfg.impairments, enabled=False)
-    sat = SaturationSpec(bud.rx_saturation_dbm)
-    p_w = dbm_to_watt(power_dbm)
-    ul_w = p_w  # the UL UE tracks the swept DL power in these scenarios
-    lp = cfg.pilots.num_pilots
-
     if arch.bf_mode == "hybrid":
         tx_book = dft_codebook(arch.tx_subarray, arch.phase_bits)
         rx_book = dft_codebook(arch.rx_subarray, arch.phase_bits)
@@ -563,51 +603,97 @@ def _eval_ab(cfg: ScenarioConfig, draw: dict, power_dbm: float, scheme: str) -> 
         f_tx = np.eye(arch.n_tx, dtype=complex)
         f_rx = np.eye(arch.n_rx, dtype=complex)
 
-    dl_amp = np.sqrt(bud.dl_gain)
-    ul_amp = np.sqrt(bud.ul_gain)
-    si_amp = np.sqrt(bud.si_gain)
-    h_dl_eff = dl_amp * (draw["h_dl"] @ f_tx)
-    h_ul_eff = ul_amp * (f_rx.conj().T @ draw["h_ul"][:, : cfg.ul_streams])
-    h_si_eff = si_amp * effective_si_channel(draw["h_si"], f_tx, f_rx)
+    ctx = dict(draw)
+    ctx["h_dl_eff"] = _ro(np.sqrt(bud.dl_gain) * (draw["h_dl"] @ f_tx))
+    h_ul = draw["h_ul"][:, : cfg.ul_streams]
+    ctx["h_ul_eff"] = _ro(np.sqrt(bud.ul_gain) * (f_rx.conj().T @ h_ul))
+    h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(draw["h_si"], f_tx, f_rx))
+    # The SI channel is sounded once, at the calibration power.
+    h_si_hat = _ro(
+        _pilot_estimate(h_si_eff, draw["n_cal"], consts["si_cal"], bud.bs_noise_w, bud.si_gain)
+    )
+    ctx["h_si_eff"] = h_si_eff
+    ctx["h_si_hat"] = h_si_hat
+    fd = [plan for plan in plans if plan.duplex == "fd"]
+    ctx["taps"] = _trial_taps(fd, h_si_hat, arch.num_taps)
+    if any(plan.null_depth for plan in fd):
+        _, _, vh = np.linalg.svd(h_si_hat)
+        ctx["null_v"] = _ro(vh[: arch.n_tx_rf // 2].conj().T)
+    ctx["noise_b"] = _ro(np.sqrt(bud.bs_noise_w) * draw["n_burst"])
+    return ctx
+
+
+def _tx_key(plan: _Plan) -> tuple:
+    """Plan fields that fix the precoder; impairments only act after it."""
+    return (plan.taps, plan.layout, plan.budget, plan.null_depth, plan.duplex)
+
+
+def _power_ab(
+    cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plans: List[_Plan]
+) -> dict:
+    """What the schemes share at one power: estimates, UL burst, precoders."""
+    arch = cfg.arch
+    bud = cfg.budget
+    ul_w = p_w  # the UL UE tracks the swept DL power in these scenarios
+    ul_amp = np.sqrt(ul_w / cfg.ul_streams)
 
     # Pilot-based estimates: the DL and UL channels are sounded at the
-    # operating powers, the SI channel once at the calibration power.
+    # operating powers.
     dl_prior = bud.dl_gain * arch.tx_subarray
     ul_prior = bud.ul_gain * arch.rx_subarray
     h_dl_hat = _pilot_estimate(
-        h_dl_eff, draw["n_dl"], p_w / arch.n_tx_rf, bud.ue_noise_w, dl_prior, lp
+        ctx["h_dl_eff"], ctx["n_dl"], np.sqrt(p_w / arch.n_tx_rf) * consts["dl"],
+        bud.ue_noise_w, dl_prior,
     )
     h_ul_hat = _pilot_estimate(
-        h_ul_eff, draw["n_ul"], ul_w / cfg.ul_streams, bud.bs_noise_w, ul_prior, lp
+        ctx["h_ul_eff"], ctx["n_ul"], ul_amp * consts["ul"], bud.bs_noise_w, ul_prior
     )
 
-    if plan.duplex == "fd":
-        cal_w = dbm_to_watt(cfg.pilots.power_dbm)
-        h_si_hat = _pilot_estimate(
-            h_si_eff, draw["n_cal"], cal_w / arch.n_tx_rf, bud.bs_noise_w, bud.si_gain, lp
-        )
-        state = _build_taps(plan, h_si_hat, arch.num_taps)
-    else:
-        h_si_hat = np.zeros_like(h_si_eff)
-        state = set_tap_gains(h_si_hat, [])
-
-    mu_w = 0.5 * sat.max_input_w if plan.budget == "saturation" else bud.bs_noise_w
+    sat = SaturationSpec(bud.rx_saturation_dbm)
     max_streams = min(arch.n_tx_rf, cfg.dl_ue_antennas)
-    w, streams = _fd_precoder(h_dl_hat, h_si_hat, state, plan, max_streams, mu_w, p_w)
+    tx: Dict[tuple, Tuple[Optional[np.ndarray], np.ndarray]] = {}
+    for plan in plans:
+        key = _tx_key(plan)
+        if key in tx:
+            continue
+        mu_w = 0.5 * sat.max_input_w if plan.budget == "saturation" else bud.bs_noise_w
+        state = ctx["taps"][(plan.taps, plan.layout)].state if plan.duplex == "fd" else None
+        w, streams = _fd_precoder(
+            h_dl_hat, ctx["h_si_hat"], state, ctx.get("null_v"), plan, max_streams, mu_w, p_w
+        )
+        if w is not None:
+            x = np.sqrt(p_w) * (w @ ctx["s_dl"][:streams])
+            _ro(w)
+        else:
+            x = np.zeros((arch.n_tx_rf, cfg.packet_symbols), dtype=complex)
+        tx[key] = (w, _ro(x))
+    return {
+        "p_w": p_w,
+        "h_ul_hat": _ro(h_ul_hat),
+        "ul_sym": _ro(ctx["h_ul_eff"] @ (ul_amp * ctx["s_ul"])),
+        "tx": tx,
+    }
 
-    t = cfg.packet_symbols
+
+def _eval_ab(cfg: ScenarioConfig, ctx: dict, shared: dict, plan: _Plan) -> Tuple[float, float]:
+    arch = cfg.arch
+    bud = cfg.budget
+    imp = cfg.impairments if plan.impaired else replace(cfg.impairments, enabled=False)
+    sat = SaturationSpec(bud.rx_saturation_dbm)
+    p_w = shared["p_w"]
+    ul_w = p_w
+    h_dl_eff = ctx["h_dl_eff"]
+    h_ul_eff = ctx["h_ul_eff"]
+    h_ul_hat = shared["h_ul_hat"]
+
+    w, x = shared["tx"][_tx_key(plan)]
     if w is not None:
-        x = np.sqrt(p_w) * (w @ draw["s_dl"][:streams])
         x_tx = _tx_impair(x, imp)
         dist_ue = h_dl_eff @ (x_tx - x)
         dl = dl_rate(h_dl_eff, w, p_w, bud.ue_noise_w, _measure_cov(dist_ue))
     else:
-        x = np.zeros((arch.n_tx_rf, t), dtype=complex)
         x_tx = x
         dl = 0.0
-
-    ul_sym = h_ul_eff @ (np.sqrt(ul_w / cfg.ul_streams) * draw["s_ul"])
-    noise_b = np.sqrt(bud.bs_noise_w) * draw["n_burst"]
 
     if plan.duplex == "hd":
         combiner = mmse_combiner(
@@ -617,11 +703,14 @@ def _eval_ab(cfg: ScenarioConfig, draw: dict, power_dbm: float, scheme: str) -> 
         ul = ul_rate(h_ul_eff, combiner, ul_w, bud.bs_noise_w * np.eye(arch.n_rx_rf))
         return 0.5 * dl, 0.5 * ul
 
-    r_si = h_si_eff @ x_tx - state.matrix() @ x
+    taps = ctx["taps"][(plan.taps, plan.layout)]
+    ul_sym = shared["ul_sym"]
+    noise_b = ctx["noise_b"]
+    r_si = ctx["h_si_eff"] @ x_tx - taps.matrix @ x
     r = r_si + ul_sym + noise_b
     saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=1), sat)
     if plan.digital and w is not None:
-        coeffs = _digital_cancel(x, r, h_si_hat - state.matrix())
+        coeffs = _digital_cancel(x, r, taps.resid_lin)
         z_si = apply_digital_canceller(coeffs, x, r) - ul_sym - noise_b
     else:
         z_si = r_si
@@ -664,109 +753,135 @@ def _draw_c(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     }
 
 
+def _zf_or_none(h: np.ndarray) -> Optional[np.ndarray]:
+    """Zero-forcing precoder, or None when the channel is singular.
+
+    Singularity does not depend on the transmit power, so a scheme whose
+    precoder is None scores zero at every power of the trial.
+    """
+    try:
+        return _ro(zf_precoder(h))
+    except SingularChannelError:
+        return None
+
+
+def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]) -> dict:
+    """Per-trial context: SI estimate, taps, and every power-free precoder."""
+    arch = cfg.arch
+    bud = cfg.budget
+    u = cfg.num_ue
+    g = draw["g_slots"]
+    dl_amp = np.sqrt(bud.dl_gain)
+    ctx = dict(draw)
+    fd = [plan for plan in plans if plan.duplex == "fd" and plan.csi != "perfect"]
+    if fd:
+        # Calibrate taps once at the fixed calibration power; the probe
+        # precoder measures the steady-state residual from stale truth.
+        h_si_eff = _ro(np.sqrt(bud.si_gain) * draw["h_si"])
+        h_si_hat = _ro(
+            _pilot_estimate(h_si_eff, draw["n_cal"], consts["si_cal"], bud.bs_noise_w, bud.si_gain)
+        )
+        ctx["h_si_eff"] = h_si_eff
+        ctx["taps"] = _trial_taps(fd, h_si_hat, arch.num_taps)
+        ctx["probe"] = {}
+        for plan in fd:
+            if plan.csi in ctx["probe"]:
+                continue
+            if plan.csi == "sequential":
+                stale = np.column_stack([g[4 - k][:, k] for k in range(u)])
+            else:
+                stale = g[4]
+            ctx["probe"][plan.csi] = _zf_or_none(dl_amp * stale.T)
+        ctx["pil_rx"] = _ro(np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_packet"]))
+        ctx["noise_b"] = _ro(np.sqrt(bud.bs_noise_w) * draw["n_burst"])
+    if any(plan.duplex == "hd" for plan in plans):
+        # Train in the reserved slice of the previous slot, apply now.
+        pil = consts["ul_hd"]
+        y = np.sqrt(bud.ul_gain) * (g[4] @ pil)
+        y = y + np.sqrt(bud.bs_noise_w) * draw["n_pilot"][0][:, : pil.shape[1]]
+        g_hat = mmse_estimate(y, pil, bud.bs_noise_w, bud.ul_gain).h_hat
+        ctx["hd_w"] = _zf_or_none(dl_amp * g_hat.T)
+    if any(plan.csi == "perfect" for plan in plans):
+        ctx["ideal_w"] = _zf_or_none(dl_amp * g[5].T)
+    return ctx
+
+
 def _c_slot(
     cfg: ScenarioConfig,
-    draw: dict,
+    ctx: dict,
     plan: _Plan,
-    state: CancellerState,
-    h_si_hat: np.ndarray,
-    h_si_eff: np.ndarray,
+    taps: _Taps,
+    imp: TxImpairmentConfig,
     w: np.ndarray,
     p_w: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """One concurrent DL-data / UL-pilot packet at the BS receive chains.
 
-    Returns (per-chain residual power after cancellation, saturation
-    flags, per-chain TX distortion samples).
+    Returns (per-chain residual power after cancellation, saturation flags).
     """
     bud = cfg.budget
-    x = np.sqrt(p_w) * (w @ draw["s_dl"])
-    x_tx = _tx_impair(x, cfg.impairments if plan.impaired else replace(cfg.impairments, enabled=False))
-    r_si = h_si_eff @ x_tx - state.matrix() @ x
-    pil = np.sqrt(dbm_to_watt(bud.ul_power_dbm)) * orthogonal_pilots(
-        cfg.num_ue, cfg.packet_symbols
-    )
-    pil_rx = np.sqrt(bud.ul_gain) * (draw["g_slots"][5] @ pil)
-    noise_b = np.sqrt(bud.bs_noise_w) * draw["n_burst"]
-    r = r_si + pil_rx + noise_b
+    x = np.sqrt(p_w) * (w @ ctx["s_dl"])
+    x_tx = _tx_impair(x, imp)
+    r_si = ctx["h_si_eff"] @ x_tx - taps.matrix @ x
+    r = r_si + ctx["pil_rx"] + ctx["noise_b"]
     saturated = check_saturation(
         np.mean(np.abs(r) ** 2, axis=1), SaturationSpec(bud.rx_saturation_dbm)
     )
     if plan.digital:
-        coeffs = _digital_cancel(x, r, h_si_hat - state.matrix())
-        z_si = apply_digital_canceller(coeffs, x, r) - pil_rx - noise_b
+        coeffs = _digital_cancel(x, r, taps.resid_lin)
+        z_si = apply_digital_canceller(coeffs, x, r) - ctx["pil_rx"] - ctx["noise_b"]
     else:
         z_si = r_si
-    return np.mean(np.abs(z_si) ** 2, axis=1), saturated, x_tx - x
+    return np.mean(np.abs(z_si) ** 2, axis=1), saturated
 
 
-def _eval_c(cfg: ScenarioConfig, draw: dict, power_dbm: float, scheme: str) -> Tuple[float, float]:
-    plan = _PLANS["c"][scheme]
-    arch = cfg.arch
+def _eval_c(
+    cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan
+) -> Tuple[float, float]:
     bud = cfg.budget
     u = cfg.num_ue
-    p_w = dbm_to_watt(power_dbm)
-    g = draw["g_slots"]
+    g = ctx["g_slots"]
     dl_amp = np.sqrt(bud.dl_gain)
     ul_amp = np.sqrt(bud.ul_gain)
-    h_si_eff = np.sqrt(bud.si_gain) * draw["h_si"]
 
     if plan.csi == "perfect":
-        try:
-            w = zf_precoder(dl_amp * g[5].T)
-        except SingularChannelError:
+        w = ctx["ideal_w"]
+        if w is None:
             return 0.0, 0.0
         return _c_dl_rate(cfg, g[5], w, p_w, np.zeros(u)), 0.0
 
     if plan.duplex == "hd":
-        # Train in the reserved slice of the previous slot, apply now.
-        pil_len = cfg.hd_pilot_len
-        pil = np.sqrt(dbm_to_watt(bud.ul_power_dbm)) * orthogonal_pilots(u, pil_len)
-        y = ul_amp * (g[4] @ pil) + np.sqrt(bud.bs_noise_w) * draw["n_pilot"][0][:, :pil_len]
-        g_hat = mmse_estimate(y, pil, bud.bs_noise_w, bud.ul_gain).h_hat
-        try:
-            w = zf_precoder(dl_amp * g_hat.T)
-        except SingularChannelError:
+        w = ctx["hd_w"]
+        if w is None:
             return 0.0, 0.0
-        x = np.sqrt(p_w) * (w @ draw["s_dl"])
+        x = np.sqrt(p_w) * (w @ ctx["s_dl"])
         dist = _tx_impair(x, cfg.impairments) - x
         dist_ue = np.mean(np.abs(dl_amp * (g[5].T @ dist)) ** 2, axis=1)
         return cfg.dl_data_fraction * _c_dl_rate(cfg, g[5], w, p_w, dist_ue), 0.0
 
-    # Full duplex: calibrate taps, measure the steady-state residual with a
-    # stale-truth precoder, then estimate under that interference level.
-    cal_w = dbm_to_watt(cfg.pilots.power_dbm)
-    h_si_hat = _pilot_estimate(
-        h_si_eff, draw["n_cal"], cal_w / arch.n_tx_rf, bud.bs_noise_w, bud.si_gain,
-        cfg.pilots.num_pilots,
-    )
-    state = _build_taps(plan, h_si_hat, arch.num_taps)
-    if plan.csi == "sequential":
-        stale = np.column_stack([g[4 - k][:, k] for k in range(u)])
-    else:
-        stale = g[4]
-    try:
-        w_probe = zf_precoder(dl_amp * stale.T)
-    except SingularChannelError:
+    # Full duplex: measure the steady-state residual with the stale-truth
+    # probe precoder, then estimate under that interference level.
+    w_probe = ctx["probe"][plan.csi]
+    if w_probe is None:
         return 0.0, 0.0
-    resid_power, saturated, _ = _c_slot(cfg, draw, plan, state, h_si_hat, h_si_eff, w_probe, p_w)
+    imp = cfg.impairments if plan.impaired else replace(cfg.impairments, enabled=False)
+    taps = ctx["taps"][(plan.taps, plan.layout)]
+    resid_power, saturated = _c_slot(cfg, ctx, plan, taps, imp, w_probe, p_w)
     noise_eff = bud.bs_noise_w + float(np.mean(resid_power))
 
-    pil_w = dbm_to_watt(bud.ul_power_dbm)
-    lp = cfg.pilots.num_pilots
     if plan.csi == "sequential":
         # One UE sounds per slot with the full pilot budget; the newest
         # estimate of UE k is k + 1 slots old by the time it is applied.
+        pil = consts["ul_single"]
         cols = []
         for k in range(u):
-            pil = np.sqrt(pil_w) * orthogonal_pilots(1, lp)
             y = ul_amp * (g[4 - k][:, k : k + 1] @ pil)
-            y = y + np.sqrt(noise_eff) * draw["n_pilot"][k]
+            y = y + np.sqrt(noise_eff) * ctx["n_pilot"][k]
             cols.append(mmse_estimate(y, pil, noise_eff, bud.ul_gain).h_hat[:, 0])
         g_hat = np.column_stack(cols)
     else:
-        pil = np.sqrt(pil_w) * orthogonal_pilots(u, lp)
-        y = ul_amp * (g[4] @ pil) + np.sqrt(noise_eff) * draw["n_pilot"][0]
+        pil = consts["ul_joint"]
+        y = ul_amp * (g[4] @ pil) + np.sqrt(noise_eff) * ctx["n_pilot"][0]
         g_hat = mmse_estimate(y, pil, noise_eff, bud.ul_gain).h_hat
     g_hat = g_hat / ul_amp * dl_amp  # reciprocity: swap the direction gain
     g_hat[saturated, :] = 0.0  # clipped chains yield no usable estimate
@@ -775,7 +890,10 @@ def _eval_c(cfg: ScenarioConfig, draw: dict, power_dbm: float, scheme: str) -> T
         w = zf_precoder(g_hat.T)
     except SingularChannelError:
         return 0.0, 0.0
-    _, _, dist = _c_slot(cfg, draw, plan, state, h_si_hat, h_si_eff, w, p_w)
+    # The scored slot only needs the TX distortion the UEs see; its
+    # receive side was already measured with the probe.
+    x = np.sqrt(p_w) * (w @ ctx["s_dl"])
+    dist = _tx_impair(x, imp) - x
     dist_ue = np.mean(np.abs(dl_amp * (g[5].T @ dist)) ** 2, axis=1)
     return _c_dl_rate(cfg, g[5], w, p_w, dist_ue), 0.0
 
@@ -866,8 +984,9 @@ def _d_dl(cfg: ScenarioConfig, draw: dict, f_tx, w, p_w, impaired) -> float:
     return float(np.log2(1.0 + sig / (dist_pow + bud.ue_noise_w)))
 
 
-def _eval_d(cfg: ScenarioConfig, draw: dict, power_dbm: float, scheme: str) -> Tuple[float, float]:
-    plan = _PLANS["d"][scheme]
+def _eval_d(
+    cfg: ScenarioConfig, consts: dict, draw: dict, power_dbm: float, plan: _Plan
+) -> Tuple[float, float]:
     arch = cfg.arch
     bud = cfg.budget
     p_w = dbm_to_watt(power_dbm)
@@ -901,10 +1020,8 @@ def _eval_d(cfg: ScenarioConfig, draw: dict, power_dbm: float, scheme: str) -> T
     for final in (False, True):
         f_tx, w = _d_geometry(cfg, theta_ref)
         h_si_eff = np.sqrt(bud.si_gain) * effective_si_channel(draw["h_si"], f_tx, np.eye(arch.n_rx, dtype=complex))
-        cal_w = dbm_to_watt(cfg.pilots.power_dbm)
         h_si_hat = _pilot_estimate(
-            h_si_eff, draw["n_cal"], cal_w / arch.n_tx_rf, bud.bs_noise_w, bud.si_gain,
-            cfg.pilots.num_pilots,
+            h_si_eff, draw["n_cal"], consts["si_cal"], bud.bs_noise_w, bud.si_gain
         )
         state = _build_taps(plan, h_si_hat, arch.num_taps)
         try:
@@ -946,12 +1063,59 @@ def _draw_trial(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     return _draw_d(cfg, rng)
 
 
-def _eval_trial(cfg: ScenarioConfig, draw: dict, power_dbm: float, scheme: str) -> Tuple[float, float]:
+def _run_constants(cfg: ScenarioConfig) -> Dict[str, np.ndarray]:
+    """Pilot matrices fixed by the config alone, built once per run.
+
+    Powers the config fixes are folded in.  The DL and UL sounding pilots
+    of scenarios a and b follow the swept power, so those stay unit
+    amplitude and are scaled per power point.
+    """
+    arch = cfg.arch
+    lp = cfg.pilots.num_pilots
+    cal_w = dbm_to_watt(cfg.pilots.power_dbm)
+    consts = {"si_cal": np.sqrt(cal_w / arch.n_tx_rf) * orthogonal_pilots(arch.n_tx_rf, lp)}
     if cfg.scenario in ("a", "b"):
-        return _eval_ab(cfg, draw, power_dbm, scheme)
-    if cfg.scenario == "c":
-        return _eval_c(cfg, draw, power_dbm, scheme)
-    return _eval_d(cfg, draw, power_dbm, scheme)
+        consts["dl"] = orthogonal_pilots(arch.n_tx_rf, lp)
+        consts["ul"] = orthogonal_pilots(cfg.ul_streams, lp)
+    elif cfg.scenario == "c":
+        amp = np.sqrt(dbm_to_watt(cfg.budget.ul_power_dbm))
+        consts["ul_packet"] = amp * orthogonal_pilots(cfg.num_ue, cfg.packet_symbols)
+        consts["ul_joint"] = amp * orthogonal_pilots(cfg.num_ue, lp)
+        consts["ul_single"] = amp * orthogonal_pilots(1, lp)
+        consts["ul_hd"] = amp * orthogonal_pilots(cfg.num_ue, cfg.hd_pilot_len)
+    return {name: _ro(a) for name, a in consts.items()}
+
+
+def _eval_draw(
+    cfg: ScenarioConfig,
+    consts: dict,
+    draw: dict,
+    powers: Sequence[float],
+    schemes: Sequence[str],
+) -> List[List[Tuple[float, float]]]:
+    """(DL, UL) rates per power and scheme for one trial's draw.
+
+    Builds the trial context once; then, per power, computes what the
+    schemes share and scores each scheme.
+    """
+    plans = [_PLANS[cfg.scenario][s] for s in schemes]
+    if cfg.scenario in ("a", "b"):
+        ctx = _prepare_ab(cfg, consts, draw, plans)
+    elif cfg.scenario == "c":
+        ctx = _prepare_c(cfg, consts, draw, plans)
+    else:
+        ctx = draw
+    out = []
+    for power_dbm in powers:
+        p_w = dbm_to_watt(power_dbm)
+        if cfg.scenario in ("a", "b"):
+            shared = _power_ab(cfg, consts, ctx, p_w, plans)
+            out.append([_eval_ab(cfg, ctx, shared, plan) for plan in plans])
+        elif cfg.scenario == "c":
+            out.append([_eval_c(cfg, consts, ctx, p_w, plan) for plan in plans])
+        else:
+            out.append([_eval_d(cfg, consts, ctx, power_dbm, plan) for plan in plans])
+    return out
 
 
 def run_trial(
@@ -961,17 +1125,14 @@ def run_trial(
     if scheme not in allowed_schemes(cfg.scenario):
         raise ValueError(f"scheme {scheme!r} not defined for scenario {cfg.scenario!r}")
     draw = _draw_trial(cfg, rng)
-    return _eval_trial(cfg, draw, power_dbm, scheme)
+    return _eval_draw(cfg, _run_constants(cfg), draw, (power_dbm,), (scheme,))[0][0]
 
 
-def _trial_rates(cfg: ScenarioConfig, trial: int) -> np.ndarray:
+def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,)))
     draw = _draw_trial(cfg, rng)
-    out = np.zeros((len(cfg.power_sweep_dbm), len(cfg.schemes)))
-    for ip, p in enumerate(cfg.power_sweep_dbm):
-        for isch, scheme in enumerate(cfg.schemes):
-            dl, ul = _eval_trial(cfg, draw, p, scheme)
-            out[ip, isch] = dl + ul
+    pairs = _eval_draw(cfg, consts, draw, cfg.power_sweep_dbm, cfg.schemes)
+    out = np.array([[dl + ul for dl, ul in row] for row in pairs])
     order = np.argsort(cfg.power_sweep_dbm, kind="stable")
     for isch, scheme in enumerate(cfg.schemes):
         plan = _PLANS[cfg.scenario][scheme]
@@ -983,27 +1144,47 @@ def _trial_rates(cfg: ScenarioConfig, trial: int) -> np.ndarray:
     return out
 
 
+def thread_count() -> int:
+    """Worker threads for the trial loop: FDMIMO_THREADS, default 1.
+
+    Raises ValueError unless the variable holds a positive integer.
+    """
+    raw = os.environ.get("FDMIMO_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"FDMIMO_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
 def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
+
+    Work is staged by what it depends on.  Per run: the pilot matrices,
+    which the config alone fixes.  Per trial: the channel draw and
+    everything that does not depend on the transmit power, such as the SI
+    calibration estimate, the canceller taps and, in scenario c, the
+    power-free precoders.  Per power: what the schemes share, such as the
+    channel estimates and precoded bursts in scenarios a and b; then each
+    scheme is scored.
 
     Trials are independent and may run on up to FDMIMO_THREADS workers;
     results are reduced in trial order so the output is identical for any
     thread count.  With trials=1 each point equals `run_trial` seeded with
     SeedSequence(entropy=seed, spawn_key=(0,)).
     """
-    try:
-        threads = int(os.environ.get("FDMIMO_THREADS", "1"))
-    except ValueError:
-        raise ValueError("FDMIMO_THREADS must be a positive integer") from None
-    if threads < 1:
-        raise ValueError("FDMIMO_THREADS must be a positive integer")
+    threads = thread_count()
+    consts = _run_constants(cfg)
     rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
     if threads == 1:
         for t in range(cfg.trials):
-            rates[t] = _trial_rates(cfg, t)
+            rates[t] = _trial_rates(cfg, consts, t)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, out in enumerate(pool.map(lambda t: _trial_rates(cfg, t), range(cfg.trials))):
+            trial_rates = pool.map(lambda t: _trial_rates(cfg, consts, t), range(cfg.trials))
+            for t, out in enumerate(trial_rates):
                 rates[t] = out
     points = []
     for isch, scheme in enumerate(cfg.schemes):

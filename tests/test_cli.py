@@ -170,9 +170,26 @@ def test_exit_code_two_on_runtime_failure(tmp_path, monkeypatch, capsys):
         tmp_path,
         {"scenario": "a", "trials": 1, "power_sweep_dbm": [20], "schemes": ["hd"]},
     )
-    monkeypatch.setenv("FDMIMO_THREADS", "0")
+
+    def failing_sweep(cfg):
+        raise RuntimeError("rate exceeded its bound")
+
+    monkeypatch.setattr("fdmimo.cli.run_scenario", failing_sweep)
     assert main(["run", "--config", src]) == 2
-    assert "runtime error" in capsys.readouterr().err
+    assert "runtime error: rate exceeded its bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
+def test_exit_code_one_on_bad_thread_count(tmp_path, monkeypatch, capsys, value):
+    src = _write(
+        tmp_path,
+        {"scenario": "a", "trials": 1, "power_sweep_dbm": [20], "schemes": ["hd"]},
+    )
+    monkeypatch.setenv("FDMIMO_THREADS", value)
+    assert main(["run", "--config", src]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "FDMIMO_THREADS" in err and repr(value) in err
 
 
 def test_console_entry_point(tmp_path):

@@ -165,25 +165,27 @@ def test_run_trial_downlink_only_scenarios():
 
 
 def test_run_scenario_matches_run_trial():
-    cfg = dataclasses.replace(
-        default_scenario("a"),
-        trials=1,
-        power_sweep_dbm=(10.0, 30.0),
-        schemes=("proposed", "hd"),
-    )
-    points = run_scenario(cfg)
-    assert len(points) == 4
-    assert [(c.scheme, c.power_dbm) for c in points] == sorted(
-        (c.scheme, c.power_dbm) for c in points
-    )
-    for point in points:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
+    # run_scenario scores every scheme of a trial from one shared context;
+    # run_trial builds the context for a single (power, scheme).  They must
+    # agree exactly, in every scenario.
+    for code in "abcd":
+        base = default_scenario(code)
+        powers = base.power_sweep_dbm[::4]
+        cfg = dataclasses.replace(base, trials=1, power_sweep_dbm=powers)
+        points = run_scenario(cfg)
+        assert len(points) == len(powers) * len(allowed_schemes(code))
+        assert {c.scheme for c in points} == set(allowed_schemes(code))
+        assert [(c.scheme, c.power_dbm) for c in points] == sorted(
+            (c.scheme, c.power_dbm) for c in points
         )
-        dl, ul = run_trial(cfg, point.power_dbm, point.scheme, rng)
-        assert point.mean_rate_bps_hz == pytest.approx(dl + ul, rel=1e-12)
-        assert point.std_err == 0.0
-        assert point.trials == 1
+        for point in points:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
+            )
+            dl, ul = run_trial(cfg, point.power_dbm, point.scheme, rng)
+            assert point.mean_rate_bps_hz == dl + ul, (code, point)
+            assert point.std_err == 0.0
+            assert point.trials == 1
 
 
 def test_run_scenario_thread_count_invariance(monkeypatch):
