@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import j0
 
 
 @dataclass(frozen=True)
@@ -161,6 +160,9 @@ def doppler_correlation(doppler_hz: float, slot_s: float) -> float:
     """Slot-to-slot correlation coefficient J0(2 pi fD Ts), clamped to [0, 1]."""
     if doppler_hz < 0 or slot_s <= 0:
         raise ValueError("doppler_hz must be >= 0 and slot_s > 0")
+    # Imported here: scipy.special adds ~0.25 s to every start and only aging uses it.
+    from scipy.special import j0
+
     return float(np.clip(j0(2.0 * np.pi * doppler_hz * slot_s), 0.0, 1.0))
 
 

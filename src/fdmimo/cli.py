@@ -13,7 +13,7 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, get_type_hints
 
 from fdmimo.beamforming import ArchitectureConfig
 from fdmimo.channel import AgingParams
@@ -26,7 +26,6 @@ from fdmimo.link import (
     complexity_report,
     default_scenario,
     run_scenario,
-    thread_count,
 )
 
 CSV_HEADER = "power_dbm,scheme,mean_rate_bps_hz,std_err,trials"
@@ -44,20 +43,32 @@ _SECTIONS = {
     "aging": ("aging", AgingParams),
 }
 
+# Top-level numeric fields of ScenarioConfig, by declared type.
 _SCALARS = {
-    "seed": int,
-    "trials": int,
-    "num_ue": int,
-    "num_paths": int,
-    "dl_ue_antennas": int,
-    "ul_ue_antennas": int,
-    "ul_streams": int,
-    "kappa_si_db": float,
-    "kappa_ue_db": float,
-    "packet_symbols": int,
-    "dl_data_fraction": float,
-    "hd_pilot_fraction": float,
+    name: typ for name, typ in get_type_hints(ScenarioConfig).items() if typ in (int, float)
 }
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _typed(key: str, value, typ):
+    """`value` as a `typ` field, or ConfigError naming `key`.
+
+    JSON is checked, not coerced: a bool is not a number, an int field
+    takes only integral values (200.0 reads as 200), and a bool field
+    takes only true or false.
+    """
+    if typ is bool or isinstance(value, bool):
+        ok = typ is bool and isinstance(value, bool)
+    elif typ is int:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    elif typ is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, typ)
+    if not ok:
+        raise ConfigError(f"{key!r} must be {_TYPE_NAMES[typ]}, got {value!r}")
+    return typ(value)
 
 
 def _check_keys(given: dict, allowed, where: str) -> None:
@@ -73,6 +84,8 @@ def _build_section(name: str, cls, payload: dict, current):
         raise ConfigError(f"{name!r} must be a JSON object")
     names = [f.name for f in dataclasses.fields(cls)]
     _check_keys(payload, names, f"section {name!r}")
+    types = get_type_hints(cls)
+    payload = {k: _typed(f"{name}.{k}", v, types[k]) for k, v in payload.items()}
     try:
         if current is None:
             return cls(**payload)
@@ -112,18 +125,14 @@ def parse_config(source: str) -> ScenarioConfig:
             updates[attr] = _build_section(key, cls, raw[key], getattr(cfg, attr))
     for key, typ in _SCALARS.items():
         if key in raw:
-            try:
-                updates[key] = typ(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key!r} must be a {typ.__name__}") from exc
+            updates[key] = _typed(key, raw[key], typ)
     if "power_sweep_dbm" in raw:
         sweep = raw["power_sweep_dbm"]
         if not isinstance(sweep, list) or not sweep:
             raise ConfigError("'power_sweep_dbm' must be a non-empty list of dBm values")
-        try:
-            updates["power_sweep_dbm"] = tuple(float(p) for p in sweep)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("'power_sweep_dbm' entries must be numbers") from exc
+        updates["power_sweep_dbm"] = tuple(
+            _typed(f"power_sweep_dbm[{i}]", p, float) for i, p in enumerate(sweep)
+        )
     if "schemes" in raw:
         schemes = raw["schemes"]
         if not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes):
@@ -235,11 +244,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(complexity_report(cfg.arch), indent=2, sort_keys=True))
         return 0
 
-    try:
-        thread_count()
-    except ValueError as exc:
-        print(f"fdmimo: config error: {exc}", file=sys.stderr)
-        return 1
     try:
         points = run_scenario(cfg)
     except Exception as exc:  # noqa: BLE001  simulation faults map to exit 2

@@ -9,8 +9,7 @@ Four scenario geometries are modeled:
 
 Every scheme of a scenario is evaluated on the same channel draws, noise
 draws and data bursts (common random numbers), so per-power curves are
-paired across schemes and runs are reproducible for a given seed no matter
-how many worker threads reduce the trial loop.
+paired across schemes and runs are reproducible for a given seed.
 
 The trial loop is staged by what each quantity depends on:
 
@@ -36,8 +35,6 @@ already weighted, so DL + UL is always the headline sum rate.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -1086,35 +1083,66 @@ def _run_constants(cfg: ScenarioConfig) -> Dict[str, np.ndarray]:
     return {name: _ro(a) for name, a in consts.items()}
 
 
+class TrialError(RuntimeError):
+    """A trial of `run_scenario` failed.
+
+    The message names the scenario, seed, trial index and, as far as the
+    trial got, the power and scheme, so that `run_trial` can replay it.
+    The original fault is chained as `__cause__`.
+    """
+
+
+def _trial_label(cfg: ScenarioConfig, trial: int) -> str:
+    return f"scenario {cfg.scenario}, seed {cfg.seed}, trial {trial}"
+
+
 def _eval_draw(
     cfg: ScenarioConfig,
     consts: dict,
-    draw: dict,
+    rng: np.random.Generator,
     powers: Sequence[float],
     schemes: Sequence[str],
+    trial: Optional[int] = None,
 ) -> List[List[Tuple[float, float]]]:
-    """(DL, UL) rates per power and scheme for one trial's draw.
+    """(DL, UL) rates per power and scheme for one trial drawn from `rng`.
 
-    Builds the trial context once; then, per power, computes what the
-    schemes share and scores each scheme.
+    Draws the trial and builds its context once; then, per power, computes
+    what the schemes share and scores each scheme.  Given the `trial`
+    index, a fault is re-raised as TrialError naming where it happened.
     """
     plans = [_PLANS[cfg.scenario][s] for s in schemes]
-    if cfg.scenario in ("a", "b"):
-        ctx = _prepare_ab(cfg, consts, draw, plans)
-    elif cfg.scenario == "c":
-        ctx = _prepare_c(cfg, consts, draw, plans)
-    else:
-        ctx = draw
+    power_dbm = scheme = None
     out = []
-    for power_dbm in powers:
-        p_w = dbm_to_watt(power_dbm)
+    try:
+        draw = _draw_trial(cfg, rng)
         if cfg.scenario in ("a", "b"):
-            shared = _power_ab(cfg, consts, ctx, p_w, plans)
-            out.append([_eval_ab(cfg, ctx, shared, plan) for plan in plans])
+            ctx = _prepare_ab(cfg, consts, draw, plans)
         elif cfg.scenario == "c":
-            out.append([_eval_c(cfg, consts, ctx, p_w, plan) for plan in plans])
+            ctx = _prepare_c(cfg, consts, draw, plans)
         else:
-            out.append([_eval_d(cfg, consts, ctx, power_dbm, plan) for plan in plans])
+            ctx = draw
+        for power_dbm in powers:
+            scheme = None
+            p_w = dbm_to_watt(power_dbm)
+            if cfg.scenario in ("a", "b"):
+                shared = _power_ab(cfg, consts, ctx, p_w, plans)
+            row = []
+            for scheme, plan in zip(schemes, plans):
+                if cfg.scenario in ("a", "b"):
+                    row.append(_eval_ab(cfg, ctx, shared, plan))
+                elif cfg.scenario == "c":
+                    row.append(_eval_c(cfg, consts, ctx, p_w, plan))
+                else:
+                    row.append(_eval_d(cfg, consts, ctx, power_dbm, plan))
+            out.append(row)
+    except Exception as exc:
+        if trial is None:
+            raise
+        where = _trial_label(cfg, trial)
+        where += " (set-up)" if power_dbm is None else f", power {power_dbm:g} dBm"
+        if scheme is not None:
+            where += f", scheme {scheme}"
+        raise TrialError(f"{where}: {type(exc).__name__}: {exc}") from exc
     return out
 
 
@@ -1124,39 +1152,22 @@ def run_trial(
     """Single Monte Carlo trial; returns the (DL, UL) rate pair in bps/Hz."""
     if scheme not in allowed_schemes(cfg.scenario):
         raise ValueError(f"scheme {scheme!r} not defined for scenario {cfg.scenario!r}")
-    draw = _draw_trial(cfg, rng)
-    return _eval_draw(cfg, _run_constants(cfg), draw, (power_dbm,), (scheme,))[0][0]
+    return _eval_draw(cfg, _run_constants(cfg), rng, (power_dbm,), (scheme,))[0][0]
 
 
 def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,)))
-    draw = _draw_trial(cfg, rng)
-    pairs = _eval_draw(cfg, consts, draw, cfg.power_sweep_dbm, cfg.schemes)
+    pairs = _eval_draw(cfg, consts, rng, cfg.power_sweep_dbm, cfg.schemes, trial)
     out = np.array([[dl + ul for dl, ul in row] for row in pairs])
     order = np.argsort(cfg.power_sweep_dbm, kind="stable")
     for isch, scheme in enumerate(cfg.schemes):
         plan = _PLANS[cfg.scenario][scheme]
         if plan.csi == "perfect" and not plan.impaired:
             if np.any(np.diff(out[order, isch]) < -1e-9):
-                raise RuntimeError(
-                    f"{scheme} rate decreased with power on trial {trial}"
+                raise TrialError(
+                    f"{_trial_label(cfg, trial)}, scheme {scheme}: rate decreased with power"
                 )
     return out
-
-
-def thread_count() -> int:
-    """Worker threads for the trial loop: FDMIMO_THREADS, default 1.
-
-    Raises ValueError unless the variable holds a positive integer.
-    """
-    raw = os.environ.get("FDMIMO_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"FDMIMO_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
@@ -1170,22 +1181,15 @@ def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     channel estimates and precoded bursts in scenarios a and b; then each
     scheme is scored.
 
-    Trials are independent and may run on up to FDMIMO_THREADS workers;
-    results are reduced in trial order so the output is identical for any
-    thread count.  With trials=1 each point equals `run_trial` seeded with
-    SeedSequence(entropy=seed, spawn_key=(0,)).
+    Each trial draws from its own child seed, so results do not depend on
+    the order trials run in.  With trials=1 each point equals `run_trial`
+    seeded with SeedSequence(entropy=seed, spawn_key=(0,)).  A failing
+    trial raises TrialError.
     """
-    threads = thread_count()
     consts = _run_constants(cfg)
     rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
-    if threads == 1:
-        for t in range(cfg.trials):
-            rates[t] = _trial_rates(cfg, consts, t)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trial_rates = pool.map(lambda t: _trial_rates(cfg, consts, t), range(cfg.trials))
-            for t, out in enumerate(trial_rates):
-                rates[t] = out
+    for t in range(cfg.trials):
+        rates[t] = _trial_rates(cfg, consts, t)
     points = []
     for isch, scheme in enumerate(cfg.schemes):
         for ip, p in enumerate(cfg.power_sweep_dbm):

@@ -1,13 +1,16 @@
 """Config parsing, CSV formatting and command-line exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from fdmimo import link
+from fdmimo.beamforming import SingularChannelError
 from fdmimo.cli import CSV_HEADER, ConfigError, format_csv, main, parse_config
-from fdmimo.link import CurvePoint, default_scenario
+from fdmimo.link import CurvePoint, TrialError, default_scenario, run_scenario
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -179,17 +182,64 @@ def test_exit_code_two_on_runtime_failure(tmp_path, monkeypatch, capsys):
     assert "runtime error: rate exceeded its bound" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
-def test_exit_code_one_on_bad_thread_count(tmp_path, monkeypatch, capsys, value):
-    src = _write(
-        tmp_path,
-        {"scenario": "a", "trials": 1, "power_sweep_dbm": [20], "schemes": ["hd"]},
-    )
-    monkeypatch.setenv("FDMIMO_THREADS", value)
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"seed": 1.7}, "'seed'"),  # not integral
+        ({"trials": True}, "'trials'"),  # a bool is not a number
+        ({"impairments": {"enabled": "false"}}, "'impairments.enabled'"),
+        ({"architecture": {"num_taps": 2.5}}, "'architecture.num_taps'"),
+        ({"power_sweep_dbm": [0, False]}, "'power_sweep_dbm[1]'"),
+    ],
+    ids=["float-seed", "bool-trials", "string-bool", "float-taps", "bool-power"],
+)
+def test_exit_code_one_on_mistyped_values(tmp_path, capsys, payload, key):
+    src = _write(tmp_path, {"scenario": "a", **payload})
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(src)
     assert main(["run", "--config", src]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err
-    assert "FDMIMO_THREADS" in err and repr(value) in err
+    assert "config error" in err and key in err
+
+
+def test_integral_floats_read_as_ints(tmp_path):
+    cfg = parse_config(
+        _write(tmp_path, {"scenario": "a", "trials": 200.0, "architecture": {"num_taps": 4.0}})
+    )
+    assert cfg.trials == 200 and type(cfg.trials) is int
+    assert cfg.arch.num_taps == 4 and type(cfg.arch.num_taps) is int
+
+
+def test_failing_trial_names_where_it_failed(tmp_path, monkeypatch, capsys):
+    payload = {
+        "scenario": "a",
+        "seed": 3,
+        "trials": 2,
+        "power_sweep_dbm": [20, 30],
+        "schemes": ["hd"],
+    }
+    original = link.mmse_combiner
+    calls = []
+
+    def third_call_fails(*args, **kwargs):
+        # hd calls the combiner once per (trial, power): call 3 is trial 1 at 20 dBm
+        calls.append(None)
+        if len(calls) == 3:
+            raise SingularChannelError("planted singular channel")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(link, "mmse_combiner", third_call_fails)
+    fields = ("scenario a", "seed 3", "trial 1", "power 20 dBm", "scheme hd", "planted singular")
+    with pytest.raises(TrialError) as info:
+        run_scenario(parse_config(_write(tmp_path, payload)))
+    assert all(f in str(info.value) for f in fields), str(info.value)
+    assert isinstance(info.value.__cause__, SingularChannelError)
+
+    calls.clear()
+    assert main(["run", "--config", _write(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error" in err
+    assert all(f in err for f in fields), err
 
 
 def test_console_entry_point(tmp_path):

@@ -188,26 +188,6 @@ def test_run_scenario_matches_run_trial():
             assert point.trials == 1
 
 
-def test_run_scenario_thread_count_invariance(monkeypatch):
-    cfg = dataclasses.replace(
-        default_scenario("a"),
-        trials=4,
-        power_sweep_dbm=(10.0, 30.0),
-        schemes=("proposed", "hd"),
-    )
-    monkeypatch.setenv("FDMIMO_THREADS", "1")
-    serial = run_scenario(cfg)
-    monkeypatch.setenv("FDMIMO_THREADS", "3")
-    threaded = run_scenario(cfg)
-    assert serial == threaded
-    monkeypatch.setenv("FDMIMO_THREADS", "zero")
-    with pytest.raises(ValueError):
-        run_scenario(cfg)
-    monkeypatch.setenv("FDMIMO_THREADS", "0")
-    with pytest.raises(ValueError):
-        run_scenario(cfg)
-
-
 def test_run_scenario_seed_changes_output():
     base = dataclasses.replace(
         default_scenario("a"), trials=2, power_sweep_dbm=(20.0,), schemes=("proposed",)
