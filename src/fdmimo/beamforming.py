@@ -1,4 +1,4 @@
-"""Analog and digital beamforming: codebooks, phase quantization, precoders.
+"""Analog and digital beamforming: quantized-phase codebooks, precoders.
 
 The analog side models partially connected hybrid arrays: each RF chain
 drives one contiguous sub-array through phase shifters of limited
@@ -64,19 +64,8 @@ class ArchitectureConfig:
         return self.n_rx // self.n_rx_rf
 
 
-def quantize_phases(v: np.ndarray, phase_bits: int) -> np.ndarray:
-    """Map a complex vector onto the constant-modulus quantized-phase grid.
-
-    Moduli are discarded; each phase snaps to the nearest point of the
-    2^bits grid with ties resolved toward the smaller grid phase.  The
-    result is scaled to unit norm.
-    """
-    v = np.asarray(v, dtype=complex)
-    phases = _snap_phases(np.angle(v), phase_bits)
-    return np.exp(1j * phases) / np.sqrt(v.size)
-
-
 def _snap_phases(phases: np.ndarray, phase_bits: int) -> np.ndarray:
+    """Nearest point of the 2^bits phase grid, ties toward the smaller phase."""
     if phase_bits < 1:
         raise ValueError("phase_bits must be >= 1")
     step = 2.0 * np.pi / (2**phase_bits)
@@ -106,17 +95,9 @@ def dft_beam_angles(n: int) -> np.ndarray:
     return np.arcsin(s)
 
 
-@dataclass(frozen=True)
-class AnalogBeamformer:
-    """Assembled analog beamforming matrix and the codeword index per sub-array."""
-
-    matrix: np.ndarray
-    beam_indices: tuple
-
-
 def assemble_analog_bf(
     beam_indices: Sequence[int], cfg: ArchitectureConfig, side: str
-) -> AnalogBeamformer:
+) -> np.ndarray:
     """Build the block-diagonal analog matrix from per-sub-array codewords.
 
     In digital mode the matrix is the identity and `beam_indices` is
@@ -130,7 +111,7 @@ def assemble_analog_bf(
     else:
         raise ValueError("side must be 'tx' or 'rx'")
     if cfg.bf_mode == "digital":
-        return AnalogBeamformer(np.eye(n_ant, dtype=complex), tuple())
+        return np.eye(n_ant, dtype=complex)
     sub = n_ant // n_rf
     if len(beam_indices) != n_rf:
         raise ValueError("need one beam index per RF chain")
@@ -140,7 +121,7 @@ def assemble_analog_bf(
         if not 0 <= idx < sub:
             raise ValueError("beam index outside codebook")
         f[j * sub : (j + 1) * sub, j] = book[idx]
-    return AnalogBeamformer(f, tuple(int(i) for i in beam_indices))
+    return f
 
 
 def select_subarray_beams(h: np.ndarray, codebook: np.ndarray, num_rf: int, side: str):
@@ -176,11 +157,11 @@ def beam_select_doa(theta: float, codebook: np.ndarray) -> int:
     return int(np.argmax(np.abs(codebook @ a)))
 
 
-def zf_precoder(h: np.ndarray, stream_powers: Sequence[float] | None = None) -> np.ndarray:
+def zf_precoder(h: np.ndarray) -> np.ndarray:
     """Zero-forcing precoder for a users x chains channel.
 
-    Returns W = H^H (H H^H)^-1 with columns scaled by per-stream weights
-    and normalized to unit Frobenius norm, so H W is diagonal.
+    Returns W = H^H (H H^H)^-1 normalized to unit Frobenius norm, so H W
+    is diagonal.
     """
     h = np.asarray(h, dtype=complex)
     users, chains = h.shape
@@ -191,10 +172,6 @@ def zf_precoder(h: np.ndarray, stream_powers: Sequence[float] | None = None) -> 
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularChannelError(f"channel Gram matrix condition {cond:.3e}")
     w = h.conj().T @ np.linalg.inv(gram)
-    if stream_powers is not None:
-        if len(stream_powers) != users or np.any(np.asarray(stream_powers) < 0):
-            raise ValueError("stream_powers must be nonnegative, one per stream")
-        w = w * np.sqrt(np.asarray(stream_powers))[None, :]
     norm = np.linalg.norm(w)
     if norm == 0:
         raise SingularChannelError("zero-forcing solution collapsed to zero")

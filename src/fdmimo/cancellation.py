@@ -181,12 +181,44 @@ def _regressors(tx_baseband: np.ndarray) -> np.ndarray:
     return np.vstack([x, np.conj(x), x * np.abs(x) ** 2])
 
 
+def fit_digital_canceller(
+    tx_baseband: np.ndarray,
+    rx_residual: np.ndarray,
+    residual_linear: np.ndarray,
+) -> np.ndarray:
+    """Minimum-norm least-squares fit of `train_digital_canceller`, unchecked.
+
+    With fewer streams than chains the regressors are dependent; the
+    minimum-norm fit still cancels everything in the transmitted
+    subspace, which is all that was radiated.
+    """
+    x = np.asarray(tx_baseband, dtype=complex)
+    y = np.asarray(rx_residual, dtype=complex)
+    r = np.asarray(residual_linear, dtype=complex)
+    return _fit(_regressors(x), x, y, r)
+
+
+def _fit(phi: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The fit behind both entry points, on regressors `phi` built once."""
+    # Seeding with the known linear part and fitting the leftover is
+    # algebraically identical to a direct fit but keeps the target small.
+    centered = y - r @ x
+    fit, *_ = np.linalg.lstsq(phi.conj().T, centered.conj().T, rcond=None)
+    coeffs = fit.conj().T
+    coeffs[:, : x.shape[0]] += r
+    return coeffs
+
+
 def train_digital_canceller(
     tx_baseband: np.ndarray,
     rx_residual: np.ndarray,
     residual_linear: np.ndarray,
 ) -> np.ndarray:
     """Least-squares fit of the post-analog residual on the nonlinear basis.
+
+    Checks the inputs and that the regressors identify every coefficient
+    (else RegressorRankError), then runs the fit of
+    `fit_digital_canceller` on the regressors built for that check.
 
     Parameters
     ----------
@@ -221,13 +253,7 @@ def train_digital_canceller(
     rank = np.linalg.matrix_rank(gram)
     if rank < 3 * n_tx:
         raise RegressorRankError(f"regressor rank {rank} < {3 * n_tx}")
-    # Seeding with the known linear part and fitting the leftover is
-    # algebraically identical to a direct fit but keeps the target small.
-    centered = y - r @ x
-    fit, *_ = np.linalg.lstsq(phi.conj().T, centered.conj().T, rcond=None)
-    coeffs = fit.conj().T
-    coeffs[:, :n_tx] += r
-    return coeffs
+    return _fit(phi, x, y, r)
 
 
 def apply_digital_canceller(

@@ -1,11 +1,13 @@
-"""Pilot-based channel estimation, CSI aging bookkeeping, DOA estimation."""
+"""Pilot-based channel estimation and DOA estimation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from fdmimo.impairments import check_dbm
 
 
 class NoSignalError(RuntimeError):
@@ -18,28 +20,24 @@ class PilotConfig:
 
     `num_pilots` is the per-packet training length; `power_dbm` the total
     training transmit power where the scenario fixes it (uplink training
-    and self-interference calibration); `num_streams` how many orthogonal
-    sequences share the budget.
+    and self-interference calibration).
     """
 
     num_pilots: int = 40
     power_dbm: float = 10.0
-    num_streams: int = 1
 
     def __post_init__(self):
-        if self.num_pilots < 1 or self.num_streams < 1:
-            raise ValueError("num_pilots and num_streams must be >= 1")
-        if self.num_pilots < self.num_streams:
-            raise ValueError("need at least one pilot symbol per stream")
+        if self.num_pilots < 1:
+            raise ValueError("num_pilots must be >= 1")
+        check_dbm("power_dbm", self.power_dbm)
 
 
 @dataclass
 class CsiRecord:
-    """Channel estimate plus the per-entry error variance and its slot."""
+    """Channel estimate plus the per-entry error variance."""
 
     h_hat: np.ndarray
     error_var: float
-    slot_index: int
 
 
 def orthogonal_pilots(num_streams: int, num_pilots: int) -> np.ndarray:
@@ -73,7 +71,6 @@ def mmse_estimate(
     pilots: np.ndarray,
     noise_var: float,
     prior_var: float,
-    slot_index: int = 0,
 ) -> CsiRecord:
     """Per-entry LMMSE channel estimate from y = H P + W.
 
@@ -107,44 +104,24 @@ def mmse_estimate(
     return CsiRecord(
         h_hat=h_hat,
         error_var=estimation_error_variance(prior_var, energy, noise_var),
-        slot_index=slot_index,
     )
-
-
-def age_csi(record: CsiRecord, h_true_next: np.ndarray, slot_index: int) -> np.ndarray:
-    """Mismatch between a stale estimate and the channel one slot later.
-
-    Enforces the pipeline rule that an estimate made in slot t is applied
-    in slot t + 1.
-    """
-    if slot_index != record.slot_index + 1:
-        raise ValueError("estimates must be applied exactly one slot after capture")
-    h_true_next = np.asarray(h_true_next)
-    if h_true_next.shape != record.h_hat.shape:
-        raise ValueError("channel shape changed between slots")
-    return h_true_next - record.h_hat
 
 
 def doa_estimate(
     snapshots: np.ndarray,
     sweep_vectors: np.ndarray,
     sweep_angles: Sequence[float],
-    snapshot_groups: Optional[Sequence[np.ndarray]] = None,
 ) -> float:
     """On-grid direction estimate by exhaustive beam sweep.
 
     Parameters
     ----------
     snapshots : numpy.ndarray
-        Receive-chain samples (chains x time) used for every beam when the
-        sweep is evaluated digitally.
+        Receive-chain samples (chains x time) that every beam is scored on.
     sweep_vectors : numpy.ndarray
         One candidate combining vector per row (beams x chains).
     sweep_angles : sequence of float
         Pointing angle of each candidate beam, radians.
-    snapshot_groups : sequence of numpy.ndarray, optional
-        Per-beam snapshot groups for a time-multiplexed analog sweep; when
-        given, beam b is scored only on its own group.
 
     Returns
     -------
@@ -154,18 +131,8 @@ def doa_estimate(
     sweep_vectors = np.asarray(sweep_vectors, dtype=complex)
     if len(sweep_angles) != sweep_vectors.shape[0]:
         raise ValueError("need one angle per sweep vector")
-    if snapshot_groups is not None:
-        if len(snapshot_groups) != sweep_vectors.shape[0]:
-            raise ValueError("need one snapshot group per beam")
-        powers = np.array(
-            [
-                np.mean(np.abs(w.conj() @ np.asarray(g)) ** 2)
-                for w, g in zip(sweep_vectors, snapshot_groups)
-            ]
-        )
-    else:
-        y = np.asarray(snapshots, dtype=complex)
-        powers = np.mean(np.abs(sweep_vectors.conj() @ y) ** 2, axis=1)
+    y = np.asarray(snapshots, dtype=complex)
+    powers = np.mean(np.abs(sweep_vectors.conj() @ y) ** 2, axis=1)
     if np.all(powers == 0):
         raise NoSignalError("all swept beams measured zero power")
     return float(sweep_angles[int(np.argmax(powers))])

@@ -17,6 +17,16 @@ def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
+def check_dbm(name: str, p_dbm: float) -> None:
+    """Reject a configured power that is not finite or lies beyond 300 dBm.
+
+    Far outside that range `dbm_to_watt` overflows, so such a value is a
+    configuration error rather than a fault of the simulation.
+    """
+    if not (np.isfinite(p_dbm) and abs(p_dbm) <= 300.0):
+        raise ValueError(f"{name} must be a finite power within [-300, 300] dBm, got {p_dbm!r}")
+
+
 def watt_to_dbm(p_w: float) -> float:
     """Convert a watt power to dBm."""
     if p_w <= 0:
@@ -34,7 +44,7 @@ class TxImpairmentConfig:
     normalizes each chain to this level before applying the impairments and
     restores the commanded power afterwards, which models output gain
     staging at a fixed PA operating point.  `enabled=False` bypasses both
-    impairments entirely.
+    impairments entirely; `iip3_dbm=inf` removes the PA nonlinearity.
     """
 
     iip3_dbm: float = 20.0
@@ -45,6 +55,9 @@ class TxImpairmentConfig:
     def __post_init__(self):
         if self.irr_db <= 0:
             raise ValueError("irr_db must be positive")
+        if self.iip3_dbm != np.inf:
+            check_dbm("iip3_dbm", self.iip3_dbm)
+        check_dbm("drive_dbm", self.drive_dbm)
 
 
 def pa_nonlinearity(x: np.ndarray, iip3_dbm: float) -> np.ndarray:

@@ -23,6 +23,9 @@ The trial loop is staged by what each quantity depends on:
              precoded burst per distinct precoder in a and b), then each
              scheme is scored
 
+Every full-duplex slot of every scenario is received through one chain,
+`_fd_receive`: analog taps, saturation check, then the digital canceller.
+
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Nothing of
 packet length outlives its power point.
@@ -35,7 +38,7 @@ already weighted, so DL + UL is always the headline sum rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +63,7 @@ from fdmimo.cancellation import (
     apply_digital_canceller,
     check_saturation,
     effective_si_channel,
+    fit_digital_canceller,
     select_taps,
     select_taps_by_row,
     set_tap_gains,
@@ -78,7 +82,7 @@ from fdmimo.channel import (
     steering_vector,
 )
 from fdmimo.estimation import mmse_estimate, orthogonal_pilots, doa_estimate, PilotConfig
-from fdmimo.impairments import TxImpairmentConfig, apply_tx_chain, dbm_to_watt
+from fdmimo.impairments import TxImpairmentConfig, apply_tx_chain, check_dbm, dbm_to_watt
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,8 @@ class LinkBudget:
     def __post_init__(self):
         if min(self.dl_pathloss_db, self.ul_pathloss_db, self.si_isolation_db) < 0:
             raise ValueError("pathloss and isolation must be nonnegative dB losses")
+        for name in ("bs_noise_dbm", "ue_noise_dbm", "rx_saturation_dbm", "ul_power_dbm"):
+            check_dbm(name, getattr(self, name))
 
     @property
     def dl_gain(self) -> float:
@@ -218,8 +224,8 @@ class ScenarioConfig:
             raise ValueError("seed must be >= 0")
         if len(self.power_sweep_dbm) < 1:
             raise ValueError("power_sweep_dbm must not be empty")
-        if not all(np.isfinite(self.power_sweep_dbm)):
-            raise ValueError("power_sweep_dbm entries must be finite")
+        for i, p in enumerate(self.power_sweep_dbm):
+            check_dbm(f"power_sweep_dbm[{i}]", p)
         if len(self.schemes) < 1:
             raise ValueError("schemes must not be empty")
         legal = allowed_schemes(self.scenario)
@@ -282,7 +288,7 @@ def default_scenario(code: str) -> ScenarioConfig:
             scenario="a",
             arch=ArchitectureConfig(4, 4, 4, 4, phase_bits=3, num_taps=12, bf_mode="digital"),
             budget=LinkBudget(),
-            pilots=PilotConfig(num_pilots=40, power_dbm=10.0, num_streams=4),
+            pilots=PilotConfig(num_pilots=40, power_dbm=10.0),
             power_sweep_dbm=tuple(float(p) for p in range(-10, 51, 5)),
             trials=200,
             seed=1,
@@ -299,7 +305,7 @@ def default_scenario(code: str) -> ScenarioConfig:
             # Physically separated mmWave panels: much higher passive
             # isolation than the small co-located array of scenario a.
             budget=LinkBudget(si_isolation_db=76.0),
-            pilots=PilotConfig(num_pilots=40, power_dbm=10.0, num_streams=4),
+            pilots=PilotConfig(num_pilots=40, power_dbm=10.0),
             power_sweep_dbm=tuple(float(p) for p in range(5, 46, 5)),
             trials=100,
             seed=1,
@@ -317,7 +323,7 @@ def default_scenario(code: str) -> ScenarioConfig:
             # Isolation keeps the strongest per-chain residual a few dB
             # under the front-end limit at the top of the power sweep.
             budget=LinkBudget(si_isolation_db=65.0),
-            pilots=PilotConfig(num_pilots=400, power_dbm=10.0, num_streams=4),
+            pilots=PilotConfig(num_pilots=400, power_dbm=10.0),
             aging=AgingParams(doppler_hz=50.0, slot_s=1e-3),
             power_sweep_dbm=tuple(float(p) for p in range(0, 41, 5)),
             trials=200,
@@ -333,7 +339,7 @@ def default_scenario(code: str) -> ScenarioConfig:
             scenario="d",
             arch=ArchitectureConfig(64, 2, 2, 2, phase_bits=3, num_taps=2, bf_mode="hybrid"),
             budget=LinkBudget(),
-            pilots=PilotConfig(num_pilots=400, power_dbm=10.0, num_streams=1),
+            pilots=PilotConfig(num_pilots=400, power_dbm=10.0),
             power_sweep_dbm=tuple(float(p) for p in range(0, 46, 5)),
             trials=200,
             seed=1,
@@ -433,23 +439,37 @@ def _tx_impair(x: np.ndarray, cfg: TxImpairmentConfig) -> np.ndarray:
     return apply_tx_chain(x * scale, cfg) / scale
 
 
-def _digital_cancel(x: np.ndarray, r: np.ndarray, resid_lin: np.ndarray) -> np.ndarray:
-    """Digital canceller fit that tolerates rank-deficient chain signals.
+def _fd_receive(
+    h_si: np.ndarray,
+    c: np.ndarray,
+    resid_lin: np.ndarray,
+    x: np.ndarray,
+    x_tx: np.ndarray,
+    ul: np.ndarray,
+    noise: np.ndarray,
+    digital: bool,
+    sat: SaturationSpec,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One full-duplex slot at the BS receive chains.
 
-    With fewer streams than chains the per-chain signals are linearly
-    dependent and the strict trainer rejects them; the minimum-norm least
-    squares fit still cancels everything in the transmitted subspace,
-    which is all that was radiated.
+    The radiated burst `x_tx` leaks through `h_si`, the analog taps `c`
+    subtract their copy of the clean burst `x`, UL signal and noise add.
+    With `digital` the canceller, seeded with `resid_lin`, is fit on the
+    slot and applied.  Returns the analog residual h_si x_tx - c x, the
+    samples after the last stage, and the flags of saturated chains.
     """
-    try:
-        return train_digital_canceller(x, r, resid_lin)
-    except RegressorRankError:
-        phi = np.vstack([x, x.conj(), x * np.abs(x) ** 2])
-        y = r - resid_lin @ x
-        fit, *_ = np.linalg.lstsq(phi.conj().T, y.conj().T, rcond=None)
-        coeffs = fit.conj().T
-        coeffs[:, : x.shape[0]] += resid_lin
-        return coeffs
+    r_si = h_si @ x_tx - c @ x
+    r = r_si + ul + noise
+    saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=1), sat)
+    if digital:
+        try:
+            coeffs = train_digital_canceller(x, r, resid_lin)
+        except RegressorRankError:
+            # Fewer streams than chains: the chain signals are dependent,
+            # and the minimum-norm fit still cancels what was radiated.
+            coeffs = fit_digital_canceller(x, r, resid_lin)
+        return r_si, apply_digital_canceller(coeffs, x, r), saturated
+    return r_si, r, saturated
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -592,10 +612,10 @@ def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan
         rx_book = dft_codebook(arch.rx_subarray, arch.phase_bits)
         f_tx = assemble_analog_bf(
             select_subarray_beams(draw["h_dl"], tx_book, arch.n_tx_rf, "tx"), arch, "tx"
-        ).matrix
+        )
         f_rx = assemble_analog_bf(
             select_subarray_beams(draw["h_ul"], rx_book, arch.n_rx_rf, "rx"), arch, "rx"
-        ).matrix
+        )
     else:
         f_tx = np.eye(arch.n_tx, dtype=complex)
         f_rx = np.eye(arch.n_rx, dtype=complex)
@@ -675,7 +695,6 @@ def _power_ab(
 def _eval_ab(cfg: ScenarioConfig, ctx: dict, shared: dict, plan: _Plan) -> Tuple[float, float]:
     arch = cfg.arch
     bud = cfg.budget
-    imp = cfg.impairments if plan.impaired else replace(cfg.impairments, enabled=False)
     sat = SaturationSpec(bud.rx_saturation_dbm)
     p_w = shared["p_w"]
     ul_w = p_w
@@ -685,7 +704,7 @@ def _eval_ab(cfg: ScenarioConfig, ctx: dict, shared: dict, plan: _Plan) -> Tuple
 
     w, x = shared["tx"][_tx_key(plan)]
     if w is not None:
-        x_tx = _tx_impair(x, imp)
+        x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
         dist_ue = h_dl_eff @ (x_tx - x)
         dl = dl_rate(h_dl_eff, w, p_w, bud.ue_noise_w, _measure_cov(dist_ue))
     else:
@@ -703,14 +722,11 @@ def _eval_ab(cfg: ScenarioConfig, ctx: dict, shared: dict, plan: _Plan) -> Tuple
     taps = ctx["taps"][(plan.taps, plan.layout)]
     ul_sym = shared["ul_sym"]
     noise_b = ctx["noise_b"]
-    r_si = ctx["h_si_eff"] @ x_tx - taps.matrix @ x
-    r = r_si + ul_sym + noise_b
-    saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=1), sat)
-    if plan.digital and w is not None:
-        coeffs = _digital_cancel(x, r, taps.resid_lin)
-        z_si = apply_digital_canceller(coeffs, x, r) - ul_sym - noise_b
-    else:
-        z_si = r_si
+    digital = plan.digital and w is not None
+    r_si, z, saturated = _fd_receive(
+        ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx, ul_sym, noise_b, digital, sat
+    )
+    z_si = z - ul_sym - noise_b if digital else r_si
     c_resid = _measure_cov(z_si)
 
     alive = ~saturated
@@ -803,35 +819,6 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
     return ctx
 
 
-def _c_slot(
-    cfg: ScenarioConfig,
-    ctx: dict,
-    plan: _Plan,
-    taps: _Taps,
-    imp: TxImpairmentConfig,
-    w: np.ndarray,
-    p_w: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One concurrent DL-data / UL-pilot packet at the BS receive chains.
-
-    Returns (per-chain residual power after cancellation, saturation flags).
-    """
-    bud = cfg.budget
-    x = np.sqrt(p_w) * (w @ ctx["s_dl"])
-    x_tx = _tx_impair(x, imp)
-    r_si = ctx["h_si_eff"] @ x_tx - taps.matrix @ x
-    r = r_si + ctx["pil_rx"] + ctx["noise_b"]
-    saturated = check_saturation(
-        np.mean(np.abs(r) ** 2, axis=1), SaturationSpec(bud.rx_saturation_dbm)
-    )
-    if plan.digital:
-        coeffs = _digital_cancel(x, r, taps.resid_lin)
-        z_si = apply_digital_canceller(coeffs, x, r) - ctx["pil_rx"] - ctx["noise_b"]
-    else:
-        z_si = r_si
-    return np.mean(np.abs(z_si) ** 2, axis=1), saturated
-
-
 def _eval_c(
     cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan
 ) -> Tuple[float, float]:
@@ -861,10 +848,15 @@ def _eval_c(
     w_probe = ctx["probe"][plan.csi]
     if w_probe is None:
         return 0.0, 0.0
-    imp = cfg.impairments if plan.impaired else replace(cfg.impairments, enabled=False)
     taps = ctx["taps"][(plan.taps, plan.layout)]
-    resid_power, saturated = _c_slot(cfg, ctx, plan, taps, imp, w_probe, p_w)
-    noise_eff = bud.bs_noise_w + float(np.mean(resid_power))
+    x = np.sqrt(p_w) * (w_probe @ ctx["s_dl"])
+    x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
+    r_si, z, saturated = _fd_receive(
+        ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx,
+        ctx["pil_rx"], ctx["noise_b"], plan.digital, SaturationSpec(bud.rx_saturation_dbm),
+    )
+    z_si = z - ctx["pil_rx"] - ctx["noise_b"] if plan.digital else r_si
+    noise_eff = bud.bs_noise_w + float(np.mean(np.mean(np.abs(z_si) ** 2, axis=1)))
 
     if plan.csi == "sequential":
         # One UE sounds per slot with the full pilot budget; the newest
@@ -890,7 +882,7 @@ def _eval_c(
     # The scored slot only needs the TX distortion the UEs see; its
     # receive side was already measured with the probe.
     x = np.sqrt(p_w) * (w @ ctx["s_dl"])
-    dist = _tx_impair(x, imp) - x
+    dist = (_tx_impair(x, cfg.impairments) if plan.impaired else x) - x
     dist_ue = np.mean(np.abs(dl_amp * (g[5].T @ dist)) ** 2, axis=1)
     return _c_dl_rate(cfg, g[5], w, p_w, dist_ue), 0.0
 
@@ -960,7 +952,7 @@ def _d_geometry(cfg: ScenarioConfig, theta: float) -> Tuple[np.ndarray, np.ndarr
     arch = cfg.arch
     book = dft_codebook(arch.tx_subarray, arch.phase_bits)
     idx = beam_select_doa(theta, book)
-    f_tx = assemble_analog_bf([idx] * arch.n_tx_rf, cfg.arch, "tx").matrix
+    f_tx = assemble_analog_bf([idx] * arch.n_tx_rf, cfg.arch, "tx")
     a_full = np.exp(1j * np.pi * np.arange(arch.n_tx) * np.sin(theta))
     w = (a_full @ f_tx).conj()[:, None]
     norm = np.linalg.norm(w)
@@ -1028,16 +1020,13 @@ def _eval_d(
         if final:
             break
         x = np.sqrt(p_w) * (w @ draw["s_dl"])
-        x_tx = _tx_impair(x, cfg.impairments if plan.impaired else replace(cfg.impairments, enabled=False))
-        r = h_si_eff @ x_tx - state.matrix() @ x
-        r = r + h_ul @ (np.sqrt(pil_w) * np.ones((1, t)))
-        r = r + np.sqrt(bud.bs_noise_w) * draw["n_slot"]
-        saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=1), sat_spec)
-        if plan.digital:
-            coeffs = _digital_cancel(x, r, h_si_hat - state.matrix())
-            z = apply_digital_canceller(coeffs, x, r)
-        else:
-            z = r
+        x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
+        c = state.matrix()
+        _, z, saturated = _fd_receive(
+            h_si_eff, c, h_si_hat - c, x, x_tx,
+            h_ul @ (np.sqrt(pil_w) * np.ones((1, t))), np.sqrt(bud.bs_noise_w) * draw["n_slot"],
+            plan.digital, sat_spec,
+        )
         alive = ~saturated
         if np.any(alive):
             rows = np.flatnonzero(alive)

@@ -12,7 +12,6 @@ from fdmimo.beamforming import (
     dft_codebook,
     eigen_precoder,
     mmse_combiner,
-    quantize_phases,
     select_subarray_beams,
     zf_precoder,
 )
@@ -36,24 +35,32 @@ def test_architecture_validation():
         ArchitectureConfig(n_tx=4, n_rx=4, n_tx_rf=2, n_rx_rf=2, phase_bits=0)
 
 
-def test_quantize_phases_snaps_to_grid():
-    out = quantize_phases(np.array([np.exp(0.4j)]), 3)
-    assert out[0] == pytest.approx(np.exp(1j * np.pi / 4), rel=1e-12)
-    # moduli are discarded, result is unit norm
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    q = quantize_phases(v, 3)
-    assert np.linalg.norm(q) == pytest.approx(1.0, rel=1e-12)
-    assert np.allclose(np.abs(q), 1.0 / 4.0)
-    step = np.pi / 4.0
-    assert np.allclose(np.angle(q) % step, 0.0, atol=1e-9) or np.allclose(
-        np.angle(q) % step, step, atol=1e-9
-    )
-    # each phase moves at most half a grid step
-    moved = np.angle(q * np.conj(v / np.abs(v)))
-    assert np.all(np.abs(moved) <= step / 2 + 1e-12)
+def _snap_shift(n, phase_bits):
+    """Codebook phase minus the ideal DFT phase, wrapped to (-pi, pi]."""
+    k = np.arange(n)
+    book = dft_codebook(n, phase_bits)
+    ideal = 2.0 * np.pi * np.outer(k, k) / n
+    return np.angle(book * np.sqrt(n) * np.exp(-1j * ideal)), np.outer(k, k)
+
+
+def test_dft_codebook_snaps_phases_to_grid():
+    # Two-bit shifters (grid step pi/2) on the length-8 DFT phases k m pi/4:
+    # even k m lies on the grid, odd k m is an exact tie between two points.
+    step = np.pi / 2.0
+    book = dft_codebook(8, 2)
+    assert np.allclose(np.abs(book), 1.0 / np.sqrt(8))
+    assert np.allclose(np.exp(4j * np.angle(book)), 1.0, atol=1e-9)  # on the grid
+    moved, km = _snap_shift(8, 2)
+    assert np.all(np.abs(moved) <= step / 2 + 1e-9)  # at most half a step
+    assert np.allclose(moved[km % 2 == 0], 0.0, atol=1e-9)  # grid points stay
+    assert np.allclose(moved[km % 2 == 1], -step / 2, atol=1e-9)  # ties go down
+    # Length 16: k m pi/8 with k m odd is no tie and snaps to the nearest
+    # point, down from pi/8 and up from 3 pi/8 (mod pi/2).
+    moved, km = _snap_shift(16, 2)
+    assert np.allclose(moved[km % 4 == 1], -step / 4, atol=1e-9)
+    assert np.allclose(moved[km % 4 == 3], step / 4, atol=1e-9)
     with pytest.raises(ValueError):
-        quantize_phases(v, 0)
+        dft_codebook(8, 0)
 
 
 def test_dft_codebook_is_exact_on_grid():
@@ -93,10 +100,8 @@ def test_beam_select_doa_inverts_angle_grid():
 def test_assemble_analog_bf_blocks():
     cfg = ArchitectureConfig(n_tx=8, n_rx=8, n_tx_rf=2, n_rx_rf=2, phase_bits=3, bf_mode="hybrid")
     book = dft_codebook(4, 3)
-    bf = assemble_analog_bf([1, 3], cfg, "tx")
-    f = bf.matrix
+    f = assemble_analog_bf([1, 3], cfg, "tx")
     assert f.shape == (8, 2)
-    assert bf.beam_indices == (1, 3)
     assert np.allclose(f[0:4, 0], book[1]) and np.allclose(f[4:8, 1], book[3])
     assert np.allclose(f[4:8, 0], 0.0) and np.allclose(f[0:4, 1], 0.0)
     assert np.allclose(np.linalg.norm(f, axis=0), 1.0)
@@ -110,9 +115,7 @@ def test_assemble_analog_bf_blocks():
 
 def test_assemble_analog_bf_digital_identity():
     cfg = ArchitectureConfig(n_tx=4, n_rx=4, n_tx_rf=4, n_rx_rf=4, bf_mode="digital")
-    bf = assemble_analog_bf([], cfg, "rx")
-    assert np.array_equal(bf.matrix, np.eye(4))
-    assert bf.beam_indices == ()
+    assert np.array_equal(assemble_analog_bf([], cfg, "rx"), np.eye(4))
 
 
 def test_select_subarray_beams_planted():
@@ -137,18 +140,6 @@ def test_zf_precoder_diagonalizes():
     hw = h @ w
     assert np.allclose(hw, hw[0, 0] * np.eye(3), atol=1e-10)
     assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_zf_precoder_stream_powers():
-    rng = np.random.default_rng(3)
-    h = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    hw = h @ zf_precoder(h, stream_powers=[4.0, 1.0, 0.0])
-    d = np.abs(np.diag(hw)) / np.abs(hw[0, 0])
-    assert np.allclose(d, [1.0, 0.5, 0.0], atol=1e-9)
-    with pytest.raises(ValueError):
-        zf_precoder(h, stream_powers=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        zf_precoder(h, stream_powers=[1.0, -1.0, 1.0])
 
 
 def test_zf_precoder_singular_cases():

@@ -12,6 +12,7 @@ from fdmimo.cancellation import (
     apply_digital_canceller,
     check_saturation,
     effective_si_channel,
+    fit_digital_canceller,
     residual_si_power,
     select_taps,
     select_taps_by_row,
@@ -188,3 +189,26 @@ def test_digital_canceller_rank_deficient_raises():
     x = np.vstack([s, 0.5 * s])
     with pytest.raises(RegressorRankError):
         train_digital_canceller(x, _cn(rng, 2, 32), np.zeros((2, 2)))
+
+
+def test_fit_digital_canceller_handles_one_stream_on_two_chains():
+    # The strict fit refuses dependent chain signals; the min-norm fit on
+    # the same slot still cancels a planted model down to the noise floor.
+    rng = np.random.default_rng(10)
+    s = _cn(rng, 1, 400)
+    x = np.vstack([s, 0.5j * s])
+    planted = _cn(rng, 3, 6)
+    noise = 1e-3 * _cn(rng, 3, 400)
+    y = planted @ _regressors(x) + noise
+    lin = _cn(rng, 3, 2)
+    with pytest.raises(RegressorRankError):
+        train_digital_canceller(x, y, lin)
+    resid = apply_digital_canceller(fit_digital_canceller(x, y, lin), x, y)
+    floor = np.mean(np.abs(noise) ** 2)
+    assert 0.9 * floor < np.mean(np.abs(resid) ** 2) <= floor * (1 + 1e-9)
+
+
+def test_train_digital_canceller_is_the_checked_fit():
+    rng = np.random.default_rng(11)
+    x, y, lin = _cn(rng, 2, 64), _cn(rng, 3, 64), _cn(rng, 3, 2)
+    assert np.array_equal(train_digital_canceller(x, y, lin), fit_digital_canceller(x, y, lin))

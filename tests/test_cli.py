@@ -202,6 +202,39 @@ def test_exit_code_one_on_mistyped_values(tmp_path, capsys, payload, key):
     assert "config error" in err and key in err
 
 
+def test_dropped_pilot_stream_count_is_rejected(tmp_path, capsys):
+    src = _write(tmp_path, {"scenario": "a", "pilots": {"num_streams": 4}})
+    assert main(["run", "--config", src]) == 1
+    err = capsys.readouterr().err
+    assert "unknown key 'num_streams' in section 'pilots'" in err
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"power_sweep_dbm": [0, 1e6]}, "power_sweep_dbm[1]"),
+        ({"budget": {"bs_noise_dbm": 1e6}}, "bs_noise_dbm"),
+        ({"budget": {"ue_noise_dbm": -1e6}}, "ue_noise_dbm"),
+        ({"budget": {"ul_power_dbm": 1e6}}, "ul_power_dbm"),
+        ({"budget": {"rx_saturation_dbm": 1e6}}, "rx_saturation_dbm"),
+        ({"pilots": {"power_dbm": 1e6}}, "power_dbm"),
+        ({"impairments": {"drive_dbm": 1e6}}, "drive_dbm"),
+        ({"impairments": {"iip3_dbm": 1e6}}, "iip3_dbm"),
+        ({"impairments": {"iip3_dbm": float("-inf")}}, "iip3_dbm"),
+    ],
+    ids=["sweep", "bs-noise", "ue-noise", "ul-power", "saturation", "pilot-power", "drive",
+         "iip3", "iip3-minus-inf"],
+)
+def test_exit_code_one_on_unbounded_dbm(tmp_path, capsys, payload, key):
+    src = _write(tmp_path, {"scenario": "a", **payload})
+    assert main(["run", "--config", src]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "[-300, 300] dBm" in err
+    section = next(iter(payload))
+    if section != "power_sweep_dbm":
+        assert f"'{section}'" in err
+
+
 def test_integral_floats_read_as_ints(tmp_path):
     cfg = parse_config(
         _write(tmp_path, {"scenario": "a", "trials": 200.0, "architecture": {"num_taps": 4.0}})

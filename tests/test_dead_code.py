@@ -1,0 +1,52 @@
+"""Every public function, class and method of fdmimo has a user.
+
+A public name counts as used when it is named anywhere in `src/fdmimo`
+other than at its own definition, or in the acceptance tests, which use a
+few helpers as oracles.  Unit tests alone do not keep code alive.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "fdmimo").glob("*.py"))
+
+
+def _public_definitions(tree):
+    """(qualified name, bare name) of each public top-level def and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def _named(tree):
+    """Every identifier a module refers to: names, attributes, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def unused_public_names():
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    used = set(_named(acceptance))
+    for tree in trees.values():
+        used.update(_named(tree))
+    unused = []
+    for path, tree in trees.items():
+        for qual, name in _public_definitions(tree):
+            if name not in used:
+                unused.append(f"{path.stem}.{qual}")
+    return unused
+
+
+def test_every_public_definition_is_used():
+    assert unused_public_names() == []

@@ -1,14 +1,12 @@
-"""Pilot design, LMMSE estimation and CSI bookkeeping checks."""
+"""Pilot design, LMMSE estimation and DOA estimation checks."""
 
 import numpy as np
 import pytest
 
 from fdmimo.channel import steering_vector
 from fdmimo.estimation import (
-    CsiRecord,
     NoSignalError,
     PilotConfig,
-    age_csi,
     doa_estimate,
     estimation_error_variance,
     mmse_estimate,
@@ -75,19 +73,6 @@ def test_mmse_rejects_bad_pilots():
         mmse_estimate(y, orthogonal_pilots(2, 8), noise_var=1.0, prior_var=1.0)
 
 
-def test_age_csi_one_slot_rule():
-    rng = np.random.default_rng(2)
-    h_hat = rng.standard_normal((2, 3)) + 0j
-    rec = CsiRecord(h_hat=h_hat, error_var=0.1, slot_index=3)
-    h_next = rng.standard_normal((2, 3)) + 0j
-    assert np.allclose(age_csi(rec, h_next, 4), h_next - h_hat)
-    for slot in (3, 5):
-        with pytest.raises(ValueError):
-            age_csi(rec, h_next, slot)
-    with pytest.raises(ValueError):
-        age_csi(rec, np.zeros((3, 2)), 4)
-
-
 def _sweep(angles, n):
     return np.stack([steering_vector(n, a) for a in angles])
 
@@ -100,18 +85,6 @@ def test_doa_recovers_planted_source():
     y = np.outer(steering_vector(8, angles[17]), s)
     y += 0.001 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
     assert doa_estimate(y, vectors, angles) == angles[17]
-
-
-def test_doa_snapshot_groups():
-    rng = np.random.default_rng(4)
-    angles = np.linspace(-1.0, 1.0, 9)
-    vectors = _sweep(angles, 4)
-    s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    groups = [np.zeros((4, 16), dtype=complex) for _ in angles]
-    groups[5] = np.outer(steering_vector(4, angles[5]), s)
-    assert doa_estimate(np.zeros((4, 1)), vectors, angles, snapshot_groups=groups) == angles[5]
-    with pytest.raises(ValueError):
-        doa_estimate(np.zeros((4, 1)), vectors, angles, snapshot_groups=groups[:3])
 
 
 def test_doa_all_zero_raises():
@@ -132,9 +105,10 @@ def test_doa_tie_resolves_to_lowest_index():
 
 
 def test_pilot_config_validation():
-    cfg = PilotConfig(num_pilots=40, power_dbm=10.0, num_streams=4)
+    cfg = PilotConfig(num_pilots=40, power_dbm=10.0)
     assert cfg.num_pilots == 40
     with pytest.raises(ValueError):
         PilotConfig(num_pilots=0)
-    with pytest.raises(ValueError):
-        PilotConfig(num_pilots=2, num_streams=3)
+    for bad in (1e6, -1e6, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="power_dbm"):
+            PilotConfig(power_dbm=bad)

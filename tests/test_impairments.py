@@ -110,3 +110,10 @@ def test_impairment_config_validation():
         TxImpairmentConfig(irr_db=0.0)
     with pytest.raises(ValueError):
         TxImpairmentConfig(irr_db=-3.0)
+    assert TxImpairmentConfig(iip3_dbm=np.inf).iip3_dbm == np.inf  # an ideal PA
+    for bad in (-np.inf, np.nan, 1e6, -301.0):
+        with pytest.raises(ValueError, match="iip3_dbm"):
+            TxImpairmentConfig(iip3_dbm=bad)
+        with pytest.raises(ValueError, match="drive_dbm"):
+            TxImpairmentConfig(drive_dbm=bad)
+    TxImpairmentConfig(iip3_dbm=300.0, drive_dbm=-300.0)  # the bounds themselves are fine
