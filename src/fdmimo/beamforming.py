@@ -182,16 +182,18 @@ def mmse_combiner(h: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
     """Linear MMSE receive combiner for chains x streams channel h.
 
     `noise_cov` is the covariance of noise plus residual interference at
-    the receive chains and must be Hermitian positive definite.
+    the receive chains and must be Hermitian positive definite.  Leading
+    axes stack independent problems; each combiner of the stack equals the
+    2-D call on its own inputs, bit for bit.
     """
     h = np.asarray(h, dtype=complex)
     r = np.asarray(noise_cov, dtype=complex)
     try:
-        np.linalg.cholesky(0.5 * (r + r.conj().T))
+        np.linalg.cholesky(0.5 * (r + r.conj().swapaxes(-1, -2)))
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError("noise covariance not positive definite") from exc
     rinv_h = np.linalg.solve(r, h)
-    inner = np.eye(h.shape[1], dtype=complex) + h.conj().T @ rinv_h
+    inner = np.eye(h.shape[-1], dtype=complex) + h.conj().swapaxes(-1, -2) @ rinv_h
     return rinv_h @ np.linalg.inv(inner)
 
 

@@ -202,8 +202,7 @@ def _fit(phi: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.nda
     """The fit behind both entry points, on regressors `phi` built once."""
     # Seeding with the known linear part and fitting the leftover is
     # algebraically identical to a direct fit but keeps the target small.
-    centered = y - r @ x
-    fit, *_ = np.linalg.lstsq(phi.conj().T, centered.conj().T, rcond=None)
+    fit, *_ = np.linalg.lstsq(phi.conj().T, (y - r @ x).conj().T, rcond=None)
     coeffs = fit.conj().T
     coeffs[:, : x.shape[0]] += r
     return coeffs

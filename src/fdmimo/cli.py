@@ -244,6 +244,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(complexity_report(cfg.arch), indent=2, sort_keys=True))
         return 0
 
+    if args.out is not None and not Path(args.out).absolute().parent.is_dir():
+        # Checked before the sweep, so a typo does not cost a whole run.
+        print(f"fdmimo: config error: no directory for --out {args.out}", file=sys.stderr)
+        return 1
     try:
         points = run_scenario(cfg)
     except Exception as exc:  # noqa: BLE001  simulation faults map to exit 2
@@ -252,9 +256,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     text = format_csv(points)
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({len(points)} rows)", file=sys.stderr)
+    except OSError as exc:
+        print(f"fdmimo: config error: cannot write --out: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {args.out} ({len(points)} rows)", file=sys.stderr)
     return 0
 
 

@@ -19,9 +19,10 @@ The trial loop is staged by what each quantity depends on:
              one canceller per (taps, layout), and in scenario c the
              probe, half-duplex and ideal-CSI precoders (`_prepare_ab`,
              `_prepare_c`); scenario d works from the draw alone
-  per power  what the schemes share (channel estimates, UL burst, one
-             precoded burst per distinct precoder in a and b), then each
-             scheme is scored
+  per power  in a and b, the channel estimates and one precoded burst per
+             distinct precoder; schemes sharing a burst are received
+             together, then scored as one stack (`_score_ab`).  c and d
+             score one scheme at a time.
 
 Every full-duplex slot of every scenario is received through one chain,
 `_fd_receive`: analog taps, saturation check, then the digital canceller.
@@ -107,6 +108,11 @@ class LinkBudget:
             raise ValueError("pathloss and isolation must be nonnegative dB losses")
         for name in ("bs_noise_dbm", "ue_noise_dbm", "rx_saturation_dbm", "ul_power_dbm"):
             check_dbm(name, getattr(self, name))
+        for name in ("bs_noise_dbm", "ue_noise_dbm"):
+            # kTB at 290 K in 1 Hz; a lower floor leaves the residual SI
+            # covariance numerically indefinite instead of adding noise.
+            if getattr(self, name) < -174.0:
+                raise ValueError(f"{name} must be at least -174 dBm (thermal noise in 1 Hz)")
 
     @property
     def dl_gain(self) -> float:
@@ -154,11 +160,7 @@ _PLANS: Dict[str, Dict[str, _Plan]] = {
             taps="full", layout="greedy", digital=False, budget="noise", null_depth=True
         ),
         "benchmark-ideal": _Plan(
-            taps="full",
-            layout="greedy",
-            digital=False,
-            impaired=False,
-            budget="noise",
+            taps="full", layout="greedy", digital=False, impaired=False, budget="noise",
             null_depth=True,
         ),
         "hd": _Plan(taps="none", digital=False, duplex="hd"),
@@ -261,8 +263,9 @@ class ScenarioConfig:
             raise ValueError("packet_symbols must cover the digital canceller basis")
         if not 0.0 < self.dl_data_fraction <= 1.0:
             raise ValueError("dl_data_fraction must lie in (0, 1]")
-        hd_len = int(round(self.hd_pilot_fraction * self.packet_symbols))
-        if hd_len < 1:
+        if not 0.0 < self.hd_pilot_fraction <= 1.0:
+            raise ValueError("hd_pilot_fraction must lie in (0, 1]")
+        if self.hd_pilot_len < 1:
             raise ValueError("hd_pilot_fraction leaves no training symbols")
 
     @property
@@ -372,55 +375,59 @@ def complexity_report(arch: ArchitectureConfig) -> Dict[str, int]:
 
 
 def dl_rate(
-    h_eff: np.ndarray,
-    precoder: np.ndarray,
-    tx_power_w: float,
-    noise_w: float,
+    h_eff: np.ndarray, precoder: np.ndarray, tx_power_w: float, noise_w: float,
     interference_cov: Optional[np.ndarray] = None,
-) -> float:
+) -> float | np.ndarray:
     """log2 det(I + P (HW)(HW)^H C^-1) with C = noise I + interference.
 
     `h_eff` includes all link gains and `precoder` has unit Frobenius
-    norm, so `tx_power_w` is the total radiated power.
+    norm, so `tx_power_w` is the total radiated power.  Leading axes of
+    the arrays stack independent links; the result is then an array of
+    rates, each equal to the 2-D call on its own inputs, bit for bit.
     """
     if tx_power_w < 0 or noise_w <= 0:
         raise ValueError("tx_power_w must be >= 0 and noise_w > 0")
     h = np.asarray(h_eff, dtype=complex)
     w = np.asarray(precoder, dtype=complex)
     g = h @ w
-    c = noise_w * np.eye(h.shape[0], dtype=complex)
+    c = noise_w * np.eye(h.shape[-2], dtype=complex)
     if interference_cov is not None:
         c = c + np.asarray(interference_cov, dtype=complex)
-    return _logdet_gap(c + tx_power_w * (g @ g.conj().T), c)
+    return _logdet_gap(c + tx_power_w * (g @ _herm(g)), c)
 
 
 def ul_rate(
-    h_eff: np.ndarray,
-    combiner: np.ndarray,
-    ul_power_w: float,
-    noise_cov: np.ndarray,
-) -> float:
+    h_eff: np.ndarray, combiner: np.ndarray, ul_power_w: float, noise_cov: np.ndarray
+) -> float | np.ndarray:
     """Achievable rate through an explicit linear combiner.
 
     The UL power splits equally across the streams (columns of `h_eff`);
     `noise_cov` holds thermal noise plus residual self-interference at the
     receive chains.  Saturated chains are dropped by the caller before the
     call, so a fully saturated receiver never reaches this function.
+    Leading axes stack independent links, as in `dl_rate`.
     """
     if ul_power_w < 0:
         raise ValueError("ul_power_w must be >= 0")
     h = np.asarray(h_eff, dtype=complex)
     u = np.asarray(combiner, dtype=complex)
-    g = u.conj().T @ h
-    cn = u.conj().T @ np.asarray(noise_cov, dtype=complex) @ u
-    per_stream = ul_power_w / h.shape[1]
-    return _logdet_gap(cn + per_stream * (g @ g.conj().T), cn)
+    g = _herm(u) @ h
+    cn = _herm(u) @ np.asarray(noise_cov, dtype=complex) @ u
+    per_stream = ul_power_w / h.shape[-1]
+    return _logdet_gap(cn + per_stream * (g @ _herm(g)), cn)
 
 
-def _logdet_gap(a: np.ndarray, b: np.ndarray) -> float:
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _logdet_gap(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """log2 det a - log2 det b: a float, or an array over leading axes."""
     _, la = np.linalg.slogdet(a)
     _, lb = np.linalg.slogdet(b)
-    return float((la - lb) / np.log(2.0))
+    gap = (la - lb) / np.log(2.0)
+    return float(gap) if np.ndim(gap) == 0 else gap
 
 
 def _tx_impair(x: np.ndarray, cfg: TxImpairmentConfig) -> np.ndarray:
@@ -440,35 +447,37 @@ def _tx_impair(x: np.ndarray, cfg: TxImpairmentConfig) -> np.ndarray:
 
 
 def _fd_receive(
-    h_si: np.ndarray,
-    c: np.ndarray,
-    resid_lin: np.ndarray,
-    x: np.ndarray,
-    x_tx: np.ndarray,
-    ul: np.ndarray,
-    noise: np.ndarray,
-    digital: bool,
-    sat: SaturationSpec,
+    h_si: np.ndarray, c: np.ndarray, resid_lin: np.ndarray, x: np.ndarray, x_tx: np.ndarray,
+    ul: np.ndarray, noise: np.ndarray, digital: bool, sat: SaturationSpec,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One full-duplex slot at the BS receive chains.
 
     The radiated burst `x_tx` leaks through `h_si`, the analog taps `c`
     subtract their copy of the clean burst `x`, UL signal and noise add.
     With `digital` the canceller, seeded with `resid_lin`, is fit on the
-    slot and applied.  Returns the analog residual h_si x_tx - c x, the
-    samples after the last stage, and the flags of saturated chains.
+    slot and applied.  Returns the SI left after the last stage (the
+    analog residual h_si x_tx - c x without `digital`), the samples after
+    the last stage, and the flags of saturated chains.
+
+    A stack of radiated versions of one burst, `x_tx` of shape (members,
+    chains, samples), is received in one pass: all members' rows share
+    the regressors of `x`, so one fit and one apply serve them all, with
+    `resid_lin` given once per member (stacked rows).
     """
     r_si = h_si @ x_tx - c @ x
     r = r_si + ul + noise
-    saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=1), sat)
+    saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=-1), sat)
     if digital:
+        del r_si  # not returned; freed before the fit's temporaries
+        rows = r.reshape(-1, r.shape[-1])
         try:
-            coeffs = train_digital_canceller(x, r, resid_lin)
+            coeffs = train_digital_canceller(x, rows, resid_lin)
         except RegressorRankError:
             # Fewer streams than chains: the chain signals are dependent,
             # and the minimum-norm fit still cancels what was radiated.
-            coeffs = fit_digital_canceller(x, r, resid_lin)
-        return r_si, apply_digital_canceller(coeffs, x, r), saturated
+            coeffs = fit_digital_canceller(x, rows, resid_lin)
+        z = apply_digital_canceller(coeffs, x, rows).reshape(r.shape)
+        return z - ul - noise, z, saturated
     return r_si, r, saturated
 
 
@@ -483,11 +492,7 @@ def _ro(a: np.ndarray) -> np.ndarray:
 
 
 def _pilot_estimate(
-    h_true: np.ndarray,
-    noise_std: np.ndarray,
-    pil: np.ndarray,
-    noise_w: float,
-    prior_var: float,
+    h_true: np.ndarray, noise_std: np.ndarray, pil: np.ndarray, noise_w: float, prior_var: float
 ) -> np.ndarray:
     """Simulated sounding with the scaled pilot matrix `pil`, then the LMMSE estimate."""
     y = h_true @ pil + np.sqrt(noise_w) * noise_std[:, : pil.shape[1]]
@@ -531,44 +536,43 @@ def _trial_taps(
 
 
 def _fd_precoder(
-    h_dl_hat: np.ndarray,
-    h_si_hat: np.ndarray,
-    state: Optional[CancellerState],
-    null_v: Optional[np.ndarray],
-    plan: _Plan,
-    max_streams: int,
-    mu_w: float,
-    p_w: float,
+    cfg: ScenarioConfig, ctx: dict, h_dl_hat: np.ndarray, plan: _Plan, p_w: float
 ) -> Tuple[Optional[np.ndarray], int]:
     """Eigen precoder plus the plan's self-interference spatial handling.
 
-    `null_v` spans the strong half of the SI channel row space, used by
-    plans with a fixed null depth.  Returns (precoder, streams); the
+    `ctx["null_v"]` spans the strong half of the SI channel row space, used
+    by plans with a fixed null depth.  Returns (precoder, streams); the
     precoder is None when no stream count admits a feasible projection.
     """
-    streams = max_streams
+    bud = cfg.budget
+    sat = SaturationSpec(bud.rx_saturation_dbm)
+    mu_w = 0.5 * sat.max_input_w if plan.budget == "saturation" else bud.bs_noise_w
+    streams = min(cfg.arch.n_tx_rf, cfg.dl_ue_antennas)
     while streams >= 1:
         w = eigen_precoder(h_dl_hat, streams)
         if plan.duplex == "hd":
             return w, streams
         if plan.null_depth:
             # Transmit in the weak half of the SI channel row space.
+            null_v = ctx["null_v"]
             w = w - null_v @ (null_v.conj().T @ w)
             norm = np.linalg.norm(w)
             if norm < 1e-12:
                 return None, 0
             return w / norm, streams
+        state = ctx["taps"][(plan.taps, plan.layout)].state
         try:
             # The budget is on radiated residual power, the projection
             # helper compares against ||R W||_F^2 with unit symbol power.
-            return si_aware_precoder_projection(w, h_si_hat, state, mu_w / p_w), streams
+            return si_aware_precoder_projection(w, ctx["h_si_hat"], state, mu_w / p_w), streams
         except InfeasibleProjectionError:
             streams -= 1
     return None, 0
 
 
 def _measure_cov(z: np.ndarray) -> np.ndarray:
-    return (z @ z.conj().T) / z.shape[1]
+    """Sample covariance of the rows of `z`, over any leading axes."""
+    return (z @ _herm(z)) / z.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -645,104 +649,105 @@ def _tx_key(plan: _Plan) -> tuple:
     return (plan.taps, plan.layout, plan.budget, plan.null_depth, plan.duplex)
 
 
-def _power_ab(
+def _groups(keys) -> Dict[object, List[int]]:
+    """Positions of equal keys, in first-seen order; None keys are left out."""
+    out: Dict[object, List[int]] = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            out.setdefault(key, []).append(i)
+    return out
+
+
+def _stacked(fn, keys, *args) -> list:
+    """One call of `fn` per group of equal keys on the members' stacked
+    `args`; the results member by member, None for a None key."""
+    out: list = [None] * len(keys)
+    for idx in _groups(keys).values():
+        for i, res in zip(idx, fn(*(np.stack([a[i] for i in idx]) for a in args))):
+            out[i] = res
+    return out
+
+
+def _score_ab(
     cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plans: List[_Plan]
-) -> dict:
-    """What the schemes share at one power: estimates, UL burst, precoders."""
+) -> List[Tuple[float, float]]:
+    """(DL, UL) rates of every plan at one power.
+
+    The channels are sounded at the operating power; schemes with the same
+    precoder and digital stage share a burst.  Schemes sharing a burst are
+    received together, then scored as one stack: one `_fd_receive` per
+    burst, whose members' samples shrink at once to covariances and
+    saturation flags; then one `dl_rate`, `mmse_combiner` and `ul_rate`
+    (which also holds the interference-free bounds) per array shape.
+    """
     arch = cfg.arch
     bud = cfg.budget
-    ul_w = p_w  # the UL UE tracks the swept DL power in these scenarios
-    ul_amp = np.sqrt(ul_w / cfg.ul_streams)
-
-    # Pilot-based estimates: the DL and UL channels are sounded at the
-    # operating powers.
-    dl_prior = bud.dl_gain * arch.tx_subarray
-    ul_prior = bud.ul_gain * arch.rx_subarray
+    sat = SaturationSpec(bud.rx_saturation_dbm)
+    ul_amp = np.sqrt(p_w / cfg.ul_streams)  # the UL UE tracks the swept DL power
     h_dl_hat = _pilot_estimate(
         ctx["h_dl_eff"], ctx["n_dl"], np.sqrt(p_w / arch.n_tx_rf) * consts["dl"],
-        bud.ue_noise_w, dl_prior,
+        bud.ue_noise_w, bud.dl_gain * arch.tx_subarray,
     )
     h_ul_hat = _pilot_estimate(
-        ctx["h_ul_eff"], ctx["n_ul"], ul_amp * consts["ul"], bud.bs_noise_w, ul_prior
+        ctx["h_ul_eff"], ctx["n_ul"], ul_amp * consts["ul"], bud.bs_noise_w,
+        bud.ul_gain * arch.rx_subarray,
     )
-
-    sat = SaturationSpec(bud.rx_saturation_dbm)
-    max_streams = min(arch.n_tx_rf, cfg.dl_ue_antennas)
-    tx: Dict[tuple, Tuple[Optional[np.ndarray], np.ndarray]] = {}
-    for plan in plans:
-        key = _tx_key(plan)
-        if key in tx:
-            continue
-        mu_w = 0.5 * sat.max_input_w if plan.budget == "saturation" else bud.bs_noise_w
-        state = ctx["taps"][(plan.taps, plan.layout)].state if plan.duplex == "fd" else None
-        w, streams = _fd_precoder(
-            h_dl_hat, ctx["h_si_hat"], state, ctx.get("null_v"), plan, max_streams, mu_w, p_w
-        )
-        if w is not None:
-            x = np.sqrt(p_w) * (w @ ctx["s_dl"][:streams])
-            _ro(w)
+    ul_sym = _ro(ctx["h_ul_eff"] @ (ul_amp * ctx["s_ul"]))
+    n = len(plans)
+    ws: list = [None] * n
+    dist_cov: list = [None] * n  # TX distortion at the DL UE
+    si_cov = [np.zeros((arch.n_rx_rf,) * 2, dtype=complex)] * n  # residual SI at the BS
+    alive = [np.ones(arch.n_rx_rf, dtype=bool)] * n  # chains that escaped saturation
+    # BLAS takes vector kernels for a lone receive row, which round unlike
+    # a stack of rows; a one-chain receiver scores each scheme on its own.
+    solo = arch.n_rx_rf == 1
+    bursts = _groups((_tx_key(p), p.digital, solo and i) for i, p in enumerate(plans))
+    for (_, digital, _), members in bursts.items():
+        lead = plans[members[0]]
+        w, streams = _fd_precoder(cfg, ctx, h_dl_hat, lead, p_w)
+        if w is None:
+            x = _ro(np.zeros((arch.n_tx_rf, cfg.packet_symbols), dtype=complex))
         else:
-            x = np.zeros((arch.n_tx_rf, cfg.packet_symbols), dtype=complex)
-        tx[key] = (w, _ro(x))
-    return {
-        "p_w": p_w,
-        "h_ul_hat": _ro(h_ul_hat),
-        "ul_sym": _ro(ctx["h_ul_eff"] @ (ul_amp * ctx["s_ul"])),
-        "tx": tx,
-    }
+            x = _ro(np.sqrt(p_w) * (w @ ctx["s_dl"][:streams]))
+        for i in members:
+            ws[i] = w
+        impair = [plans[i].impaired and w is not None for i in members]
+        x_tx = np.stack([_tx_impair(x, cfg.impairments) if on else x for on in impair])
+        if w is not None:
+            for i, cov in zip(members, _measure_cov(ctx["h_dl_eff"] @ (x_tx - x))):
+                dist_cov[i] = cov
+        if lead.duplex == "fd":
+            taps = ctx["taps"][(lead.taps, lead.layout)]
+            z_si, _, saturated = _fd_receive(
+                ctx["h_si_eff"], taps.matrix, np.tile(taps.resid_lin, (len(members), 1)), x,
+                x_tx, ul_sym, ctx["noise_b"], digital and w is not None, sat,
+            )
+            for i, cov, flags in zip(members, _measure_cov(z_si), saturated):
+                si_cov[i], alive[i] = cov, ~flags
 
-
-def _eval_ab(cfg: ScenarioConfig, ctx: dict, shared: dict, plan: _Plan) -> Tuple[float, float]:
-    arch = cfg.arch
-    bud = cfg.budget
-    sat = SaturationSpec(bud.rx_saturation_dbm)
-    p_w = shared["p_w"]
-    ul_w = p_w
-    h_dl_eff = ctx["h_dl_eff"]
-    h_ul_eff = ctx["h_ul_eff"]
-    h_ul_hat = shared["h_ul_hat"]
-
-    w, x = shared["tx"][_tx_key(plan)]
-    if w is not None:
-        x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
-        dist_ue = h_dl_eff @ (x_tx - x)
-        dl = dl_rate(h_dl_eff, w, p_w, bud.ue_noise_w, _measure_cov(dist_ue))
-    else:
-        x_tx = x
-        dl = 0.0
-
-    if plan.duplex == "hd":
-        combiner = mmse_combiner(
-            np.sqrt(ul_w / cfg.ul_streams) * h_ul_hat,
-            bud.bs_noise_w * np.eye(arch.n_rx_rf, dtype=complex),
-        )
-        ul = ul_rate(h_ul_eff, combiner, ul_w, bud.bs_noise_w * np.eye(arch.n_rx_rf))
-        return 0.5 * dl, 0.5 * ul
-
-    taps = ctx["taps"][(plan.taps, plan.layout)]
-    ul_sym = shared["ul_sym"]
-    noise_b = ctx["noise_b"]
-    digital = plan.digital and w is not None
-    r_si, z, saturated = _fd_receive(
-        ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx, ul_sym, noise_b, digital, sat
+    dl = _stacked(
+        lambda w, c: dl_rate(ctx["h_dl_eff"], w, p_w, bud.ue_noise_w, c),
+        [None if w is None else w.shape for w in ws], ws, dist_cov,
     )
-    z_si = z - ul_sym - noise_b if digital else r_si
-    c_resid = _measure_cov(z_si)
-
-    alive = ~saturated
-    ul = 0.0
-    if np.any(alive):
-        noise_cov = bud.bs_noise_w * np.eye(int(alive.sum()), dtype=complex)
-        c_sub = c_resid[np.ix_(alive, alive)]
-        combiner = mmse_combiner(
-            np.sqrt(ul_w / cfg.ul_streams) * h_ul_hat[alive], noise_cov + c_sub
-        )
-        ul = ul_rate(h_ul_eff[alive], combiner, ul_w, noise_cov + c_sub)
+    # Surviving chains see thermal noise plus residual SI; the bound, noise alone.
+    thermal = [bud.bs_noise_w * np.eye(int(m.sum()), dtype=complex) for m in alive]
+    cov = [t + c[np.ix_(m, m)] for t, c, m in zip(thermal, si_cov, alive)]
+    chains = [int(m.sum()) or None for m in alive]
+    bounded = [np.stack([c, t]) for c, t in zip(cov, thermal)]
+    combiners = _stacked(mmse_combiner, chains, [ul_amp * h_ul_hat[m] for m in alive], cov)
+    ul = _stacked(
+        lambda h, u, c: ul_rate(h[:, None], u[:, None], p_w, c), chains,
+        [ctx["h_ul_eff"][m] for m in alive], combiners, bounded,
+    )
+    out = []
+    for plan, rate, pair in zip(plans, dl, ul):
+        up, bound = (0.0, 0.0) if pair is None else map(float, pair)
         # Sanity bound: residual SI can only cost rate with this combiner.
-        ul_iso = ul_rate(h_ul_eff[alive], combiner, ul_w, noise_cov)
-        if ul > ul_iso * (1.0 + 1e-9) + 1e-12:
+        if up > bound * (1.0 + 1e-9) + 1e-12:
             raise RuntimeError("full-duplex UL rate exceeded its interference-free bound")
-    return dl, ul
+        scale = 0.5 if plan.duplex == "hd" else 1.0
+        out.append((scale * (0.0 if rate is None else float(rate)), scale * up))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -851,11 +856,10 @@ def _eval_c(
     taps = ctx["taps"][(plan.taps, plan.layout)]
     x = np.sqrt(p_w) * (w_probe @ ctx["s_dl"])
     x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
-    r_si, z, saturated = _fd_receive(
+    z_si, _, saturated = _fd_receive(
         ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx,
         ctx["pil_rx"], ctx["noise_b"], plan.digital, SaturationSpec(bud.rx_saturation_dbm),
     )
-    z_si = z - ctx["pil_rx"] - ctx["noise_b"] if plan.digital else r_si
     noise_eff = bud.bs_noise_w + float(np.mean(np.mean(np.abs(z_si) ** 2, axis=1)))
 
     if plan.csi == "sequential":
@@ -888,11 +892,7 @@ def _eval_c(
 
 
 def _c_dl_rate(
-    cfg: ScenarioConfig,
-    g_now: np.ndarray,
-    w: np.ndarray,
-    p_w: float,
-    dist_ue: np.ndarray,
+    cfg: ScenarioConfig, g_now: np.ndarray, w: np.ndarray, p_w: float, dist_ue: np.ndarray
 ) -> float:
     """Sum of per-UE log rates; UEs cannot cooperate, so no joint decoding."""
     bud = cfg.budget
@@ -1041,14 +1041,6 @@ def _eval_d(
 # drivers
 
 
-def _draw_trial(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
-    if cfg.scenario in ("a", "b"):
-        return _draw_ab(cfg, rng)
-    if cfg.scenario == "c":
-        return _draw_c(cfg, rng)
-    return _draw_d(cfg, rng)
-
-
 def _run_constants(cfg: ScenarioConfig) -> Dict[str, np.ndarray]:
     """Pilot matrices fixed by the config alone, built once per run.
 
@@ -1086,40 +1078,38 @@ def _trial_label(cfg: ScenarioConfig, trial: int) -> str:
 
 
 def _eval_draw(
-    cfg: ScenarioConfig,
-    consts: dict,
-    rng: np.random.Generator,
-    powers: Sequence[float],
-    schemes: Sequence[str],
-    trial: Optional[int] = None,
+    cfg: ScenarioConfig, consts: dict, rng: np.random.Generator, powers: Sequence[float],
+    schemes: Sequence[str], trial: Optional[int] = None,
 ) -> List[List[Tuple[float, float]]]:
     """(DL, UL) rates per power and scheme for one trial drawn from `rng`.
 
-    Draws the trial and builds its context once; then, per power, computes
-    what the schemes share and scores each scheme.  Given the `trial`
-    index, a fault is re-raised as TrialError naming where it happened.
+    Draws the trial and builds its context once, then scores every power.
+    Given the `trial` index, a fault is re-raised as TrialError naming
+    where it happened.
     """
     plans = [_PLANS[cfg.scenario][s] for s in schemes]
     power_dbm = scheme = None
     out = []
     try:
-        draw = _draw_trial(cfg, rng)
         if cfg.scenario in ("a", "b"):
-            ctx = _prepare_ab(cfg, consts, draw, plans)
+            ctx = _prepare_ab(cfg, consts, _draw_ab(cfg, rng), plans)
         elif cfg.scenario == "c":
-            ctx = _prepare_c(cfg, consts, draw, plans)
+            ctx = _prepare_c(cfg, consts, _draw_c(cfg, rng), plans)
         else:
-            ctx = draw
+            ctx = _draw_d(cfg, rng)
         for power_dbm in powers:
             scheme = None
             p_w = dbm_to_watt(power_dbm)
             if cfg.scenario in ("a", "b"):
-                shared = _power_ab(cfg, consts, ctx, p_w, plans)
+                try:
+                    out.append(_score_ab(cfg, consts, ctx, p_w, plans))
+                except Exception:
+                    scheme = _failing_scheme(cfg, consts, ctx, p_w, schemes, plans)
+                    raise
+                continue
             row = []
             for scheme, plan in zip(schemes, plans):
-                if cfg.scenario in ("a", "b"):
-                    row.append(_eval_ab(cfg, ctx, shared, plan))
-                elif cfg.scenario == "c":
+                if cfg.scenario == "c":
                     row.append(_eval_c(cfg, consts, ctx, p_w, plan))
                 else:
                     row.append(_eval_d(cfg, consts, ctx, power_dbm, plan))
@@ -1133,6 +1123,19 @@ def _eval_draw(
             where += f", scheme {scheme}"
         raise TrialError(f"{where}: {type(exc).__name__}: {exc}") from exc
     return out
+
+
+def _failing_scheme(cfg, consts, ctx, p_w, schemes, plans) -> Optional[str]:
+    """The first scheme that also fails when its power point is scored
+    alone, as `run_trial` does: a failed stack does not say which member."""
+    if len(plans) == 1:
+        return schemes[0]
+    for scheme, plan in zip(schemes, plans):
+        try:
+            _score_ab(cfg, consts, ctx, p_w, [plan])
+        except Exception:  # noqa: BLE001  any fault reproduces the stacked one
+            return scheme
+    return None
 
 
 def run_trial(
@@ -1162,13 +1165,10 @@ def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
 def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
 
-    Work is staged by what it depends on.  Per run: the pilot matrices,
-    which the config alone fixes.  Per trial: the channel draw and
-    everything that does not depend on the transmit power, such as the SI
-    calibration estimate, the canceller taps and, in scenario c, the
-    power-free precoders.  Per power: what the schemes share, such as the
-    channel estimates and precoded bursts in scenarios a and b; then each
-    scheme is scored.
+    Work is staged by what it depends on: per run the pilot matrices, per
+    trial the draw and everything power-free (SI estimate, taps, and in c
+    the precoders), per power the rest.  In scenarios a and b, schemes
+    sharing a burst are received together, then scored as one stack.
 
     Each trial draws from its own child seed, so results do not depend on
     the order trials run in.  With trials=1 each point equals `run_trial`

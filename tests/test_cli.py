@@ -153,6 +153,37 @@ def test_run_command_overrides(tmp_path):
     assert out1.read_text().splitlines()[1].endswith(",1")
 
 
+def test_run_out_needs_a_writable_path(tmp_path, monkeypatch, capsys):
+    src = _write(
+        tmp_path,
+        {"scenario": "a", "trials": 1, "power_sweep_dbm": [20], "schemes": ["hd"]},
+    )
+    with monkeypatch.context() as patch:
+
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        patch.setattr("fdmimo.cli.run_scenario", no_sweep)
+        missing = tmp_path / "missing" / "curve.csv"
+        assert main(["run", "--config", src, "--out", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and str(missing) in err
+    # The directory exists but the path cannot be written: still a config error.
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main(["run", "--config", src, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario", ["c", "d"])
+def test_hd_pilot_fraction_above_one_is_rejected(tmp_path, capsys, scenario):
+    src = _write(tmp_path, {"scenario": scenario, "hd_pilot_fraction": 1.5})
+    assert main(["run", "--config", src]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "hd_pilot_fraction" in err
+
+
 def test_exit_code_one_on_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert main(["run", "--config", _write(tmp_path, {"scenario": "a", "junk": 1})]) == 1
@@ -210,26 +241,32 @@ def test_dropped_pilot_stream_count_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload, key",
+    "payload, key, bound",
     [
-        ({"power_sweep_dbm": [0, 1e6]}, "power_sweep_dbm[1]"),
-        ({"budget": {"bs_noise_dbm": 1e6}}, "bs_noise_dbm"),
-        ({"budget": {"ue_noise_dbm": -1e6}}, "ue_noise_dbm"),
-        ({"budget": {"ul_power_dbm": 1e6}}, "ul_power_dbm"),
-        ({"budget": {"rx_saturation_dbm": 1e6}}, "rx_saturation_dbm"),
-        ({"pilots": {"power_dbm": 1e6}}, "power_dbm"),
-        ({"impairments": {"drive_dbm": 1e6}}, "drive_dbm"),
-        ({"impairments": {"iip3_dbm": 1e6}}, "iip3_dbm"),
-        ({"impairments": {"iip3_dbm": float("-inf")}}, "iip3_dbm"),
+        ({"power_sweep_dbm": [0, 1e6]}, "power_sweep_dbm[1]", "[-300, 300] dBm"),
+        ({"budget": {"bs_noise_dbm": 1e6}}, "bs_noise_dbm", "[-300, 300] dBm"),
+        ({"budget": {"ue_noise_dbm": -1e6}}, "ue_noise_dbm", "[-300, 300] dBm"),
+        ({"budget": {"ul_power_dbm": 1e6}}, "ul_power_dbm", "[-300, 300] dBm"),
+        ({"budget": {"rx_saturation_dbm": 1e6}}, "rx_saturation_dbm", "[-300, 300] dBm"),
+        ({"pilots": {"power_dbm": 1e6}}, "power_dbm", "[-300, 300] dBm"),
+        ({"impairments": {"drive_dbm": 1e6}}, "drive_dbm", "[-300, 300] dBm"),
+        ({"impairments": {"iip3_dbm": 1e6}}, "iip3_dbm", "[-300, 300] dBm"),
+        ({"impairments": {"iip3_dbm": float("-inf")}}, "iip3_dbm", "[-300, 300] dBm"),
+        # Within the dBm range but below thermal noise in 1 Hz: these used
+        # to fail at run time with an indefinite noise covariance.
+        ({"budget": {"bs_noise_dbm": -280}}, "bs_noise_dbm", "-174 dBm"),
+        ({"budget": {"bs_noise_dbm": -174.5}}, "bs_noise_dbm", "-174 dBm"),
+        ({"budget": {"ue_noise_dbm": -220}}, "ue_noise_dbm", "-174 dBm"),
     ],
     ids=["sweep", "bs-noise", "ue-noise", "ul-power", "saturation", "pilot-power", "drive",
-         "iip3", "iip3-minus-inf"],
+         "iip3", "iip3-minus-inf", "bs-noise-thermal", "bs-noise-just-below-thermal",
+         "ue-noise-thermal"],
 )
-def test_exit_code_one_on_unbounded_dbm(tmp_path, capsys, payload, key):
+def test_exit_code_one_on_unbounded_dbm(tmp_path, capsys, payload, key, bound):
     src = _write(tmp_path, {"scenario": "a", **payload})
     assert main(["run", "--config", src]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and key in err and "[-300, 300] dBm" in err
+    assert "config error" in err and key in err and bound in err
     section = next(iter(payload))
     if section != "power_sweep_dbm":
         assert f"'{section}'" in err

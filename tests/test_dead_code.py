@@ -2,7 +2,9 @@
 
 A public name counts as used when it is named anywhere in `src/fdmimo`
 other than at its own definition, or in the acceptance tests, which use a
-few helpers as oracles.  Unit tests alone do not keep code alive.
+few helpers as oracles.  Unit tests alone do not keep code alive.  A
+private module-level function must be named somewhere in `src/fdmimo`
+itself, so a helper that a rewrite replaced cannot linger beside it.
 """
 
 import ast
@@ -34,6 +36,24 @@ def _named(tree):
             yield node.name.rsplit(".", 1)[-1]
 
 
+def _private_functions(tree):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if not node.name.startswith("__"):
+                yield node.name
+
+
+def unused_private_functions():
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    used = {name for tree in trees.values() for name in _named(tree)}
+    return [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for name in _private_functions(tree)
+        if name not in used
+    ]
+
+
 def unused_public_names():
     trees = {path: ast.parse(path.read_text()) for path in SOURCES}
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
@@ -50,3 +70,7 @@ def unused_public_names():
 
 def test_every_public_definition_is_used():
     assert unused_public_names() == []
+
+
+def test_every_private_function_is_used():
+    assert unused_private_functions() == []

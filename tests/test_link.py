@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdmimo.beamforming import ArchitectureConfig
+from fdmimo import link
+from fdmimo.beamforming import ArchitectureConfig, SingularChannelError
 from fdmimo.link import (
     LinkBudget,
     ScenarioConfig,
+    TrialError,
     allowed_schemes,
     complexity_report,
     default_scenario,
@@ -196,3 +198,43 @@ def test_run_scenario_seed_changes_output():
     assert run_scenario(base) != run_scenario(other)
     again = run_scenario(base)
     assert run_scenario(base) == again
+
+
+def test_one_chain_receiver_matches_run_trial():
+    # With one receive chain BLAS takes vector kernels whose rounding a
+    # stack of rows would not reproduce, so such schemes are not stacked;
+    # run_scenario must still equal run_trial exactly.
+    arch = ArchitectureConfig(4, 1, 4, 1, phase_bits=3, num_taps=4, bf_mode="digital")
+    base = dataclasses.replace(
+        default_scenario("a"), arch=arch, trials=1, power_sweep_dbm=(0.0, 20.0, 40.0),
+        ul_ue_antennas=1,
+    )
+    for seed in range(3):
+        cfg = dataclasses.replace(base, seed=seed)
+        for point in run_scenario(cfg):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+            dl, ul = run_trial(cfg, point.power_dbm, point.scheme, rng)
+            assert point.mean_rate_bps_hz == dl + ul, (seed, point)
+
+
+def test_stacked_fault_names_a_scheme_run_trial_reproduces(monkeypatch):
+    # proposed and hd share one combiner call per power; only hd's noise
+    # covariance is thermal noise alone, and only hd's combiner fails.
+    cfg = dataclasses.replace(
+        default_scenario("a"), trials=1, power_sweep_dbm=(20.0,), schemes=("proposed", "hd")
+    )
+    original = link.mmse_combiner
+    thermal = cfg.budget.bs_noise_w * np.eye(cfg.arch.n_rx_rf)
+
+    def fails_for_hd(h, noise_cov):
+        if np.any(np.all(noise_cov == thermal, axis=(-2, -1))):
+            raise SingularChannelError("planted")
+        return original(h, noise_cov)
+
+    monkeypatch.setattr(link, "mmse_combiner", fails_for_hd)
+    with pytest.raises(TrialError, match="power 20 dBm, scheme hd: SingularChannelError"):
+        run_scenario(cfg)
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
+    with pytest.raises(SingularChannelError):
+        run_trial(cfg, 20.0, "hd", np.random.default_rng(seed))
+    run_trial(cfg, 20.0, "proposed", np.random.default_rng(seed))
