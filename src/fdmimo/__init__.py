@@ -11,7 +11,7 @@ JSON configs.
 
 from fdmimo.beamforming import ArchitectureConfig
 from fdmimo.channel import AgingParams, ClusteredParams, RicianParams
-from fdmimo.estimation import CsiRecord, PilotConfig
+from fdmimo.estimation import PilotConfig
 from fdmimo.impairments import TxImpairmentConfig
 from fdmimo.link import (
     CurvePoint,
@@ -28,7 +28,6 @@ __all__ = [
     "AgingParams",
     "ArchitectureConfig",
     "ClusteredParams",
-    "CsiRecord",
     "CurvePoint",
     "LinkBudget",
     "PilotConfig",

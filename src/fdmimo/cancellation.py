@@ -216,7 +216,8 @@ def train_digital_canceller(
     """Least-squares fit of the post-analog residual on the nonlinear basis.
 
     Checks the inputs and that the regressors identify every coefficient
-    (else RegressorRankError), then runs the fit of
+    (else RegressorRankError, raised before the regressors are built when
+    the burst's own chains are dependent), then runs the fit of
     `fit_digital_canceller` on the regressors built for that check.
 
     Parameters
@@ -247,6 +248,12 @@ def train_digital_canceller(
         raise ValueError("tx and rx sample counts differ")
     if r.shape != (y.shape[0], n_tx):
         raise ValueError("residual_linear shape must be (rx chains, tx chains)")
+    # The burst is the regressors' first block: dependent chains (fewer
+    # streams than chains) fail the full check too, so reject them before
+    # building the 3n regressors.
+    rank = np.linalg.matrix_rank(x @ x.conj().T)
+    if rank < n_tx:
+        raise RegressorRankError(f"transmit burst rank {rank} < {n_tx} chains")
     phi = _regressors(x)
     gram = phi @ phi.conj().T
     rank = np.linalg.matrix_rank(gram)

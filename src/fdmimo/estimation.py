@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,12 +32,25 @@ class PilotConfig:
         check_dbm("power_dbm", self.power_dbm)
 
 
-@dataclass
-class CsiRecord:
-    """Channel estimate plus the per-entry error variance."""
+@dataclass(frozen=True, eq=False)
+class Pilots:
+    """A pilot matrix P (streams x pilot length), power scaling included,
+    checked once: its rows are orthogonal with equal energy, P P^H = energy I.
 
-    h_hat: np.ndarray
-    error_var: float
+    Build it once for a matrix that many estimates share.
+    """
+
+    matrix: np.ndarray
+    energy: float = field(init=False)
+
+    def __post_init__(self):
+        p = np.asarray(self.matrix, dtype=complex)
+        gram = p @ p.conj().T
+        energy = float(np.real(gram[0, 0]))
+        if not np.allclose(gram, energy * np.eye(p.shape[0]), atol=1e-8 * max(energy, 1.0)):
+            raise ValueError("pilot rows must be orthogonal with equal energy")
+        object.__setattr__(self, "matrix", p)
+        object.__setattr__(self, "energy", energy)
 
 
 def orthogonal_pilots(num_streams: int, num_pilots: int) -> np.ndarray:
@@ -68,19 +81,20 @@ def estimation_error_variance(
 
 def mmse_estimate(
     y: np.ndarray,
-    pilots: np.ndarray,
+    pilots: Pilots | np.ndarray,
     noise_var: float,
     prior_var: float,
-) -> CsiRecord:
+) -> np.ndarray:
     """Per-entry LMMSE channel estimate from y = H P + W.
 
     Parameters
     ----------
     y : numpy.ndarray
         Received samples, receive dimension x pilot length.
-    pilots : numpy.ndarray
+    pilots : Pilots or numpy.ndarray
         Orthogonal pilot matrix (streams x pilot length), power scaling
-        included; rows must satisfy P P^H = L_p I.
+        included; rows must satisfy P P^H = L_p I.  A bare matrix is
+        checked on every call, a `Pilots` value once when it was built.
     noise_var : float
         Per-entry receiver noise power in watts.
     prior_var : float
@@ -88,23 +102,18 @@ def mmse_estimate(
 
     Returns
     -------
-    CsiRecord
-        Estimate of shape (receive dim, streams) with its error variance.
+    numpy.ndarray
+        Estimate of shape (receive dim, streams); its per-entry error
+        variance is `estimation_error_variance(prior_var, energy, noise_var)`.
     """
+    if not isinstance(pilots, Pilots):
+        pilots = Pilots(pilots)
     y = np.asarray(y, dtype=complex)
-    p = np.asarray(pilots, dtype=complex)
+    p = pilots.matrix
     if y.shape[1] != p.shape[1]:
         raise ValueError("pilot length mismatch between y and pilots")
-    gram = p @ p.conj().T
-    energy = float(np.real(gram[0, 0]))
-    if not np.allclose(gram, energy * np.eye(p.shape[0]), atol=1e-8 * max(energy, 1.0)):
-        raise ValueError("pilot rows must be orthogonal with equal energy")
-    shrink = prior_var / (prior_var * energy + noise_var)
-    h_hat = shrink * (y @ p.conj().T)
-    return CsiRecord(
-        h_hat=h_hat,
-        error_var=estimation_error_variance(prior_var, energy, noise_var),
-    )
+    shrink = prior_var / (prior_var * pilots.energy + noise_var)
+    return shrink * (y @ p.conj().T)
 
 
 def doa_estimate(

@@ -13,16 +13,21 @@ paired across schemes and runs are reproducible for a given seed.
 
 The trial loop is staged by what each quantity depends on:
 
-  per run    pilot matrices, fixed by the config (`_run_constants`)
+  per run    pilot matrices, fixed and checked by the config
+             (`_run_constants`)
   per trial  the draw plus everything independent of the transmit power:
              beams and effective channels, the SI calibration estimate,
              one canceller per (taps, layout), and in scenario c the
-             probe, half-duplex and ideal-CSI precoders (`_prepare_ab`,
-             `_prepare_c`); scenario d works from the draw alone
-  per power  in a and b, the channel estimates and one precoded burst per
-             distinct precoder; schemes sharing a burst are received
-             together, then scored as one stack (`_score_ab`).  c and d
-             score one scheme at a time.
+             probe, half-duplex and ideal-CSI precoders with their
+             unit-power bursts and UE gains (`_prepare_ab`, `_prepare_c`);
+             scenario d works from the draw alone
+  per power  one row of rates for all schemes.  In a and b, the channel
+             estimates and one precoded burst per distinct precoder;
+             schemes sharing a burst are received together, then scored
+             as one stack (`_score_ab`).  In c, the fixed precoders' gains
+             and bursts are scaled by the power, and each full-duplex
+             scheme probes, estimates and zero-forces (`_score_c`).  d
+             scores one scheme at a time.
 
 Every full-duplex slot of every scenario is received through one chain,
 `_fd_receive`: analog taps, saturation check, then the digital canceller.
@@ -82,7 +87,7 @@ from fdmimo.channel import (
     gen_rician,
     steering_vector,
 )
-from fdmimo.estimation import mmse_estimate, orthogonal_pilots, doa_estimate, PilotConfig
+from fdmimo.estimation import Pilots, mmse_estimate, orthogonal_pilots, doa_estimate, PilotConfig
 from fdmimo.impairments import TxImpairmentConfig, apply_tx_chain, check_dbm, dbm_to_watt
 
 
@@ -492,11 +497,11 @@ def _ro(a: np.ndarray) -> np.ndarray:
 
 
 def _pilot_estimate(
-    h_true: np.ndarray, noise_std: np.ndarray, pil: np.ndarray, noise_w: float, prior_var: float
+    h_true: np.ndarray, noise_std: np.ndarray, pil: Pilots, noise_w: float, prior_var: float
 ) -> np.ndarray:
-    """Simulated sounding with the scaled pilot matrix `pil`, then the LMMSE estimate."""
-    y = h_true @ pil + np.sqrt(noise_w) * noise_std[:, : pil.shape[1]]
-    return mmse_estimate(y, pil, noise_w, prior_var).h_hat
+    """Simulated sounding with the scaled pilots `pil`, then the LMMSE estimate."""
+    y = h_true @ pil.matrix + np.sqrt(noise_w) * noise_std[:, : pil.matrix.shape[1]]
+    return mmse_estimate(y, pil, noise_w, prior_var)
 
 
 def _build_taps(plan: _Plan, h_si_hat: np.ndarray, configured: int) -> CancellerState:
@@ -685,11 +690,11 @@ def _score_ab(
     sat = SaturationSpec(bud.rx_saturation_dbm)
     ul_amp = np.sqrt(p_w / cfg.ul_streams)  # the UL UE tracks the swept DL power
     h_dl_hat = _pilot_estimate(
-        ctx["h_dl_eff"], ctx["n_dl"], np.sqrt(p_w / arch.n_tx_rf) * consts["dl"],
+        ctx["h_dl_eff"], ctx["n_dl"], Pilots(np.sqrt(p_w / arch.n_tx_rf) * consts["dl"].matrix),
         bud.ue_noise_w, bud.dl_gain * arch.tx_subarray,
     )
     h_ul_hat = _pilot_estimate(
-        ctx["h_ul_eff"], ctx["n_ul"], ul_amp * consts["ul"], bud.bs_noise_w,
+        ctx["h_ul_eff"], ctx["n_ul"], Pilots(ul_amp * consts["ul"].matrix), bud.bs_noise_w,
         bud.ul_gain * arch.rx_subarray,
     )
     ul_sym = _ro(ctx["h_ul_eff"] @ (ul_amp * ctx["s_ul"]))
@@ -732,7 +737,9 @@ def _score_ab(
     # Surviving chains see thermal noise plus residual SI; the bound, noise alone.
     thermal = [bud.bs_noise_w * np.eye(int(m.sum()), dtype=complex) for m in alive]
     cov = [t + c[np.ix_(m, m)] for t, c, m in zip(thermal, si_cov, alive)]
-    chains = [int(m.sum()) or None for m in alive]
+    # Fewer surviving chains than UL streams cannot separate the streams:
+    # the UL is an outage, as when every chain saturates.
+    chains = [int(m.sum()) if m.sum() >= cfg.ul_streams else None for m in alive]
     bounded = [np.stack([c, t]) for c, t in zip(cov, thermal)]
     combiners = _stacked(mmse_combiner, chains, [ul_amp * h_ul_hat[m] for m in alive], cov)
     ul = _stacked(
@@ -784,13 +791,17 @@ def _zf_or_none(h: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]) -> dict:
-    """Per-trial context: SI estimate, taps, and every power-free precoder."""
+    """Per-trial context: SI estimate, taps, every power-free precoder and
+    the unit-power bursts, UE rows and stream gains that follow from them."""
     arch = cfg.arch
     bud = cfg.budget
     u = cfg.num_ue
     g = draw["g_slots"]
     dl_amp = np.sqrt(bud.dl_gain)
+    ul_amp = np.sqrt(bud.ul_gain)
     ctx = dict(draw)
+    rows = _ro(dl_amp * g[5].T)  # one UE channel row per line
+    ctx["rows"] = rows
     fd = [plan for plan in plans if plan.duplex == "fd" and plan.csi != "perfect"]
     if fd:
         # Calibrate taps once at the fixed calibration power; the probe
@@ -801,103 +812,110 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
         )
         ctx["h_si_eff"] = h_si_eff
         ctx["taps"] = _trial_taps(fd, h_si_hat, arch.num_taps)
-        ctx["probe"] = {}
+        ctx["probe"] = {}  # csi mode -> (probe burst or None, noiseless pilot rx)
         for plan in fd:
             if plan.csi in ctx["probe"]:
                 continue
             if plan.csi == "sequential":
+                # One UE sounds per slot with the full pilot budget; the
+                # newest estimate of UE k is k + 1 slots old when applied.
                 stale = np.column_stack([g[4 - k][:, k] for k in range(u)])
+                pil = consts["ul_single"].matrix
+                sounded = [ul_amp * (g[4 - k][:, k : k + 1] @ pil) for k in range(u)]
             else:
                 stale = g[4]
-            ctx["probe"][plan.csi] = _zf_or_none(dl_amp * stale.T)
-        ctx["pil_rx"] = _ro(np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_packet"]))
+                sounded = [ul_amp * (g[4] @ consts["ul_joint"].matrix)]
+            w_probe = _zf_or_none(dl_amp * stale.T)
+            burst = None if w_probe is None else _ro(w_probe @ draw["s_dl"])
+            ctx["probe"][plan.csi] = (burst, [_ro(y) for y in sounded])
+        ctx["pil_rx"] = _ro(np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_packet"].matrix))
         ctx["noise_b"] = _ro(np.sqrt(bud.bs_noise_w) * draw["n_burst"])
     if any(plan.duplex == "hd" for plan in plans):
         # Train in the reserved slice of the previous slot, apply now.
         pil = consts["ul_hd"]
-        y = np.sqrt(bud.ul_gain) * (g[4] @ pil)
-        y = y + np.sqrt(bud.bs_noise_w) * draw["n_pilot"][0][:, : pil.shape[1]]
-        g_hat = mmse_estimate(y, pil, bud.bs_noise_w, bud.ul_gain).h_hat
-        ctx["hd_w"] = _zf_or_none(dl_amp * g_hat.T)
+        y = np.sqrt(bud.ul_gain) * (g[4] @ pil.matrix)
+        y = y + np.sqrt(bud.bs_noise_w) * draw["n_pilot"][0][:, : pil.matrix.shape[1]]
+        g_hat = mmse_estimate(y, pil, bud.bs_noise_w, bud.ul_gain)
+        w = _zf_or_none(dl_amp * g_hat.T)
+        # Unit-power stream gains at the UEs, and the unit-power burst.
+        ctx["hd"] = None if w is None else (_ro(np.abs(rows @ w) ** 2), _ro(w @ draw["s_dl"]))
     if any(plan.csi == "perfect" for plan in plans):
-        ctx["ideal_w"] = _zf_or_none(dl_amp * g[5].T)
+        w = _zf_or_none(dl_amp * g[5].T)
+        ctx["ideal_gains"] = None if w is None else _ro(np.abs(rows @ w) ** 2)
     return ctx
 
 
-def _eval_c(
-    cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan
-) -> Tuple[float, float]:
+def _score_c(
+    cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plans: List[_Plan]
+) -> List[Tuple[float, float]]:
+    """(DL, UL) rates of every plan at one power; the UL carries no data.
+
+    The ideal-CSI and half-duplex precoders are fixed per trial, so the
+    power only scales their stream gains and burst.
+    """
+    out = []
+    for plan in plans:
+        if plan.csi == "perfect":
+            gains = ctx["ideal_gains"]
+            rate = 0.0 if gains is None else _c_dl_rate(cfg, ctx, gains * p_w)
+        elif plan.duplex == "hd":
+            rate = 0.0
+            if ctx["hd"] is not None:
+                gains, burst = ctx["hd"]
+                rate = _c_dl_rate(cfg, ctx, gains * p_w, np.sqrt(p_w) * burst)
+                rate *= cfg.dl_data_fraction
+        else:
+            rate = _c_fd_rate(cfg, consts, ctx, p_w, plan)
+        out.append((rate, 0.0))
+    return out
+
+
+def _c_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan) -> float:
+    """Full duplex: measure the steady-state residual with the stale-truth
+    probe burst, then estimate under that interference level and zero-force."""
     bud = cfg.budget
-    u = cfg.num_ue
-    g = ctx["g_slots"]
-    dl_amp = np.sqrt(bud.dl_gain)
-    ul_amp = np.sqrt(bud.ul_gain)
-
-    if plan.csi == "perfect":
-        w = ctx["ideal_w"]
-        if w is None:
-            return 0.0, 0.0
-        return _c_dl_rate(cfg, g[5], w, p_w, np.zeros(u)), 0.0
-
-    if plan.duplex == "hd":
-        w = ctx["hd_w"]
-        if w is None:
-            return 0.0, 0.0
-        x = np.sqrt(p_w) * (w @ ctx["s_dl"])
-        dist = _tx_impair(x, cfg.impairments) - x
-        dist_ue = np.mean(np.abs(dl_amp * (g[5].T @ dist)) ** 2, axis=1)
-        return cfg.dl_data_fraction * _c_dl_rate(cfg, g[5], w, p_w, dist_ue), 0.0
-
-    # Full duplex: measure the steady-state residual with the stale-truth
-    # probe precoder, then estimate under that interference level.
-    w_probe = ctx["probe"][plan.csi]
-    if w_probe is None:
-        return 0.0, 0.0
+    burst, sounded = ctx["probe"][plan.csi]
+    if burst is None:
+        return 0.0
     taps = ctx["taps"][(plan.taps, plan.layout)]
-    x = np.sqrt(p_w) * (w_probe @ ctx["s_dl"])
+    x = np.sqrt(p_w) * burst
     x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
     z_si, _, saturated = _fd_receive(
         ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx,
         ctx["pil_rx"], ctx["noise_b"], plan.digital, SaturationSpec(bud.rx_saturation_dbm),
     )
     noise_eff = bud.bs_noise_w + float(np.mean(np.mean(np.abs(z_si) ** 2, axis=1)))
-
-    if plan.csi == "sequential":
-        # One UE sounds per slot with the full pilot budget; the newest
-        # estimate of UE k is k + 1 slots old by the time it is applied.
-        pil = consts["ul_single"]
-        cols = []
-        for k in range(u):
-            y = ul_amp * (g[4 - k][:, k : k + 1] @ pil)
-            y = y + np.sqrt(noise_eff) * ctx["n_pilot"][k]
-            cols.append(mmse_estimate(y, pil, noise_eff, bud.ul_gain).h_hat[:, 0])
-        g_hat = np.column_stack(cols)
-    else:
-        pil = consts["ul_joint"]
-        y = ul_amp * (g[4] @ pil) + np.sqrt(noise_eff) * ctx["n_pilot"][0]
-        g_hat = mmse_estimate(y, pil, noise_eff, bud.ul_gain).h_hat
-    g_hat = g_hat / ul_amp * dl_amp  # reciprocity: swap the direction gain
+    pil = consts["ul_single" if plan.csi == "sequential" else "ul_joint"]
+    g_hat = np.hstack([
+        mmse_estimate(y + np.sqrt(noise_eff) * n, pil, noise_eff, bud.ul_gain)
+        for y, n in zip(sounded, ctx["n_pilot"])
+    ])
+    g_hat = g_hat / np.sqrt(bud.ul_gain) * np.sqrt(bud.dl_gain)  # reciprocity
     g_hat[saturated, :] = 0.0  # clipped chains yield no usable estimate
-
     try:
         w = zf_precoder(g_hat.T)
     except SingularChannelError:
-        return 0.0, 0.0
+        return 0.0
     # The scored slot only needs the TX distortion the UEs see; its
     # receive side was already measured with the probe.
-    x = np.sqrt(p_w) * (w @ ctx["s_dl"])
-    dist = (_tx_impair(x, cfg.impairments) if plan.impaired else x) - x
-    dist_ue = np.mean(np.abs(dl_amp * (g[5].T @ dist)) ** 2, axis=1)
-    return _c_dl_rate(cfg, g[5], w, p_w, dist_ue), 0.0
+    x = np.sqrt(p_w) * (w @ ctx["s_dl"]) if plan.impaired else None
+    return _c_dl_rate(cfg, ctx, np.abs(ctx["rows"] @ w) ** 2 * p_w, x)
 
 
 def _c_dl_rate(
-    cfg: ScenarioConfig, g_now: np.ndarray, w: np.ndarray, p_w: float, dist_ue: np.ndarray
+    cfg: ScenarioConfig, ctx: dict, gains: np.ndarray, x: Optional[np.ndarray] = None
 ) -> float:
-    """Sum of per-UE log rates; UEs cannot cooperate, so no joint decoding."""
+    """Sum of per-UE log rates; UEs cannot cooperate, so no joint decoding.
+
+    `gains[k, j]` is the power of stream j at UE k.  The UEs also see the
+    TX distortion of the radiated burst `x`, when one is given.
+    """
     bud = cfg.budget
-    rows = np.sqrt(bud.dl_gain) * g_now.T  # one UE channel row per line
-    gains = np.abs(rows @ w) ** 2 * p_w
+    dist_ue = np.zeros(cfg.num_ue)
+    if x is not None:
+        dist = _tx_impair(x, cfg.impairments) - x
+        g_now = ctx["g_slots"][5]
+        dist_ue = np.mean(np.abs(np.sqrt(bud.dl_gain) * (g_now.T @ dist)) ** 2, axis=1)
     total = 0.0
     for k in range(cfg.num_ue):
         sig = gains[k, k]
@@ -1041,12 +1059,12 @@ def _eval_d(
 # drivers
 
 
-def _run_constants(cfg: ScenarioConfig) -> Dict[str, np.ndarray]:
-    """Pilot matrices fixed by the config alone, built once per run.
+def _run_constants(cfg: ScenarioConfig) -> Dict[str, Pilots]:
+    """Pilot matrices fixed by the config alone, built and checked once per run.
 
     Powers the config fixes are folded in.  The DL and UL sounding pilots
     of scenarios a and b follow the swept power, so those stay unit
-    amplitude and are scaled per power point.
+    amplitude and are scaled (and checked again) per power point.
     """
     arch = cfg.arch
     lp = cfg.pilots.num_pilots
@@ -1061,7 +1079,7 @@ def _run_constants(cfg: ScenarioConfig) -> Dict[str, np.ndarray]:
         consts["ul_joint"] = amp * orthogonal_pilots(cfg.num_ue, lp)
         consts["ul_single"] = amp * orthogonal_pilots(1, lp)
         consts["ul_hd"] = amp * orthogonal_pilots(cfg.num_ue, cfg.hd_pilot_len)
-    return {name: _ro(a) for name, a in consts.items()}
+    return {name: Pilots(_ro(a)) for name, a in consts.items()}
 
 
 class TrialError(RuntimeError):
@@ -1093,26 +1111,26 @@ def _eval_draw(
     try:
         if cfg.scenario in ("a", "b"):
             ctx = _prepare_ab(cfg, consts, _draw_ab(cfg, rng), plans)
+            score = _score_ab
         elif cfg.scenario == "c":
             ctx = _prepare_c(cfg, consts, _draw_c(cfg, rng), plans)
+            score = _score_c
         else:
             ctx = _draw_d(cfg, rng)
+            score = None
         for power_dbm in powers:
             scheme = None
             p_w = dbm_to_watt(power_dbm)
-            if cfg.scenario in ("a", "b"):
+            if score is not None:
                 try:
-                    out.append(_score_ab(cfg, consts, ctx, p_w, plans))
+                    out.append(score(cfg, consts, ctx, p_w, plans))
                 except Exception:
-                    scheme = _failing_scheme(cfg, consts, ctx, p_w, schemes, plans)
+                    scheme = _failing_scheme(score, cfg, consts, ctx, p_w, schemes, plans)
                     raise
                 continue
             row = []
             for scheme, plan in zip(schemes, plans):
-                if cfg.scenario == "c":
-                    row.append(_eval_c(cfg, consts, ctx, p_w, plan))
-                else:
-                    row.append(_eval_d(cfg, consts, ctx, power_dbm, plan))
+                row.append(_eval_d(cfg, consts, ctx, power_dbm, plan))
             out.append(row)
     except Exception as exc:
         if trial is None:
@@ -1125,14 +1143,14 @@ def _eval_draw(
     return out
 
 
-def _failing_scheme(cfg, consts, ctx, p_w, schemes, plans) -> Optional[str]:
-    """The first scheme that also fails when its power point is scored
-    alone, as `run_trial` does: a failed stack does not say which member."""
+def _failing_scheme(score, cfg, consts, ctx, p_w, schemes, plans) -> Optional[str]:
+    """The first scheme that also fails when `score` scores its power point
+    alone, as `run_trial` does: a failed row does not say which member."""
     if len(plans) == 1:
         return schemes[0]
     for scheme, plan in zip(schemes, plans):
         try:
-            _score_ab(cfg, consts, ctx, p_w, [plan])
+            score(cfg, consts, ctx, p_w, [plan])
         except Exception:  # noqa: BLE001  any fault reproduces the stacked one
             return scheme
     return None
@@ -1167,8 +1185,10 @@ def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
 
     Work is staged by what it depends on: per run the pilot matrices, per
     trial the draw and everything power-free (SI estimate, taps, and in c
-    the precoders), per power the rest.  In scenarios a and b, schemes
-    sharing a burst are received together, then scored as one stack.
+    the precoders, their bursts and UE gains), per power the rest.  In
+    scenarios a, b and c each power point is scored as one row for all
+    schemes; in a and b, schemes sharing a burst are received together,
+    then scored as one stack.  Scenario d scores one scheme at a time.
 
     Each trial draws from its own child seed, so results do not depend on
     the order trials run in.  With trials=1 each point equals `run_trial`

@@ -146,8 +146,8 @@ def test_criterion_04_estimation_and_aging():
         for _ in range(trials // chunk):
             h = _cn(rng, chunk, 1)
             noise = _cn(rng, chunk, length)
-            rec = mmse_estimate(h @ pilots + noise, pilots, 1.0, 1.0)
-            sq_err += float(np.sum(np.abs(rec.h_hat - h) ** 2))
+            h_hat = mmse_estimate(h @ pilots + noise, pilots, 1.0, 1.0)
+            sq_err += float(np.sum(np.abs(h_hat - h) ** 2))
         emp = sq_err / trials
         closed = estimation_error_variance(1.0, float(length), 1.0)
         worst_rel = max(worst_rel, abs(emp - closed) / closed)

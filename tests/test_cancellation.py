@@ -1,10 +1,14 @@
 """Analog tap selection, saturation, projection and digital canceller."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdmimo import cancellation
 from fdmimo.cancellation import (
     InfeasibleProjectionError,
     RegressorRankError,
@@ -209,6 +213,34 @@ def test_fit_digital_canceller_handles_one_stream_on_two_chains():
 
 
 def test_train_digital_canceller_is_the_checked_fit():
+    # As many streams as chains: the burst passes the early rank check and
+    # the checked fit is the unchecked one, bit for bit.
     rng = np.random.default_rng(11)
     x, y, lin = _cn(rng, 2, 64), _cn(rng, 3, 64), _cn(rng, 3, 2)
     assert np.array_equal(train_digital_canceller(x, y, lin), fit_digital_canceller(x, y, lin))
+    for chains in range(1, 9):
+        x = _cn(rng, chains, chains) @ _cn(rng, chains, 3 * chains + 40)
+        y, lin = _cn(rng, 3, x.shape[1]), _cn(rng, 3, chains)
+        assert np.array_equal(
+            train_digital_canceller(x, y, lin), fit_digital_canceller(x, y, lin)
+        ), chains
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    streams=st.integers(1, 6),
+    more=st.integers(1, 4),
+    extra=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dependent_burst_is_rejected_before_the_regressors(streams, more, extra, seed):
+    # Fewer streams than chains: the strict fit raises without building the
+    # 3n regressors, which the patched builder would report.
+    chains = streams + more
+    rng = np.random.default_rng(seed)
+    x = _cn(rng, chains, streams) @ _cn(rng, streams, 3 * chains + extra)
+    y, lin = _cn(rng, 3, x.shape[1]), _cn(rng, 3, chains)
+    built = AssertionError("regressors built for a dependent burst")
+    with mock.patch.object(cancellation, "_regressors", side_effect=built):
+        with pytest.raises(RegressorRankError):
+            train_digital_canceller(x, y, lin)

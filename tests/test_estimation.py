@@ -7,6 +7,7 @@ from fdmimo.channel import steering_vector
 from fdmimo.estimation import (
     NoSignalError,
     PilotConfig,
+    Pilots,
     doa_estimate,
     estimation_error_variance,
     mmse_estimate,
@@ -39,18 +40,17 @@ def test_mmse_noiseless_limit_recovers_channel():
     rng = np.random.default_rng(0)
     h = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
     p = orthogonal_pilots(2, 16)
-    rec = mmse_estimate(h @ p, p, noise_var=1e-12, prior_var=1.0)
-    assert np.allclose(rec.h_hat, h, atol=1e-6)
-    assert rec.error_var < 1e-12
+    h_hat = mmse_estimate(h @ p, p, noise_var=1e-12, prior_var=1.0)
+    assert np.allclose(h_hat, h, atol=1e-6)
 
 
 def test_mmse_shrinkage_factor():
     # noiseless observation still shrinks toward the prior mean (zero)
     h = np.array([[1.0 + 0.0j]])
     p = orthogonal_pilots(1, 4)
-    rec = mmse_estimate(h @ p, p, noise_var=1.0, prior_var=1.0)
-    assert rec.h_hat[0, 0] == pytest.approx(4.0 / 5.0, rel=1e-12)
-    assert rec.error_var == pytest.approx(1.0 / 5.0, rel=1e-12)
+    h_hat = mmse_estimate(h @ p, p, noise_var=1.0, prior_var=1.0)
+    assert h_hat[0, 0] == pytest.approx(4.0 / 5.0, rel=1e-12)
+    assert Pilots(p).energy == pytest.approx(4.0, rel=1e-12)
 
 
 def test_mmse_empirical_mse():
@@ -60,17 +60,40 @@ def test_mmse_empirical_mse():
     h = (rng.standard_normal((2000, 1)) + 1j * rng.standard_normal((2000, 1))) / np.sqrt(2)
     p = orthogonal_pilots(1, length)
     noise = (rng.standard_normal((2000, length)) + 1j * rng.standard_normal((2000, length))) / np.sqrt(2)
-    rec = mmse_estimate(h @ p + noise, p, noise_var=1.0, prior_var=1.0)
-    emp = np.mean(np.abs(rec.h_hat - h) ** 2)
+    h_hat = mmse_estimate(h @ p + noise, p, noise_var=1.0, prior_var=1.0)
+    emp = np.mean(np.abs(h_hat - h) ** 2)
     assert emp == pytest.approx(estimation_error_variance(1.0, length, 1.0), rel=0.1)
 
 
 def test_mmse_rejects_bad_pilots():
     y = np.zeros((2, 4), dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="orthogonal with equal energy"):
         mmse_estimate(y, np.ones((2, 4)), noise_var=1.0, prior_var=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pilot length mismatch"):
         mmse_estimate(y, orthogonal_pilots(2, 8), noise_var=1.0, prior_var=1.0)
+    with pytest.raises(ValueError, match="pilot length mismatch"):
+        mmse_estimate(y, Pilots(orthogonal_pilots(2, 8)), noise_var=1.0, prior_var=1.0)
+
+
+def test_pilots_are_checked_when_built():
+    message = "pilot rows must be orthogonal with equal energy"
+    with pytest.raises(ValueError, match=message):
+        Pilots(np.ones((2, 4)))  # parallel rows
+    with pytest.raises(ValueError, match=message):
+        Pilots(orthogonal_pilots(2, 8) * np.array([[1.0], [2.0]]))  # unequal energy
+    p = Pilots(3.0 * orthogonal_pilots(2, 8))
+    assert p.energy == pytest.approx(72.0, rel=1e-12)
+    with pytest.raises(AttributeError):
+        p.energy = 1.0
+
+
+def test_prebuilt_pilots_estimate_like_a_bare_matrix():
+    rng = np.random.default_rng(4)
+    p = 0.3 * orthogonal_pilots(3, 24)
+    y = rng.standard_normal((5, 24)) + 1j * rng.standard_normal((5, 24))
+    bare = mmse_estimate(y, p, noise_var=0.2, prior_var=1.5)
+    assert bare.shape == (5, 3)
+    assert np.array_equal(bare, mmse_estimate(y, Pilots(p), noise_var=0.2, prior_var=1.5))
 
 
 def _sweep(angles, n):

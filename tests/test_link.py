@@ -238,3 +238,42 @@ def test_stacked_fault_names_a_scheme_run_trial_reproduces(monkeypatch):
     with pytest.raises(SingularChannelError):
         run_trial(cfg, 20.0, "hd", np.random.default_rng(seed))
     run_trial(cfg, 20.0, "proposed", np.random.default_rng(seed))
+
+
+def test_stacked_fault_in_scenario_c_names_a_scheme_run_trial_reproduces(monkeypatch):
+    # Only benchmark sounds one UE at a time, with a one-row pilot matrix;
+    # a fault planted there must name benchmark, not the first scheme.
+    cfg = dataclasses.replace(
+        default_scenario("c"), trials=1, power_sweep_dbm=(20.0,),
+        schemes=("proposed", "hd", "benchmark"),
+    )
+    original = link.mmse_estimate
+
+    def fails_for_one_ue(y, pilots, noise_var, prior_var):
+        if pilots.matrix.shape[0] == 1:
+            raise SingularChannelError("planted")
+        return original(y, pilots, noise_var, prior_var)
+
+    monkeypatch.setattr(link, "mmse_estimate", fails_for_one_ue)
+    with pytest.raises(TrialError, match="power 20 dBm, scheme benchmark: SingularChannelError"):
+        run_scenario(cfg)
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
+    with pytest.raises(SingularChannelError):
+        run_trial(cfg, 20.0, "benchmark", np.random.default_rng(seed))
+    for scheme in ("proposed", "hd"):
+        run_trial(cfg, 20.0, scheme, np.random.default_rng(seed))
+
+
+def test_fewer_surviving_chains_than_ul_streams_is_an_outage():
+    # At 50 dBm saturation leaves fewer receive chains than the 4 UL
+    # streams; such a slot scores UL 0, as a fully saturated one does,
+    # instead of failing the interference-free bound.
+    cfg = dataclasses.replace(
+        default_scenario("a"), trials=20, ul_streams=4, schemes=("proposed", "benchmark"),
+        power_sweep_dbm=(40.0, 45.0, 50.0),
+    )
+    points = run_scenario(cfg)
+    assert all(np.isfinite(p.mean_rate_bps_hz) and p.mean_rate_bps_hz > 0 for p in points)
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(5,))
+    dl, ul = run_trial(cfg, 50.0, "benchmark", np.random.default_rng(seed))
+    assert ul == 0.0 and dl > 0.0
