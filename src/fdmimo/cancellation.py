@@ -6,7 +6,9 @@ chains.  Each tap subtracts gain * x_n from receive chain m, where x_n is
 the clean transmit baseband reference, so with every position tapped the
 linear self-interference vanishes and only transmit-impairment distortion
 survives.  The digital stage then fits that survivor with a least-squares
-model over the basis {x, conj(x), x |x|^2} per transmit chain.
+model over the basis {x, conj(x), x |x|^2} per transmit chain.  Its slot
+path builds each packet-length array once and works on it in place, which
+keeps a slot's heap peak small.
 """
 
 from __future__ import annotations
@@ -177,8 +179,16 @@ def si_aware_precoder_projection(
 
 
 def _regressors(tx_baseband: np.ndarray) -> np.ndarray:
+    """[x; conj(x); x |x|^2], written block by block into one new array."""
     x = np.asarray(tx_baseband, dtype=complex)
-    return np.vstack([x, np.conj(x), x * np.abs(x) ** 2])
+    n = x.shape[0]
+    phi = np.empty((3 * n, x.shape[1]), dtype=complex)
+    phi[:n] = x
+    np.conj(x, out=phi[n : 2 * n])
+    mag2 = np.abs(x)
+    mag2 **= 2
+    np.multiply(x, mag2, out=phi[2 * n :])
+    return phi
 
 
 def fit_digital_canceller(
@@ -199,10 +209,17 @@ def fit_digital_canceller(
 
 
 def _fit(phi: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The fit behind both entry points, on regressors `phi` built once."""
+    """The fit behind both entry points, on regressors `phi` built once.
+
+    `phi` is the caller's own scratch: it is conjugated in place.
+    """
     # Seeding with the known linear part and fitting the leftover is
     # algebraically identical to a direct fit but keeps the target small.
-    fit, *_ = np.linalg.lstsq(phi.conj().T, (y - r @ x).conj().T, rcond=None)
+    target = r @ x
+    np.subtract(y, target, out=target)
+    np.conj(target, out=target)
+    np.conj(phi, out=phi)
+    fit, *_ = np.linalg.lstsq(phi.T, target.T, rcond=None)
     coeffs = fit.conj().T
     coeffs[:, : x.shape[0]] += r
     return coeffs
@@ -271,4 +288,5 @@ def apply_digital_canceller(
     y = np.asarray(rx_samples, dtype=complex)
     if coeffs.shape != (y.shape[0], 3 * x.shape[0]):
         raise ValueError("coefficient shape must be (rx chains, 3 * tx chains)")
-    return y - coeffs @ _regressors(x)
+    z = coeffs @ _regressors(x)
+    return np.subtract(y, z, out=z)

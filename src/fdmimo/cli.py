@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -55,15 +56,15 @@ def _typed(key: str, value, typ):
     """`value` as a `typ` field, or ConfigError naming `key`.
 
     JSON is checked, not coerced: a bool is not a number, an int field
-    takes only integral values (200.0 reads as 200), and a bool field
-    takes only true or false.
+    takes only integral values (200.0 reads as 200), a float field takes
+    no NaN, and a bool field takes only true or false.
     """
     if typ is bool or isinstance(value, bool):
         ok = typ is bool and isinstance(value, bool)
     elif typ is int:
         ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     elif typ is float:
-        ok = isinstance(value, (int, float))
+        ok = isinstance(value, (int, float)) and not math.isnan(value)
     else:
         ok = isinstance(value, typ)
     if not ok:

@@ -244,3 +244,53 @@ def test_dependent_burst_is_rejected_before_the_regressors(streams, more, extra,
     with mock.patch.object(cancellation, "_regressors", side_effect=built):
         with pytest.raises(RegressorRankError):
             train_digital_canceller(x, y, lin)
+
+
+def _textbook_fit(x, y, r):
+    """The canceller fit as first written: vstacked regressors, copied targets."""
+    phi = _regressors(x)
+    fit, *_ = np.linalg.lstsq(phi.conj().T, (y - r @ x).conj().T, rcond=None)
+    coeffs = fit.conj().T
+    coeffs[:, : x.shape[0]] += r
+    return coeffs
+
+
+def _textbook_rank_ok(x):
+    n = x.shape[0]
+    phi = _regressors(x)
+    return (
+        np.linalg.matrix_rank(x @ x.conj().T) == n
+        and np.linalg.matrix_rank(phi @ phi.conj().T) == 3 * n
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    chains=st.integers(1, 8),
+    streams=st.integers(1, 8),
+    rx=st.integers(1, 8),
+    members=st.integers(1, 4),
+    extra=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slot_path_is_the_textbook_arithmetic(chains, streams, rx, members, extra, seed):
+    # The slot path writes into arrays it allocates itself; it must return
+    # exactly what the textbook formulas return and never write into its
+    # inputs, which are read-only here.  Fewer streams than chains gives a
+    # rank-deficient burst; stacked members share the burst's regressors.
+    rng = np.random.default_rng(seed)
+    streams = min(streams, chains)
+    x = _cn(rng, chains, streams) @ _cn(rng, streams, 3 * chains + extra)
+    y = _cn(rng, members * rx, x.shape[1])
+    lin = np.tile(_cn(rng, rx, chains), (members, 1))
+    for a in (x, y, lin):
+        a.setflags(write=False)
+    want = _textbook_fit(x, y, lin)
+    assert np.array_equal(fit_digital_canceller(x, y, lin), want)
+    if _textbook_rank_ok(x):
+        assert np.array_equal(train_digital_canceller(x, y, lin), want)
+    else:
+        with pytest.raises(RegressorRankError):
+            train_digital_canceller(x, y, lin)
+    want.setflags(write=False)
+    assert np.array_equal(apply_digital_canceller(want, x, y), y - want @ _regressors(x))

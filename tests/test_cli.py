@@ -233,6 +233,28 @@ def test_exit_code_one_on_mistyped_values(tmp_path, capsys, payload, key):
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"scenario": "c", "kappa_si_db": float("nan")}, "'kappa_si_db'"),
+        ({"budget": {"dl_pathloss_db": float("nan")}}, "'budget.dl_pathloss_db'"),
+        ({"impairments": {"irr_db": float("nan")}}, "'impairments.irr_db'"),
+        ({"aging": {"doppler_hz": float("nan"), "slot_s": 1e-3}}, "'aging.doppler_hz'"),
+    ],
+    ids=["kappa-si", "dl-pathloss", "irr", "doppler"],
+)
+def test_exit_code_one_on_nan_values(tmp_path, capsys, payload, key):
+    # JSON's NaN used to reach the simulation and exit 2 from an SVD or
+    # the aging correlation check.
+    src = _write(tmp_path, {"scenario": "a", **payload})
+    assert "NaN" in (tmp_path / "cfg.json").read_text()
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(src)
+    assert main(["run", "--config", src]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_dropped_pilot_stream_count_is_rejected(tmp_path, capsys):
     src = _write(tmp_path, {"scenario": "a", "pilots": {"num_streams": 4}})
     assert main(["run", "--config", src]) == 1
