@@ -8,13 +8,14 @@ linear self-interference vanishes and only transmit-impairment distortion
 survives.  The digital stage then fits that survivor with a least-squares
 model over the basis {x, conj(x), x |x|^2} per transmit chain.  Its slot
 path builds each packet-length array once and works on it in place, which
-keeps a slot's heap peak small.
+keeps a slot's heap peak small; a caller that fits and applies on one
+burst builds the regressors once and passes them to both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,23 +196,26 @@ def fit_digital_canceller(
     tx_baseband: np.ndarray,
     rx_residual: np.ndarray,
     residual_linear: np.ndarray,
+    regressors: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Minimum-norm least-squares fit of `train_digital_canceller`, unchecked.
 
     With fewer streams than chains the regressors are dependent; the
     minimum-norm fit still cancels everything in the transmitted
-    subspace, which is all that was radiated.
+    subspace, which is all that was radiated.  `regressors` as in
+    `train_digital_canceller`.
     """
     x = np.asarray(tx_baseband, dtype=complex)
     y = np.asarray(rx_residual, dtype=complex)
     r = np.asarray(residual_linear, dtype=complex)
-    return _fit(_regressors(x), x, y, r)
+    return _fit(_regressors(x) if regressors is None else regressors, x, y, r)
 
 
 def _fit(phi: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The fit behind both entry points, on regressors `phi` built once.
 
-    `phi` is the caller's own scratch: it is conjugated in place.
+    `phi` is conjugated in place for the solver and conjugated back after
+    it, which is exact, so the caller gets its regressors back unchanged.
     """
     # Seeding with the known linear part and fitting the leftover is
     # algebraically identical to a direct fit but keeps the target small.
@@ -220,6 +224,7 @@ def _fit(phi: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.nda
     np.conj(target, out=target)
     np.conj(phi, out=phi)
     fit, *_ = np.linalg.lstsq(phi.T, target.T, rcond=None)
+    np.conj(phi, out=phi)
     coeffs = fit.conj().T
     coeffs[:, : x.shape[0]] += r
     return coeffs
@@ -229,6 +234,7 @@ def train_digital_canceller(
     tx_baseband: np.ndarray,
     rx_residual: np.ndarray,
     residual_linear: np.ndarray,
+    regressors: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Least-squares fit of the post-analog residual on the nonlinear basis.
 
@@ -247,6 +253,10 @@ def train_digital_canceller(
         Known linear residual matrix (rx chains x tx chains) that seeds the
         linear block of the fit; the remaining error is what the
         least-squares stage has to explain.
+    regressors : numpy.ndarray, optional
+        The blocks [x; conj(x); x |x|^2] of `tx_baseband`, built once by a
+        caller that also applies the fit to the burst.  The fit conjugates
+        them in place and back.  Built here if None.
 
     Returns
     -------
@@ -271,7 +281,7 @@ def train_digital_canceller(
     rank = np.linalg.matrix_rank(x @ x.conj().T)
     if rank < n_tx:
         raise RegressorRankError(f"transmit burst rank {rank} < {n_tx} chains")
-    phi = _regressors(x)
+    phi = _regressors(x) if regressors is None else regressors
     gram = phi @ phi.conj().T
     rank = np.linalg.matrix_rank(gram)
     if rank < 3 * n_tx:
@@ -280,13 +290,18 @@ def train_digital_canceller(
 
 
 def apply_digital_canceller(
-    coeffs: np.ndarray, tx_baseband: np.ndarray, rx_samples: np.ndarray
+    coeffs: np.ndarray, tx_baseband: np.ndarray, rx_samples: np.ndarray,
+    regressors: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Subtract the reconstructed nonlinear residual from receive samples."""
+    """Subtract the reconstructed nonlinear residual from receive samples.
+
+    `regressors`, when given, are the blocks [x; conj(x); x |x|^2] of
+    `tx_baseband` that the fit was computed on.
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
     x = np.asarray(tx_baseband, dtype=complex)
     y = np.asarray(rx_samples, dtype=complex)
     if coeffs.shape != (y.shape[0], 3 * x.shape[0]):
         raise ValueError("coefficient shape must be (rx chains, 3 * tx chains)")
-    z = coeffs @ _regressors(x)
+    z = coeffs @ (_regressors(x) if regressors is None else regressors)
     return np.subtract(y, z, out=z)

@@ -57,19 +57,23 @@ def _typed(key: str, value, typ):
 
     JSON is checked, not coerced: a bool is not a number, an int field
     takes only integral values (200.0 reads as 200), a float field takes
-    no NaN, and a bool field takes only true or false.
+    no NaN and no integer beyond the float range, and a bool field takes
+    only true or false.
     """
     if typ is bool or isinstance(value, bool):
         ok = typ is bool and isinstance(value, bool)
     elif typ is int:
         ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     elif typ is float:
-        ok = isinstance(value, (int, float)) and not math.isnan(value)
+        ok = isinstance(value, int) or (isinstance(value, float) and not math.isnan(value))
     else:
         ok = isinstance(value, typ)
     if not ok:
         raise ConfigError(f"{key!r} must be {_TYPE_NAMES[typ]}, got {value!r}")
-    return typ(value)
+    try:
+        return typ(value)
+    except OverflowError:
+        raise ConfigError(f"{key!r} must be a number within the float range") from None
 
 
 def _check_keys(given: dict, allowed, where: str) -> None:
@@ -102,7 +106,7 @@ def parse_config(source: str) -> ScenarioConfig:
     text = _read_config_text(source)
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ConfigError(f"{source}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")

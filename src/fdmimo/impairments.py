@@ -72,7 +72,11 @@ def pa_nonlinearity(x: np.ndarray, iip3_dbm: float) -> np.ndarray:
         return np.asarray(x, dtype=complex)
     a2 = dbm_to_watt(iip3_dbm)
     x = np.asarray(x, dtype=complex)
-    return x - (4.0 / (3.0 * a2)) * x * np.abs(x) ** 2
+    mag2 = np.abs(x)
+    mag2 **= 2
+    y = np.multiply(x, 4.0 / (3.0 * a2))
+    y *= mag2
+    return np.subtract(x, y, out=y)
 
 
 def iq_imbalance(x: np.ndarray, irr_db: float) -> np.ndarray:
@@ -85,14 +89,18 @@ def iq_imbalance(x: np.ndarray, irr_db: float) -> np.ndarray:
         return np.asarray(x, dtype=complex)
     nu = 10.0 ** (-irr_db / 20.0)
     x = np.asarray(x, dtype=complex)
-    return x + nu * np.conj(x)
+    y = np.conj(x)
+    y *= nu
+    y += x
+    return y
 
 
 def apply_tx_chain(x: np.ndarray, cfg: TxImpairmentConfig) -> np.ndarray:
     """Run per-chain samples through the IQ stage then the PA stage.
 
     `x` holds one chain per row (or a single vector); the same hardware
-    model applies to every chain.
+    model applies to every chain.  Each stage computes in arrays it
+    allocates itself and never writes into its input.
     """
     x = np.asarray(x, dtype=complex)
     if not cfg.enabled:

@@ -13,21 +13,25 @@ paired across schemes and runs are reproducible for a given seed.
 
 The trial loop is staged by what each quantity depends on:
 
-  per run    pilot matrices, fixed and checked by the config
-             (`_run_constants`)
+  per run    pilot matrices, fixed by the config and, for the DL and UL
+             sounding of a and b, scaled to each scored power; each is
+             checked once (`_run_constants`)
   per trial  the draw plus everything independent of the transmit power:
              beams and effective channels, the SI calibration estimate,
              one canceller per (taps, layout), and in scenario c the
              probe, half-duplex and ideal-CSI precoders with their
              unit-power bursts and UE gains (`_prepare_ab`, `_prepare_c`);
-             scenario d works from the draw alone
-  per power  one row of rates for all schemes.  In a and b, the channel
-             estimates and one precoded burst per distinct precoder;
-             schemes sharing a burst are received together, then scored
-             as one stack (`_score_ab`).  In c, the fixed precoders' gains
-             and bursts are scaled by the power, and each full-duplex
-             scheme probes, estimates and zero-forces (`_score_c`).  d
-             scores one scheme at a time.
+             scenario d works from the draw alone.  In a and b, one rate
+             pass scores every (power, scheme) of the trial as one stack
+             (`_score_ab`)
+  per power  in a and b, the channel estimates, one eigen precoder per
+             stream count shared by every scheme, and one precoded burst
+             per distinct precoder; schemes sharing a burst are received
+             together, down to their covariances and UL combiners
+             (`_receive_ab`).  In c, the fixed precoders' gains and bursts
+             are scaled by the power, and each full-duplex scheme probes,
+             estimates and zero-forces (`_score_c`).  d scores one scheme
+             at a time.
 
 Every full-duplex slot of every scenario is received through one chain,
 `_fd_receive`: analog taps, saturation check, then the digital canceller.
@@ -45,7 +49,8 @@ already weighted, so DL + UL is always the headline sum rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +71,7 @@ from fdmimo.cancellation import (
     InfeasibleProjectionError,
     RegressorRankError,
     SaturationSpec,
+    _regressors,
     apply_digital_canceller,
     check_saturation,
     effective_si_channel,
@@ -389,8 +395,9 @@ def dl_rate(
     norm, so `tx_power_w` is the total radiated power.  Leading axes of
     the arrays stack independent links; the result is then an array of
     rates, each equal to the 2-D call on its own inputs, bit for bit.
+    `tx_power_w` may be such an array too, one power per link.
     """
-    if tx_power_w < 0 or noise_w <= 0:
+    if np.min(tx_power_w) < 0 or noise_w <= 0:
         raise ValueError("tx_power_w must be >= 0 and noise_w > 0")
     h = np.asarray(h_eff, dtype=complex)
     w = np.asarray(precoder, dtype=complex)
@@ -398,7 +405,7 @@ def dl_rate(
     c = noise_w * np.eye(h.shape[-2], dtype=complex)
     if interference_cov is not None:
         c = c + np.asarray(interference_cov, dtype=complex)
-    return _logdet_gap(c + tx_power_w * (g @ _herm(g)), c)
+    return _logdet_gap(c + _per_link(tx_power_w) * (g @ _herm(g)), c)
 
 
 def ul_rate(
@@ -410,16 +417,23 @@ def ul_rate(
     `noise_cov` holds thermal noise plus residual self-interference at the
     receive chains.  Saturated chains are dropped by the caller before the
     call, so a fully saturated receiver never reaches this function.
-    Leading axes stack independent links, as in `dl_rate`.
+    Leading axes stack independent links, and `ul_power_w` may give one
+    power per link, as in `dl_rate`.
     """
-    if ul_power_w < 0:
+    if np.min(ul_power_w) < 0:
         raise ValueError("ul_power_w must be >= 0")
     h = np.asarray(h_eff, dtype=complex)
     u = np.asarray(combiner, dtype=complex)
     g = _herm(u) @ h
     cn = _herm(u) @ np.asarray(noise_cov, dtype=complex) @ u
-    per_stream = ul_power_w / h.shape[-1]
+    per_stream = _per_link(ul_power_w / h.shape[-1])
     return _logdet_gap(cn + per_stream * (g @ _herm(g)), cn)
+
+
+def _per_link(p):
+    """A power, or an array of powers over the leading axes made to
+    broadcast against their matrices."""
+    return p[..., None, None] if np.ndim(p) else p
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -444,11 +458,15 @@ def _tx_impair(x: np.ndarray, cfg: TxImpairmentConfig) -> np.ndarray:
     """
     if not cfg.enabled:
         return x
-    p = np.mean(np.abs(x) ** 2, axis=1, keepdims=True)
+    p = np.abs(x)
+    p **= 2
+    p = np.mean(p, axis=1, keepdims=True)
     scale = np.ones_like(p)
     live = p[:, 0] > 0
     scale[live] = np.sqrt(dbm_to_watt(cfg.drive_dbm) / p[live])
-    return apply_tx_chain(x * scale, cfg) / scale
+    y = apply_tx_chain(x * scale, cfg)
+    y /= scale
+    return y
 
 
 def _fd_receive(
@@ -466,8 +484,8 @@ def _fd_receive(
 
     A stack of radiated versions of one burst, `x_tx` of shape (members,
     chains, samples), is received in one pass: all members' rows share
-    the regressors of `x`, so one fit and one apply serve them all, with
-    `resid_lin` given once per member (stacked rows).
+    the regressors of `x`, built once for one fit and one apply that
+    serve them all, with `resid_lin` given once per member (stacked rows).
     """
     r_si = h_si @ x_tx - c @ x
     r = r_si + ul + noise
@@ -475,13 +493,14 @@ def _fd_receive(
     if digital:
         del r_si  # not returned; freed before the fit's temporaries
         rows = r.reshape(-1, r.shape[-1])
+        phi = _regressors(x)
         try:
-            coeffs = train_digital_canceller(x, rows, resid_lin)
+            coeffs = train_digital_canceller(x, rows, resid_lin, phi)
         except RegressorRankError:
             # Fewer streams than chains: the chain signals are dependent,
             # and the minimum-norm fit still cancels what was radiated.
-            coeffs = fit_digital_canceller(x, rows, resid_lin)
-        z = apply_digital_canceller(coeffs, x, rows).reshape(r.shape)
+            coeffs = fit_digital_canceller(x, rows, resid_lin, phi)
+        z = apply_digital_canceller(coeffs, x, rows, phi).reshape(r.shape)
         return z - ul - noise, z, saturated
     return r_si, r, saturated
 
@@ -541,10 +560,11 @@ def _trial_taps(
 
 
 def _fd_precoder(
-    cfg: ScenarioConfig, ctx: dict, h_dl_hat: np.ndarray, plan: _Plan, p_w: float
+    cfg: ScenarioConfig, ctx: dict, eig: Callable[[int], np.ndarray], plan: _Plan, p_w: float
 ) -> Tuple[Optional[np.ndarray], int]:
     """Eigen precoder plus the plan's self-interference spatial handling.
 
+    `eig(streams)` is the read-only eigen precoder of the DL estimate.
     `ctx["null_v"]` spans the strong half of the SI channel row space, used
     by plans with a fixed null depth.  Returns (precoder, streams); the
     precoder is None when no stream count admits a feasible projection.
@@ -554,7 +574,7 @@ def _fd_precoder(
     mu_w = 0.5 * sat.max_input_w if plan.budget == "saturation" else bud.bs_noise_w
     streams = min(cfg.arch.n_tx_rf, cfg.dl_ue_antennas)
     while streams >= 1:
-        w = eigen_precoder(h_dl_hat, streams)
+        w = eig(streams)
         if plan.duplex == "hd":
             return w, streams
         if plan.null_depth:
@@ -673,43 +693,49 @@ def _stacked(fn, keys, *args) -> list:
     return out
 
 
-def _score_ab(
-    cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plans: List[_Plan]
-) -> List[Tuple[float, float]]:
-    """(DL, UL) rates of every plan at one power.
+def _receive_ab(
+    cfg: ScenarioConfig, consts: dict, ctx: dict, power_dbm: float, plans: List[_Plan]
+) -> List[tuple]:
+    """Every plan's slot at one power, up to the rates.
 
-    The channels are sounded at the operating power; schemes with the same
-    precoder and digital stage share a burst.  Schemes sharing a burst are
-    received together, then scored as one stack: one `_fd_receive` per
-    burst, whose members' samples shrink at once to covariances and
-    saturation flags; then one `dl_rate`, `mmse_combiner` and `ul_rate`
-    (which also holds the interference-free bounds) per array shape.
+    The channels are sounded at the operating power and the eigen
+    precoders are computed once per stream count.  Schemes with the same
+    precoder and digital stage share a burst and are received together:
+    one `_fd_receive` per burst, whose members' samples shrink at once to
+    covariances and saturation flags, then one `mmse_combiner` per number
+    of surviving chains.  Returns one item per plan for `_score_ab`:
+    (power, precoder, TX distortion at the DL UE, surviving chains or None
+    for a UL outage, their UL channel, combiner, noise + residual SI, and
+    noise alone).
     """
     arch = cfg.arch
     bud = cfg.budget
     sat = SaturationSpec(bud.rx_saturation_dbm)
+    p_w = dbm_to_watt(power_dbm)
     ul_amp = np.sqrt(p_w / cfg.ul_streams)  # the UL UE tracks the swept DL power
     h_dl_hat = _pilot_estimate(
-        ctx["h_dl_eff"], ctx["n_dl"], Pilots(np.sqrt(p_w / arch.n_tx_rf) * consts["dl"].matrix),
-        bud.ue_noise_w, bud.dl_gain * arch.tx_subarray,
+        ctx["h_dl_eff"], ctx["n_dl"], consts["dl", power_dbm], bud.ue_noise_w,
+        bud.dl_gain * arch.tx_subarray,
     )
     h_ul_hat = _pilot_estimate(
-        ctx["h_ul_eff"], ctx["n_ul"], Pilots(ul_amp * consts["ul"].matrix), bud.bs_noise_w,
+        ctx["h_ul_eff"], ctx["n_ul"], consts["ul", power_dbm], bud.bs_noise_w,
         bud.ul_gain * arch.rx_subarray,
     )
     ul_sym = _ro(ctx["h_ul_eff"] @ (ul_amp * ctx["s_ul"]))
+    # One decomposition per stream count, shared by every burst.
+    eig = lru_cache(lambda streams: _ro(eigen_precoder(h_dl_hat, streams)))
     n = len(plans)
     ws: list = [None] * n
     dist_cov: list = [None] * n  # TX distortion at the DL UE
     si_cov = [np.zeros((arch.n_rx_rf,) * 2, dtype=complex)] * n  # residual SI at the BS
     alive = [np.ones(arch.n_rx_rf, dtype=bool)] * n  # chains that escaped saturation
     # BLAS takes vector kernels for a lone receive row, which round unlike
-    # a stack of rows; a one-chain receiver scores each scheme on its own.
+    # a stack of rows; a one-chain receiver receives each scheme on its own.
     solo = arch.n_rx_rf == 1
     bursts = _groups((_tx_key(p), p.digital, solo and i) for i, p in enumerate(plans))
     for (_, digital, _), members in bursts.items():
         lead = plans[members[0]]
-        w, streams = _fd_precoder(cfg, ctx, h_dl_hat, lead, p_w)
+        w, streams = _fd_precoder(cfg, ctx, eig, lead, p_w)
         if w is None:
             x = _ro(np.zeros((arch.n_tx_rf, cfg.packet_symbols), dtype=complex))
         else:
@@ -730,31 +756,50 @@ def _score_ab(
             for i, cov, flags in zip(members, _measure_cov(z_si), saturated):
                 si_cov[i], alive[i] = cov, ~flags
 
-    dl = _stacked(
-        lambda w, c: dl_rate(ctx["h_dl_eff"], w, p_w, bud.ue_noise_w, c),
-        [None if w is None else w.shape for w in ws], ws, dist_cov,
-    )
     # Surviving chains see thermal noise plus residual SI; the bound, noise alone.
-    thermal = [bud.bs_noise_w * np.eye(int(m.sum()), dtype=complex) for m in alive]
-    cov = [t + c[np.ix_(m, m)] for t, c, m in zip(thermal, si_cov, alive)]
+    sizes = [int(m.sum()) for m in alive]
+    thermal = {k: bud.bs_noise_w * np.eye(k, dtype=complex) for k in set(sizes)}
+    cov = [thermal[k] + c[m][:, m] for k, c, m in zip(sizes, si_cov, alive)]
     # Fewer surviving chains than UL streams cannot separate the streams:
     # the UL is an outage, as when every chain saturates.
-    chains = [int(m.sum()) if m.sum() >= cfg.ul_streams else None for m in alive]
-    bounded = [np.stack([c, t]) for c, t in zip(cov, thermal)]
+    chains = [k if k >= cfg.ul_streams else None for k in sizes]
     combiners = _stacked(mmse_combiner, chains, [ul_amp * h_ul_hat[m] for m in alive], cov)
+    return [
+        (p_w, w, d, k, ctx["h_ul_eff"][m], u, c, thermal[n])
+        for w, d, k, n, m, u, c in zip(ws, dist_cov, chains, sizes, alive, combiners, cov)
+    ]
+
+
+def _score_ab(
+    cfg: ScenarioConfig, ctx: dict, received: List[List[tuple]], plans: List[_Plan]
+) -> List[List[Tuple[float, float]]]:
+    """(DL, UL) rates of every plan, one row per power of `received`.
+
+    Every (power, plan) item of the trial is scored in one stack: one
+    `dl_rate` and one `ul_rate` (which also holds the interference-free
+    bounds) per array shape, each item at its own power.
+    """
+    bud = cfg.budget
+    p_w, ws, dist_cov, chains, h_ul, combiners, cov, thermal = zip(
+        *(item for row in received for item in row)
+    )
+    dl = _stacked(
+        lambda w, c, p: dl_rate(ctx["h_dl_eff"], w, p, bud.ue_noise_w, c),
+        [None if w is None else w.shape for w in ws], ws, dist_cov, p_w,
+    )
     ul = _stacked(
-        lambda h, u, c: ul_rate(h[:, None], u[:, None], p_w, c), chains,
-        [ctx["h_ul_eff"][m] for m in alive], combiners, bounded,
+        lambda h, u, c, t, p: ul_rate(h[:, None], u[:, None], p[:, None], np.stack([c, t], 1)),
+        chains, h_ul, combiners, cov, thermal, p_w,
     )
     out = []
-    for plan, rate, pair in zip(plans, dl, ul):
+    for k, (rate, pair) in enumerate(zip(dl, ul)):
         up, bound = (0.0, 0.0) if pair is None else map(float, pair)
         # Sanity bound: residual SI can only cost rate with this combiner.
         if up > bound * (1.0 + 1e-9) + 1e-12:
             raise RuntimeError("full-duplex UL rate exceeded its interference-free bound")
-        scale = 0.5 if plan.duplex == "hd" else 1.0
+        scale = 0.5 if plans[k % len(plans)].duplex == "hd" else 1.0
         out.append((scale * (0.0 if rate is None else float(rate)), scale * up))
-    return out
+    return [out[i : i + len(plans)] for i in range(0, len(out), len(plans))]
 
 
 # ---------------------------------------------------------------------------
@@ -846,13 +891,14 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
 
 
 def _score_c(
-    cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plans: List[_Plan]
+    cfg: ScenarioConfig, consts: dict, ctx: dict, power_dbm: float, plans: List[_Plan]
 ) -> List[Tuple[float, float]]:
     """(DL, UL) rates of every plan at one power; the UL carries no data.
 
     The ideal-CSI and half-duplex precoders are fixed per trial, so the
     power only scales their stream gains and burst.
     """
+    p_w = dbm_to_watt(power_dbm)
     out = []
     for plan in plans:
         if plan.csi == "perfect":
@@ -1055,24 +1101,36 @@ def _eval_d(
     return _d_dl(cfg, draw, f_tx, w, p_w, impaired=plan.impaired), 0.0
 
 
+def _score_d(
+    cfg: ScenarioConfig, consts: dict, draw: dict, power_dbm: float, plans: List[_Plan]
+) -> List[Tuple[float, float]]:
+    """(DL, UL) rates of every plan at one power, one scheme at a time."""
+    return [_eval_d(cfg, consts, draw, power_dbm, plan) for plan in plans]
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
 
-def _run_constants(cfg: ScenarioConfig) -> Dict[str, Pilots]:
-    """Pilot matrices fixed by the config alone, built and checked once per run.
+def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object, Pilots]:
+    """Pilot matrices fixed by the config and `powers`, built and checked once
+    per run.
 
     Powers the config fixes are folded in.  The DL and UL sounding pilots
-    of scenarios a and b follow the swept power, so those stay unit
-    amplitude and are scaled (and checked again) per power point.
+    of scenarios a and b follow the swept power: they are scaled for each
+    of `powers`, the powers the run scores, under keys ("dl", power) and
+    ("ul", power).
     """
     arch = cfg.arch
     lp = cfg.pilots.num_pilots
     cal_w = dbm_to_watt(cfg.pilots.power_dbm)
     consts = {"si_cal": np.sqrt(cal_w / arch.n_tx_rf) * orthogonal_pilots(arch.n_tx_rf, lp)}
     if cfg.scenario in ("a", "b"):
-        consts["dl"] = orthogonal_pilots(arch.n_tx_rf, lp)
-        consts["ul"] = orthogonal_pilots(cfg.ul_streams, lp)
+        dl = orthogonal_pilots(arch.n_tx_rf, lp)
+        ul = orthogonal_pilots(cfg.ul_streams, lp)
+        for p in powers:
+            consts["dl", p] = np.sqrt(dbm_to_watt(p) / arch.n_tx_rf) * dl
+            consts["ul", p] = np.sqrt(dbm_to_watt(p) / cfg.ul_streams) * ul
     elif cfg.scenario == "c":
         amp = np.sqrt(dbm_to_watt(cfg.budget.ul_power_dbm))
         consts["ul_packet"] = amp * orthogonal_pilots(cfg.num_ue, cfg.packet_symbols)
@@ -1101,59 +1159,64 @@ def _eval_draw(
 ) -> List[List[Tuple[float, float]]]:
     """(DL, UL) rates per power and scheme for one trial drawn from `rng`.
 
-    Draws the trial and builds its context once, then scores every power.
-    Given the `trial` index, a fault is re-raised as TrialError naming
-    where it happened.
+    Draws the trial and builds its context once, then takes every power
+    through the per-power stage; in a and b one rate pass then scores the
+    whole trial.  Given the `trial` index, a fault is re-raised as
+    TrialError naming where it happened.
     """
     plans = [_PLANS[cfg.scenario][s] for s in schemes]
-    power_dbm = scheme = None
-    out = []
+    ctx = finish = power_dbm = None
     try:
         if cfg.scenario in ("a", "b"):
             ctx = _prepare_ab(cfg, consts, _draw_ab(cfg, rng), plans)
-            score = _score_ab
+            stage, finish = _receive_ab, _score_ab
         elif cfg.scenario == "c":
             ctx = _prepare_c(cfg, consts, _draw_c(cfg, rng), plans)
-            score = _score_c
+            stage = _score_c
         else:
             ctx = _draw_d(cfg, rng)
-            score = None
+            stage = _score_d
+        rows = []
         for power_dbm in powers:
-            scheme = None
-            p_w = dbm_to_watt(power_dbm)
-            if score is not None:
-                try:
-                    out.append(score(cfg, consts, ctx, p_w, plans))
-                except Exception:
-                    scheme = _failing_scheme(score, cfg, consts, ctx, p_w, schemes, plans)
-                    raise
-                continue
-            row = []
-            for scheme, plan in zip(schemes, plans):
-                row.append(_eval_d(cfg, consts, ctx, power_dbm, plan))
-            out.append(row)
+            rows.append(stage(cfg, consts, ctx, power_dbm, plans))
+        power_dbm = None
+        return rows if finish is None else finish(cfg, ctx, rows, plans)
     except Exception as exc:
         if trial is None:
             raise
         where = _trial_label(cfg, trial)
-        where += " (set-up)" if power_dbm is None else f", power {power_dbm:g} dBm"
-        if scheme is not None:
-            where += f", scheme {scheme}"
+        if ctx is None:
+            where += " (set-up)"
+        else:
+            # A fault in the rate pass may lie at any power.
+            tried = powers if power_dbm is None else [power_dbm]
+            power_dbm, scheme = _failing_point(cfg, consts, ctx, stage, finish, tried, schemes)
+            if power_dbm is not None:
+                where += f", power {power_dbm:g} dBm"
+            if scheme is not None:
+                where += f", scheme {scheme}"
         raise TrialError(f"{where}: {type(exc).__name__}: {exc}") from exc
-    return out
 
 
-def _failing_scheme(score, cfg, consts, ctx, p_w, schemes, plans) -> Optional[str]:
-    """The first scheme that also fails when `score` scores its power point
-    alone, as `run_trial` does: a failed row does not say which member."""
-    if len(plans) == 1:
-        return schemes[0]
-    for scheme, plan in zip(schemes, plans):
-        try:
-            score(cfg, consts, ctx, p_w, [plan])
-        except Exception:  # noqa: BLE001  any fault reproduces the stacked one
-            return scheme
-    return None
+def _failing_point(
+    cfg, consts, ctx, stage, finish, powers: Sequence[float], schemes: Sequence[str]
+) -> Tuple[Optional[float], Optional[str]]:
+    """The first (power, scheme) that also fails when scored alone, as
+    `run_trial` scores it: a failed stack does not say which member.
+    When no single point reproduces the fault, the scheme is None, and so
+    is the power unless only one was tried."""
+    if len(powers) * len(schemes) == 1:
+        return powers[0], schemes[0]
+    for p in powers:
+        for scheme in schemes:
+            plan = [_PLANS[cfg.scenario][scheme]]
+            try:
+                row = stage(cfg, consts, ctx, p, plan)
+                if finish is not None:
+                    finish(cfg, ctx, [row], plan)
+            except Exception:  # noqa: BLE001  any fault reproduces the stacked one
+                return p, scheme
+    return (powers[0] if len(powers) == 1 else None), None
 
 
 def run_trial(
@@ -1162,7 +1225,8 @@ def run_trial(
     """Single Monte Carlo trial; returns the (DL, UL) rate pair in bps/Hz."""
     if scheme not in allowed_schemes(cfg.scenario):
         raise ValueError(f"scheme {scheme!r} not defined for scenario {cfg.scenario!r}")
-    return _eval_draw(cfg, _run_constants(cfg), rng, (power_dbm,), (scheme,))[0][0]
+    powers = (power_dbm,)
+    return _eval_draw(cfg, _run_constants(cfg, powers), rng, powers, (scheme,))[0][0]
 
 
 def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
@@ -1183,19 +1247,20 @@ def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
 def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
 
-    Work is staged by what it depends on: per run the pilot matrices, per
-    trial the draw and everything power-free (SI estimate, taps, and in c
-    the precoders, their bursts and UE gains), per power the rest.  In
-    scenarios a, b and c each power point is scored as one row for all
-    schemes; in a and b, schemes sharing a burst are received together,
-    then scored as one stack.  Scenario d scores one scheme at a time.
+    Work is staged by what it depends on: per run the pilot matrices
+    (in a and b scaled to every swept power), per trial the draw and
+    everything power-free (SI estimate, taps, and in c the precoders,
+    their bursts and UE gains), per power the rest.  In a and b each
+    power's schemes sharing a burst are received together, and one rate
+    pass per trial scores every (power, scheme) as one stack; c scores
+    each power as one row, d one scheme at a time.
 
     Each trial draws from its own child seed, so results do not depend on
     the order trials run in.  With trials=1 each point equals `run_trial`
     seeded with SeedSequence(entropy=seed, spawn_key=(0,)).  A failing
     trial raises TrialError.
     """
-    consts = _run_constants(cfg)
+    consts = _run_constants(cfg, cfg.power_sweep_dbm)
     rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
     for t in range(cfg.trials):
         rates[t] = _trial_rates(cfg, consts, t)

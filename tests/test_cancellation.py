@@ -294,3 +294,38 @@ def test_slot_path_is_the_textbook_arithmetic(chains, streams, rx, members, extr
             train_digital_canceller(x, y, lin)
     want.setflags(write=False)
     assert np.array_equal(apply_digital_canceller(want, x, y), y - want @ _regressors(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chains=st.integers(1, 6),
+    streams=st.integers(1, 6),
+    rx=st.integers(1, 8),
+    extra=st.integers(0, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_regressors_give_the_same_fit_and_come_back_unchanged(
+    chains, streams, rx, extra, seed
+):
+    # A slot builds the regressors once for its fit and its apply; the fit
+    # conjugates them in place for the solver and must restore them.
+    rng = np.random.default_rng(seed)
+    streams = min(streams, chains)
+    x = _cn(rng, chains, streams) @ _cn(rng, streams, 3 * chains + extra)
+    y, lin = _cn(rng, rx, x.shape[1]), _cn(rng, rx, chains)
+    phi = cancellation._regressors(x)
+    want = phi.copy()
+    fit = fit_digital_canceller(x, y, lin)
+    assert np.array_equal(fit_digital_canceller(x, y, lin, phi), fit)
+    assert np.array_equal(phi, want)
+    try:
+        strict = train_digital_canceller(x, y, lin)
+    except RegressorRankError:
+        with pytest.raises(RegressorRankError):
+            train_digital_canceller(x, y, lin, phi)
+    else:
+        assert np.array_equal(train_digital_canceller(x, y, lin, phi), strict)
+    assert np.array_equal(phi, want)
+    assert np.array_equal(
+        apply_digital_canceller(fit, x, y, phi), apply_digital_canceller(fit, x, y)
+    )

@@ -255,6 +255,35 @@ def test_exit_code_one_on_nan_values(tmp_path, capsys, payload, key):
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"budget": {"dl_pathloss_db": 10**400}}, "'budget.dl_pathloss_db'"),
+        ({"kappa_si_db": 10**400}, "'kappa_si_db'"),
+        ({"power_sweep_dbm": [10**400, 20]}, "'power_sweep_dbm[0]'"),
+    ],
+    ids=["dl-pathloss", "kappa-si", "power-sweep"],
+)
+def test_exit_code_one_on_integers_beyond_float_range(tmp_path, capsys, payload, key):
+    # float() of such an integer raises OverflowError, which used to escape
+    # the config check as a traceback.
+    src = _write(tmp_path, {"scenario": "a", **payload})
+    assert "1" + "0" * 400 in (tmp_path / "cfg.json").read_text()
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(src)
+    assert main(["validate", "--config", src]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_exit_code_one_on_integer_past_the_digit_limit(tmp_path, capsys):
+    # Python refuses to parse integers of more than 4300 digits.
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": "a", "kappa_si_db": 1' + "0" * 5000 + "}")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_dropped_pilot_stream_count_is_rejected(tmp_path, capsys):
     src = _write(tmp_path, {"scenario": "a", "pilots": {"num_streams": 4}})
     assert main(["run", "--config", src]) == 1

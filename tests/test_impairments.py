@@ -8,6 +8,8 @@ coefficient 4 / (3 A_ip^2) puts the third-order products at exactly
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdmimo.impairments import (
     TxImpairmentConfig,
@@ -117,3 +119,29 @@ def test_impairment_config_validation():
         with pytest.raises(ValueError, match="drive_dbm"):
             TxImpairmentConfig(drive_dbm=bad)
     TxImpairmentConfig(iip3_dbm=300.0, drive_dbm=-300.0)  # the bounds themselves are fine
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    samples=st.integers(1, 300),
+    scale_db=st.floats(-60.0, 20.0),
+    iip3=st.sampled_from([20.0, 0.0, np.inf]),
+    irr=st.sampled_from([30.0, 10.0, np.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_is_the_textbook_arithmetic(rows, samples, scale_db, iip3, irr, seed):
+    # Each stage works in its own temporaries; it must return exactly what
+    # the out-of-place formulas return and never write into its input.
+    rng = np.random.default_rng(seed)
+    amp = np.sqrt(dbm_to_watt(scale_db))
+    x = amp * (rng.standard_normal((rows, samples)) + 1j * rng.standard_normal((rows, samples)))
+    x.setflags(write=False)
+    want = x if np.isinf(irr) else x + 10.0 ** (-irr / 20.0) * np.conj(x)
+    assert np.array_equal(iq_imbalance(x, irr), want)
+    if not np.isinf(iip3):
+        want = want - (4.0 / (3.0 * dbm_to_watt(iip3))) * want * np.abs(want) ** 2
+        pa = x - (4.0 / (3.0 * dbm_to_watt(iip3))) * x * np.abs(x) ** 2
+        assert np.array_equal(pa_nonlinearity(x, iip3), pa)
+    cfg = TxImpairmentConfig(iip3_dbm=iip3, irr_db=irr)
+    assert np.array_equal(apply_tx_chain(x, cfg), want)

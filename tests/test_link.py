@@ -277,3 +277,25 @@ def test_fewer_surviving_chains_than_ul_streams_is_an_outage():
     seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(5,))
     dl, ul = run_trial(cfg, 50.0, "benchmark", np.random.default_rng(seed))
     assert ul == 0.0 and dl > 0.0
+
+
+def test_fault_in_the_rate_pass_names_a_point_run_trial_reproduces(monkeypatch):
+    # Scenario a scores every (power, scheme) of a trial in one rate pass;
+    # a fault planted for one power must be replayed down to that point.
+    cfg = dataclasses.replace(
+        default_scenario("a"), trials=1, power_sweep_dbm=(20.0, 30.0), schemes=("proposed", "hd")
+    )
+    original = link.dl_rate
+
+    def fails_at_one_watt(h, w, p, noise, cov=None):
+        if np.any(np.asarray(p) == 1.0):
+            raise FloatingPointError("planted")
+        return original(h, w, p, noise, cov)
+
+    monkeypatch.setattr(link, "dl_rate", fails_at_one_watt)
+    with pytest.raises(TrialError, match="power 30 dBm, scheme proposed: FloatingPointError"):
+        run_scenario(cfg)
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
+    with pytest.raises(FloatingPointError):
+        run_trial(cfg, 30.0, "proposed", np.random.default_rng(seed))
+    run_trial(cfg, 20.0, "hd", np.random.default_rng(seed))

@@ -1,23 +1,30 @@
 """Stacked rate and canceller calls equal the 2-D calls, member for member.
 
-Scenarios a and b score all schemes of a power point as one stack.  Their
-CSVs stay byte-identical to scoring each scheme alone only if every
-stacked call returns exactly (`np.array_equal`), not approximately, what
-the 2-D call on each member returns.
+Scenarios a and b receive all schemes of a power point as one stack and
+score every (power, scheme) of a trial in one rate pass, each item at its
+own power.  Their CSVs stay byte-identical to scoring each point alone
+only if every stacked call returns exactly (`np.array_equal`), not
+approximately, what the 2-D call on each member returns; `run_scenario`
+is checked against `run_trial` on random small configs for the same
+reason.  The staging itself is guarded too: sounding pilots are built
+once per run and power, eigen precoders once per (trial, power, streams).
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdmimo.beamforming import mmse_combiner
+from fdmimo import estimation, link
+from fdmimo.beamforming import ArchitectureConfig, mmse_combiner
 from fdmimo.cancellation import (
     RegressorRankError,
     apply_digital_canceller,
     fit_digital_canceller,
     train_digital_canceller,
 )
-from fdmimo.link import dl_rate, ul_rate
+from fdmimo.link import allowed_schemes, default_scenario, dl_rate, run_scenario, run_trial, ul_rate
 
 dims = st.integers(1, 6)
 batches = st.integers(1, 5)
@@ -113,3 +120,93 @@ def test_stacked_canceller_fit_is_exact(members, rx, tx, streams, extra, seed):
         coeffs = fit(x, y, resid)
         assert np.array_equal(stacked[block], coeffs)
         assert np.array_equal(cleaned[block], apply_digital_canceller(coeffs, x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=batches, rows=dims, cols=dims, streams=dims, seed=seeds)
+def test_dl_rate_with_a_power_per_link_is_exact(batch, rows, cols, streams, seed):
+    rng = np.random.default_rng(seed)
+    h = _cn(rng, rows, cols)
+    w = _cn(rng, batch, cols, streams)
+    cov = _hpd(rng, batch, n=rows)
+    p = 10.0 ** rng.uniform(-4, 4, batch)
+    stacked = dl_rate(h, w, p, 0.5, cov)
+    assert stacked.shape == (batch,)
+    for k in range(batch):
+        assert np.array_equal(stacked[k], dl_rate(h, w[k], float(p[k]), 0.5, cov[k]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=batches, chains=dims, streams=dims, seed=seeds)
+def test_ul_rate_with_a_power_per_link_is_exact(batch, chains, streams, seed):
+    streams = min(streams, chains)
+    rng = np.random.default_rng(seed)
+    h = _cn(rng, batch, chains, streams)
+    u = _cn(rng, batch, chains, streams)
+    p = 10.0 ** rng.uniform(-4, 4, batch)
+    # The scorer's form: rate and bound per item, the item's power broadcast.
+    pairs = np.stack([_hpd(rng, batch, n=chains), _hpd(rng, batch, n=chains)], axis=1)
+    both = ul_rate(h[:, None], u[:, None], p[:, None], pairs)
+    assert both.shape == (batch, 2)
+    for k in range(batch):
+        for j in range(2):
+            assert np.array_equal(both[k, j], ul_rate(h[k], u[k], float(p[k]), pairs[k, j]))
+
+
+@st.composite
+def small_ab_configs(draw):
+    """Scenario a or b with 1-4 chains, any UL stream count the UE allows,
+    2-4 powers that include a saturating 50 dBm, and a scheme subset."""
+    code = draw(st.sampled_from("ab"))
+    n_tx_rf, n_rx_rf = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if code == "a":
+        arch = ArchitectureConfig(n_tx_rf, n_rx_rf, n_tx_rf, n_rx_rf, bf_mode="digital")
+    else:
+        sub_tx, sub_rx = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        arch = ArchitectureConfig(n_tx_rf * sub_tx, n_rx_rf * sub_rx, n_tx_rf, n_rx_rf)
+    arch = dataclasses.replace(arch, num_taps=draw(st.integers(0, n_tx_rf * n_rx_rf)))
+    ul_ue = draw(st.integers(1, 4))
+    others = st.sampled_from([-10.0, 0.0, 15.0, 30.0, 40.0])
+    powers = draw(st.lists(others, min_size=1, max_size=3, unique=True))
+    schemes = draw(st.lists(st.sampled_from(allowed_schemes(code)), min_size=1, unique=True))
+    return dataclasses.replace(
+        default_scenario(code), arch=arch, trials=1, seed=draw(seeds),
+        power_sweep_dbm=tuple(draw(st.permutations(powers + [50.0]))), schemes=tuple(schemes),
+        dl_ue_antennas=draw(st.integers(1, 4)), ul_ue_antennas=ul_ue,
+        ul_streams=draw(st.integers(1, ul_ue)), packet_symbols=200,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=small_ab_configs())
+def test_run_scenario_is_run_trial_on_small_ab_configs(cfg):
+    points = run_scenario(cfg)
+    assert len(points) == len(cfg.schemes) * len(cfg.power_sweep_dbm)
+    for point in points:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
+        dl, ul = run_trial(cfg, point.power_dbm, point.scheme, rng)
+        assert point.mean_rate_bps_hz == dl + ul, point
+
+
+def test_sweep_a_builds_pilots_per_power_and_eigen_precoders_once(monkeypatch):
+    cfg = dataclasses.replace(default_scenario("a"), trials=3)
+    built, precoded = [], []
+    check, eigen = estimation.Pilots.__post_init__, link.eigen_precoder
+
+    def counted_check(pilots):
+        built.append(pilots)
+        check(pilots)
+
+    def counted_eigen(h, streams):
+        precoded.append((h.tobytes(), streams))
+        return eigen(h, streams)
+
+    monkeypatch.setattr(estimation.Pilots, "__post_init__", counted_check)
+    monkeypatch.setattr(link, "eigen_precoder", counted_eigen)
+    run_scenario(cfg)
+    powers = len(cfg.power_sweep_dbm)
+    assert 2 * powers < len(built) <= 3 + 2 * powers
+    # Each (trial, power) has its own channel estimate: a repeated input is
+    # a repeated decomposition.
+    assert len(precoded) >= cfg.trials * powers
+    assert len(set(precoded)) == len(precoded)
