@@ -16,13 +16,11 @@ from importlib import resources
 from pathlib import Path
 from typing import List, Optional, Sequence, get_type_hints
 
-from fdmimo.beamforming import ArchitectureConfig
-from fdmimo.channel import AgingParams
-from fdmimo.estimation import PilotConfig
-from fdmimo.impairments import TxImpairmentConfig
+import numpy as np
+
 from fdmimo.link import (
+    UNREAD_FIELDS,
     CurvePoint,
-    LinkBudget,
     ScenarioConfig,
     complexity_report,
     default_scenario,
@@ -36,13 +34,9 @@ class ConfigError(ValueError):
     """Anything wrong with the requested configuration."""
 
 
-_SECTIONS = {
-    "architecture": ("arch", ArchitectureConfig),
-    "budget": ("budget", LinkBudget),
-    "impairments": ("impairments", TxImpairmentConfig),
-    "pilots": ("pilots", PilotConfig),
-    "aging": ("aging", AgingParams),
-}
+# JSON section -> ScenarioConfig field.
+_SECTIONS = {"architecture": "arch", "budget": "budget", "impairments": "impairments",
+             "pilots": "pilots", "aging": "aging"}
 
 # Top-level numeric fields of ScenarioConfig, by declared type.
 _SCALARS = {
@@ -51,14 +45,18 @@ _SCALARS = {
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
+# Integer fields size arrays, so they must fit numpy's index type; the seed
+# only feeds SeedSequence, which takes any non-negative integer.
+_INT_MAX = int(np.iinfo(np.intp).max)
+
 
 def _typed(key: str, value, typ):
     """`value` as a `typ` field, or ConfigError naming `key`.
 
     JSON is checked, not coerced: a bool is not a number, an int field
-    takes only integral values (200.0 reads as 200), a float field takes
-    no NaN and no integer beyond the float range, and a bool field takes
-    only true or false.
+    takes only integral values (200.0 reads as 200) that fit an array index
+    (the seed excepted), a float field takes no NaN and no integer beyond
+    the float range, and a bool field takes only true or false.
     """
     if typ is bool or isinstance(value, bool):
         ok = typ is bool and isinstance(value, bool)
@@ -71,9 +69,12 @@ def _typed(key: str, value, typ):
     if not ok:
         raise ConfigError(f"{key!r} must be {_TYPE_NAMES[typ]}, got {value!r}")
     try:
-        return typ(value)
+        value = typ(value)
     except OverflowError:
         raise ConfigError(f"{key!r} must be a number within the float range") from None
+    if typ is int and key != "seed" and abs(value) > _INT_MAX:
+        raise ConfigError(f"{key!r} must be an integer of magnitude at most {_INT_MAX}")
+    return value
 
 
 def _check_keys(given: dict, allowed, where: str) -> None:
@@ -84,16 +85,26 @@ def _check_keys(given: dict, allowed, where: str) -> None:
         )
 
 
-def _build_section(name: str, cls, payload: dict, current):
+def _check_read(raw: dict, scenario: str) -> None:
+    """ConfigError naming the first key of `raw` that `scenario` does not read."""
+    for key, value in raw.items():
+        attr = _SECTIONS.get(key, key)
+        fields = value if isinstance(value, dict) else {}
+        for name, shown in [(attr, key)] + [(f"{attr}.{f}", f"{key}.{f}") for f in fields]:
+            if name in UNREAD_FIELDS[scenario]:
+                raise ConfigError(
+                    f"scenario {scenario!r} does not take {shown!r}: it ignores or fixes it"
+                )
+
+
+def _build_section(name: str, payload: dict, current):
     if not isinstance(payload, dict):
         raise ConfigError(f"{name!r} must be a JSON object")
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = [f.name for f in dataclasses.fields(current)]
     _check_keys(payload, names, f"section {name!r}")
-    types = get_type_hints(cls)
+    types = get_type_hints(type(current))
     payload = {k: _typed(f"{name}.{k}", v, types[k]) for k, v in payload.items()}
     try:
-        if current is None:
-            return cls(**payload)
         return dataclasses.replace(current, **payload)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {name!r} settings: {exc}") from exc
@@ -102,7 +113,8 @@ def _build_section(name: str, cls, payload: dict, current):
 def parse_config(source: str) -> ScenarioConfig:
     """Load a scenario config, filling unspecified fields from the
     scenario's reference defaults.  `source` is a filesystem path or the
-    bare name of a bundled config such as `scenario_a`."""
+    bare name of a bundled config such as `scenario_a`.  A key the
+    scenario does not read (`link.UNREAD_FIELDS`) is a ConfigError."""
     text = _read_config_text(source)
     try:
         raw = json.loads(text)
@@ -118,16 +130,13 @@ def parse_config(source: str) -> ScenarioConfig:
 
     top = ["scenario", "schemes", "power_sweep_dbm", *_SCALARS, *_SECTIONS]
     _check_keys(raw, top, "config")
+    _check_read(raw, scenario)
 
     cfg = default_scenario(scenario)
     updates: dict = {}
-    for key, (attr, cls) in _SECTIONS.items():
-        if key not in raw:
-            continue
-        if key == "aging" and raw[key] is None:
-            updates[attr] = None
-        else:
-            updates[attr] = _build_section(key, cls, raw[key], getattr(cfg, attr))
+    for key, attr in _SECTIONS.items():
+        if key in raw:
+            updates[attr] = _build_section(key, raw[key], getattr(cfg, attr))
     for key, typ in _SCALARS.items():
         if key in raw:
             updates[key] = _typed(key, raw[key], typ)
@@ -200,7 +209,7 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.trials is not None:
-        updates["trials"] = args.trials
+        updates["trials"] = _typed("--trials", args.trials, int)
     if args.schemes is not None:
         names = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
         if not names:

@@ -18,9 +18,9 @@ class NoSignalError(RuntimeError):
 class PilotConfig:
     """Pilot budget and training power.
 
-    `num_pilots` is the per-packet training length; `power_dbm` the total
-    training transmit power where the scenario fixes it (uplink training
-    and self-interference calibration).
+    `num_pilots` is the training length of scenarios a and b (c and d
+    train over the whole packet); `power_dbm` the total transmit power of
+    the self-interference calibration.
     """
 
     num_pilots: int = 40

@@ -196,6 +196,21 @@ _PLANS: Dict[str, Dict[str, _Plan]] = {
 }
 
 
+# Config fields each scenario never reads, so a config may not set them.
+# `arch.bf_mode` is read but fixed: a and c are fully digital arrays, b and
+# d hybrid.  c and d train over the whole packet, not `pilots.num_pilots`.
+UNREAD_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "a": ("num_ue", "num_paths", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
+          "budget.ul_power_dbm", "arch.phase_bits", "arch.bf_mode"),
+    "b": ("num_ue", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
+          "budget.ul_power_dbm", "arch.bf_mode"),
+    "c": ("num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "kappa_ue_db",
+          "arch.phase_bits", "arch.bf_mode", "pilots.num_pilots"),
+    "d": ("num_ue", "num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "aging",
+          "arch.bf_mode", "pilots.num_pilots"),
+}
+
+
 def allowed_schemes(scenario: str) -> Tuple[str, ...]:
     """Scheme labels defined for a scenario, in canonical order."""
     if scenario not in _PLANS:
@@ -205,7 +220,8 @@ def allowed_schemes(scenario: str) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one simulation campaign."""
+    """Complete description of one simulation campaign.  A scenario
+    ignores the fields that `UNREAD_FIELDS` names for it."""
 
     scenario: str
     arch: ArchitectureConfig
@@ -254,30 +270,26 @@ class ScenarioConfig:
             raise ValueError(f"scenario {self.scenario!r} uses a hybrid array")
         if min(self.num_ue, self.dl_ue_antennas, self.ul_ue_antennas, self.ul_streams) < 1:
             raise ValueError("UE counts, antennas and streams must be >= 1")
-        if self.ul_streams > self.ul_ue_antennas:
-            raise ValueError("ul_streams cannot exceed ul_ue_antennas")
         if self.scenario == "c":
             if self.aging is None:
                 raise ValueError("scenario 'c' requires aging parameters")
             if self.num_ue > self.arch.n_tx_rf:
                 raise ValueError("cannot zero-force more UEs than transmit chains")
-            if self.pilots.num_pilots < self.num_ue:
-                raise ValueError("need at least one pilot symbol per UE")
-        if self.scenario in ("a", "b") and self.pilots.num_pilots < self.arch.n_tx_rf:
-            raise ValueError("need at least one pilot symbol per transmit chain")
-        if self.scenario in ("c", "d") and self.pilots.num_pilots != self.packet_symbols:
-            raise ValueError(
-                "scenarios 'c' and 'd' train over the whole packet: "
-                "pilots.num_pilots must equal packet_symbols"
-            )
+        if self.scenario in ("a", "b"):
+            if self.ul_streams > self.ul_ue_antennas:
+                raise ValueError("ul_streams cannot exceed ul_ue_antennas")
+            if self.pilots.num_pilots < max(self.arch.n_tx_rf, self.ul_streams):
+                raise ValueError("pilots.num_pilots must cover every transmit chain and UL stream")
         if self.packet_symbols < 3 * self.arch.n_tx_rf:
             raise ValueError("packet_symbols must cover the digital canceller basis")
         if not 0.0 < self.dl_data_fraction <= 1.0:
             raise ValueError("dl_data_fraction must lie in (0, 1]")
         if not 0.0 < self.hd_pilot_fraction <= 1.0:
             raise ValueError("hd_pilot_fraction must lie in (0, 1]")
-        if self.hd_pilot_len < 1:
-            raise ValueError("hd_pilot_fraction leaves no training symbols")
+        # The half-duplex baselines of c and d train one pilot symbol per UE.
+        need = {"c": self.num_ue, "d": 1}.get(self.scenario, 0)
+        if self.hd_pilot_len < need:
+            raise ValueError(f"hd_pilot_fraction leaves fewer than {need} HD pilots, one per UE")
 
     @property
     def hd_pilot_len(self) -> int:
@@ -300,7 +312,7 @@ def default_scenario(code: str) -> ScenarioConfig:
     if code == "a":
         return ScenarioConfig(
             scenario="a",
-            arch=ArchitectureConfig(4, 4, 4, 4, phase_bits=3, num_taps=12, bf_mode="digital"),
+            arch=ArchitectureConfig(4, 4, 4, 4, num_taps=12, bf_mode="digital"),
             budget=LinkBudget(),
             pilots=PilotConfig(num_pilots=40, power_dbm=10.0),
             power_sweep_dbm=tuple(float(p) for p in range(-10, 51, 5)),
@@ -333,19 +345,16 @@ def default_scenario(code: str) -> ScenarioConfig:
     if code == "c":
         return ScenarioConfig(
             scenario="c",
-            arch=ArchitectureConfig(8, 8, 8, 8, phase_bits=3, num_taps=32, bf_mode="digital"),
+            arch=ArchitectureConfig(8, 8, 8, 8, num_taps=32, bf_mode="digital"),
             # Isolation keeps the strongest per-chain residual a few dB
             # under the front-end limit at the top of the power sweep.
             budget=LinkBudget(si_isolation_db=65.0),
-            pilots=PilotConfig(num_pilots=400, power_dbm=10.0),
             aging=AgingParams(doppler_hz=50.0, slot_s=1e-3),
             power_sweep_dbm=tuple(float(p) for p in range(0, 41, 5)),
             trials=200,
             seed=1,
             schemes=("proposed", "benchmark", "ideal-csi", "hd"),
             num_ue=4,
-            dl_ue_antennas=1,
-            ul_ue_antennas=1,
             packet_symbols=400,
         )
     if code == "d":
@@ -353,13 +362,10 @@ def default_scenario(code: str) -> ScenarioConfig:
             scenario="d",
             arch=ArchitectureConfig(64, 2, 2, 2, phase_bits=3, num_taps=2, bf_mode="hybrid"),
             budget=LinkBudget(),
-            pilots=PilotConfig(num_pilots=400, power_dbm=10.0),
             power_sweep_dbm=tuple(float(p) for p in range(0, 46, 5)),
             trials=200,
             seed=1,
             schemes=("proposed", "benchmark", "ideal-csi", "hd"),
-            dl_ue_antennas=1,
-            ul_ue_antennas=1,
             # Pointing a 64-element array from a two-chain angle estimate
             # presumes a near-pure LOS access link; weaker Rician factors
             # leave the angle scatter-limited at any SNR.
@@ -812,14 +818,14 @@ def _draw_c(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     slots = [gen_rayleigh(arch.n_rx, cfg.num_ue, rng)]
     for _ in range(5):
         slots.append(evolve_gauss_markov(slots[-1], rho, rng))
-    lp = cfg.pilots.num_pilots
+    t = cfg.packet_symbols  # also the training length
     return {
         "g_slots": slots,
         "h_si": gen_rician(RicianParams(cfg.kappa_si_db, arch.n_rx, arch.n_tx), rng),
-        "n_cal": complex_gaussian(rng, arch.n_rx_rf, lp),
-        "n_pilot": [complex_gaussian(rng, arch.n_rx_rf, lp) for _ in range(cfg.num_ue)],
-        "s_dl": complex_gaussian(rng, cfg.num_ue, cfg.packet_symbols),
-        "n_burst": complex_gaussian(rng, arch.n_rx_rf, cfg.packet_symbols),
+        "n_cal": complex_gaussian(rng, arch.n_rx_rf, t),
+        "n_pilot": [complex_gaussian(rng, arch.n_rx_rf, t) for _ in range(cfg.num_ue)],
+        "s_dl": complex_gaussian(rng, cfg.num_ue, t),
+        "n_burst": complex_gaussian(rng, arch.n_rx_rf, t),
     }
 
 
@@ -873,7 +879,7 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
             w_probe = _zf_or_none(dl_amp * stale.T)
             burst = None if w_probe is None else _ro(w_probe @ draw["s_dl"])
             ctx["probe"][plan.csi] = (burst, [_ro(y) for y in sounded])
-        ctx["pil_rx"] = _ro(np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_packet"].matrix))
+        ctx["pil_rx"] = _ro(np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_joint"].matrix))
         ctx["noise_b"] = _ro(np.sqrt(bud.bs_noise_w) * draw["n_burst"])
     if any(plan.duplex == "hd" for plan in plans):
         # Train in the reserved slice of the previous slot, apply now.
@@ -988,7 +994,7 @@ def _draw_d(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
         "h_dl": h_dl,
         "h_ul": h_ul,
         "h_si": h_si,
-        "n_cal": complex_gaussian(rng, arch.n_rx_rf, cfg.pilots.num_pilots),
+        "n_cal": complex_gaussian(rng, arch.n_rx_rf, cfg.packet_symbols),
         "s_dl": complex_gaussian(rng, 1, cfg.packet_symbols),
         "n_slot": complex_gaussian(rng, arch.n_rx_rf, cfg.packet_symbols),
     }
@@ -1122,7 +1128,8 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
     ("ul", power).
     """
     arch = cfg.arch
-    lp = cfg.pilots.num_pilots
+    # c and d train over the whole packet.
+    lp = cfg.pilots.num_pilots if cfg.scenario in ("a", "b") else cfg.packet_symbols
     cal_w = dbm_to_watt(cfg.pilots.power_dbm)
     consts = {"si_cal": np.sqrt(cal_w / arch.n_tx_rf) * orthogonal_pilots(arch.n_tx_rf, lp)}
     if cfg.scenario in ("a", "b"):
@@ -1133,7 +1140,6 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
             consts["ul", p] = np.sqrt(dbm_to_watt(p) / cfg.ul_streams) * ul
     elif cfg.scenario == "c":
         amp = np.sqrt(dbm_to_watt(cfg.budget.ul_power_dbm))
-        consts["ul_packet"] = amp * orthogonal_pilots(cfg.num_ue, cfg.packet_symbols)
         consts["ul_joint"] = amp * orthogonal_pilots(cfg.num_ue, lp)
         consts["ul_single"] = amp * orthogonal_pilots(1, lp)
         consts["ul_hd"] = amp * orthogonal_pilots(cfg.num_ue, cfg.hd_pilot_len)

@@ -1,16 +1,22 @@
 """Config parsing, CSV formatting and command-line exit codes."""
 
+import dataclasses
 import json
 import re
 import subprocess
 import sys
+from importlib import resources
 
+import numpy as np
 import pytest
+from conftest import EVERY_KEY, config_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdmimo import link
 from fdmimo.beamforming import SingularChannelError
 from fdmimo.cli import CSV_HEADER, ConfigError, format_csv, main, parse_config
-from fdmimo.link import CurvePoint, TrialError, default_scenario, run_scenario
+from fdmimo.link import CurvePoint, TrialError, allowed_schemes, default_scenario, run_scenario
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -50,8 +56,11 @@ def test_partial_config_merges_into_defaults(tmp_path):
 
 
 def test_aging_section_and_null(tmp_path):
-    cfg = parse_config(_write(tmp_path, {"scenario": "a", "aging": None}))
-    assert cfg.aging is None
+    # Only scenario c ages its channels: elsewhere even a null is rejected.
+    with pytest.raises(ConfigError, match="scenario 'a' does not take 'aging'"):
+        parse_config(_write(tmp_path, {"scenario": "a", "aging": None}))
+    with pytest.raises(ConfigError, match="'aging' must be a JSON object"):
+        parse_config(_write(tmp_path, {"scenario": "c", "aging": None}))
     cfg = parse_config(_write(tmp_path, {"scenario": "c", "aging": {"doppler_hz": 10.0}}))
     assert cfg.aging.doppler_hz == 10.0
     assert cfg.aging.slot_s == default_scenario("c").aging.slot_s
@@ -239,7 +248,7 @@ def test_exit_code_one_on_mistyped_values(tmp_path, capsys, payload, key):
         ({"scenario": "c", "kappa_si_db": float("nan")}, "'kappa_si_db'"),
         ({"budget": {"dl_pathloss_db": float("nan")}}, "'budget.dl_pathloss_db'"),
         ({"impairments": {"irr_db": float("nan")}}, "'impairments.irr_db'"),
-        ({"aging": {"doppler_hz": float("nan"), "slot_s": 1e-3}}, "'aging.doppler_hz'"),
+        ({"scenario": "c", "aging": {"doppler_hz": float("nan")}}, "'aging.doppler_hz'"),
     ],
     ids=["kappa-si", "dl-pathloss", "irr", "doppler"],
 )
@@ -297,7 +306,8 @@ def test_dropped_pilot_stream_count_is_rejected(tmp_path, capsys):
         ({"power_sweep_dbm": [0, 1e6]}, "power_sweep_dbm[1]", "[-300, 300] dBm"),
         ({"budget": {"bs_noise_dbm": 1e6}}, "bs_noise_dbm", "[-300, 300] dBm"),
         ({"budget": {"ue_noise_dbm": -1e6}}, "ue_noise_dbm", "[-300, 300] dBm"),
-        ({"budget": {"ul_power_dbm": 1e6}}, "ul_power_dbm", "[-300, 300] dBm"),
+        # Scenario a does not read the UL power; c does.
+        ({"budget": {"ul_power_dbm": 1e6}, "scenario": "c"}, "ul_power_dbm", "[-300, 300] dBm"),
         ({"budget": {"rx_saturation_dbm": 1e6}}, "rx_saturation_dbm", "[-300, 300] dBm"),
         ({"pilots": {"power_dbm": 1e6}}, "power_dbm", "[-300, 300] dBm"),
         ({"impairments": {"drive_dbm": 1e6}}, "drive_dbm", "[-300, 300] dBm"),
@@ -331,6 +341,12 @@ def test_integral_floats_read_as_ints(tmp_path):
     assert cfg.arch.num_taps == 4 and type(cfg.arch.num_taps) is int
 
 
+def _members(h):
+    """The bytes of each matrix in a stack of them."""
+    h = np.asarray(h)
+    return {m.tobytes() for m in h.reshape(-1, *h.shape[-2:])}
+
+
 def test_failing_trial_names_where_it_failed(tmp_path, monkeypatch, capsys):
     payload = {
         "scenario": "a",
@@ -339,24 +355,33 @@ def test_failing_trial_names_where_it_failed(tmp_path, monkeypatch, capsys):
         "power_sweep_dbm": [20, 30],
         "schemes": ["hd"],
     }
+    cfg = parse_config(_write(tmp_path, payload))
     original = link.mmse_combiner
-    calls = []
+    # A clean pass records the channels that trial 1 at 20 dBm hands the
+    # combiner; the fault is planted on those inputs, however they are stacked.
+    planted = set()
 
-    def third_call_fails(*args, **kwargs):
-        # hd calls the combiner once per (trial, power): call 3 is trial 1 at 20 dBm
-        calls.append(None)
-        if len(calls) == 3:
+    def record(h, noise_cov):
+        planted.update(_members(h))
+        return original(h, noise_cov)
+
+    monkeypatch.setattr(link, "mmse_combiner", record)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(1,)))
+    link.run_trial(cfg, 20.0, "hd", rng)
+    assert planted
+
+    def fails_on_planted(h, noise_cov):
+        if planted & _members(h):
             raise SingularChannelError("planted singular channel")
-        return original(*args, **kwargs)
+        return original(h, noise_cov)
 
-    monkeypatch.setattr(link, "mmse_combiner", third_call_fails)
+    monkeypatch.setattr(link, "mmse_combiner", fails_on_planted)
     fields = ("scenario a", "seed 3", "trial 1", "power 20 dBm", "scheme hd", "planted singular")
     with pytest.raises(TrialError) as info:
-        run_scenario(parse_config(_write(tmp_path, payload)))
+        run_scenario(cfg)
     assert all(f in str(info.value) for f in fields), str(info.value)
     assert isinstance(info.value.__cause__, SingularChannelError)
 
-    calls.clear()
     assert main(["run", "--config", _write(tmp_path, payload)]) == 2
     err = capsys.readouterr().err
     assert "runtime error" in err
@@ -375,3 +400,126 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "fdmimo.cli"], capture_output=True, text=True
     )
     assert proc.returncode == 1
+
+
+# Every (scenario, key) a scenario does not read, and `bf_mode`, which each
+# scenario fixes, with a value that is legal where the key is read.
+UNREAD = {
+    "a": ["num_ue", "num_paths", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
+          "budget.ul_power_dbm", "architecture.phase_bits", "architecture.bf_mode"],
+    "b": ["num_ue", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
+          "budget.ul_power_dbm", "architecture.bf_mode"],
+    "c": ["num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "kappa_ue_db",
+          "architecture.phase_bits", "architecture.bf_mode", "pilots.num_pilots"],
+    "d": ["num_ue", "num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "aging",
+          "architecture.bf_mode", "pilots.num_pilots"],
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, key", [(s, k) for s, keys in UNREAD.items() for k in keys],
+    ids=[f"{s}-{k}" for s, keys in UNREAD.items() for k in keys],
+)
+def test_unread_key_exits_one(tmp_path, capsys, scenario, key):
+    # The whole aging section is set, as scenario c's default.
+    keys = ["aging.doppler_hz", "aging.slot_s"] if key == "aging" else [key]
+    src = _write(tmp_path, config_json(default_scenario(scenario), keys))
+    message = f"scenario {scenario!r} does not take {key!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(src)
+    assert main(["validate", "--config", src]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err
+
+
+def test_accepted_keys_are_every_key_but_the_unread(accepted_keys):
+    for scenario, keys in UNREAD.items():
+        unread = {k for k in EVERY_KEY if k in keys or k.split(".")[0] in keys}
+        assert set(accepted_keys[scenario]) == set(EVERY_KEY) - unread
+
+
+def test_bundled_configs_list_exactly_the_accepted_keys(accepted_keys):
+    # Each bundled file is its scenario's defaults written back under every
+    # accepted key; with test_bundled_configs_match_reference_defaults, that
+    # written-back config parses back equal.
+    for code in "abcd":
+        text = (resources.files("fdmimo") / "configs" / f"scenario_{code}.json").read_text()
+        assert json.loads(text) == config_json(default_scenario(code), accepted_keys[code])
+
+
+@st.composite
+def small_overrides(draw):
+    """A bundled scenario with a few of the keys every scenario reads changed."""
+    cfg = default_scenario(draw(st.sampled_from("abcd")))
+    arch, bud, imp = cfg.arch, cfg.budget, cfg.impairments
+    names = st.sampled_from(allowed_schemes(cfg.scenario))
+    schemes = draw(st.lists(names, min_size=1, unique=True))
+    dbm = st.floats(-100.0, 100.0, allow_nan=False)
+    return dataclasses.replace(
+        cfg,
+        seed=draw(st.integers(0, 2**70)),
+        trials=draw(st.integers(1, 1000)),
+        schemes=tuple(schemes),
+        power_sweep_dbm=tuple(draw(st.lists(dbm, min_size=1, max_size=4))),
+        arch=dataclasses.replace(arch, num_taps=draw(st.integers(0, arch.n_tx_rf * arch.n_rx_rf))),
+        budget=dataclasses.replace(bud, si_isolation_db=draw(st.floats(0.0, 200.0))),
+        impairments=dataclasses.replace(imp, enabled=draw(st.booleans()), drive_dbm=draw(dbm)),
+        kappa_si_db=draw(st.floats(-50.0, 50.0)),
+        packet_symbols=draw(st.integers(400, 5000)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=small_overrides())
+def test_written_back_overrides_parse_back_equal(tmp_path_factory, accepted_keys, cfg):
+    path = tmp_path_factory.mktemp("roundtrip") / "cfg.json"
+    path.write_text(json.dumps(config_json(cfg, accepted_keys[cfg.scenario])))
+    assert parse_config(str(path)) == cfg
+
+
+def test_too_few_hd_pilots_for_the_ues_exits_one(tmp_path, capsys):
+    # 0.005 of a 400-symbol packet is 2 half-duplex pilots for 4 UEs; this
+    # passed validation and then exited 2 from the pilot builder.
+    src = _write(tmp_path, {"scenario": "c", "trials": 2, "hd_pilot_fraction": 0.005})
+    for command in ("validate", "run"):
+        assert main([command, "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "hd_pilot_fraction" in err
+    # Four pilots, one per UE, are enough.
+    assert parse_config(_write(tmp_path, {"scenario": "c", "hd_pilot_fraction": 0.01}))
+
+
+def test_too_few_pilots_for_the_ul_streams_exits_one(tmp_path, capsys):
+    payload = {"scenario": "a", "ul_ue_antennas": 8, "ul_streams": 8, "pilots": {"num_pilots": 4}}
+    src = _write(tmp_path, payload)
+    for command in ("validate", "run"):
+        assert main([command, "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "pilots.num_pilots" in err
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"trials": 10**400}, "'trials'"),
+        ({"packet_symbols": 2**63}, "'packet_symbols'"),
+        ({"pilots": {"num_pilots": 1e300}}, "'pilots.num_pilots'"),
+    ],
+    ids=["trials", "packet", "pilots-float"],
+)
+def test_exit_code_one_on_integers_beyond_index_range(tmp_path, capsys, payload, key):
+    # Such a count used to pass validation and exit 2 from numpy at run time.
+    src = _write(tmp_path, {"scenario": "a", **payload})
+    for command in ("validate", "run"):
+        assert main([command, "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+
+def test_trials_flag_beyond_index_range_exits_one(capsys):
+    assert main(["validate", "--config", "scenario_a", "--trials", str(10**30)]) == 1
+    assert "'--trials'" in capsys.readouterr().err
+
+
+def test_seed_takes_any_nonnegative_integer(tmp_path):
+    assert parse_config(_write(tmp_path, {"scenario": "a", "seed": 10**400})).seed == 10**400

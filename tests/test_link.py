@@ -7,6 +7,8 @@ import pytest
 
 from fdmimo import link
 from fdmimo.beamforming import ArchitectureConfig, SingularChannelError
+from fdmimo.channel import AgingParams
+from fdmimo.cli import format_csv
 from fdmimo.link import (
     LinkBudget,
     ScenarioConfig,
@@ -188,6 +190,40 @@ def test_run_scenario_matches_run_trial():
             assert point.mean_rate_bps_hz == dl + ul, (code, point)
             assert point.std_err == 0.0
             assert point.trials == 1
+
+
+# A legal changed value for each field some scenario leaves unread.
+UNREAD_CHANGES = {
+    "num_ue": 3,
+    "num_paths": 3,
+    "dl_ue_antennas": 2,
+    "ul_ue_antennas": 2,
+    "ul_streams": 2,
+    "kappa_ue_db": 5.0,
+    "dl_data_fraction": 0.5,
+    "hd_pilot_fraction": 0.3,
+    "aging": AgingParams(doppler_hz=10.0, slot_s=2e-3),
+    "budget.ul_power_dbm": -5.0,
+    "arch.phase_bits": 1,
+    "pilots.num_pilots": 7,
+}
+
+
+@pytest.mark.parametrize("code", "abcd")
+def test_unread_fields_leave_the_curves_unchanged(code):
+    base = dataclasses.replace(default_scenario(code), trials=2)
+    expected = format_csv(run_scenario(base))
+    for name in link.UNREAD_FIELDS[code]:
+        if name == "arch.bf_mode":
+            continue  # each scenario allows one value only
+        section, _, field = name.partition(".")
+        if field:
+            changed = dataclasses.replace(getattr(base, section), **{field: UNREAD_CHANGES[name]})
+            cfg = dataclasses.replace(base, **{section: changed})
+        else:
+            cfg = dataclasses.replace(base, **{name: UNREAD_CHANGES[name]})
+        assert cfg != base
+        assert format_csv(run_scenario(cfg)) == expected, name
 
 
 def test_run_scenario_seed_changes_output():
