@@ -15,7 +15,9 @@ The trial loop is staged by what each quantity depends on:
 
   per run    pilot matrices, fixed by the config and, for the DL and UL
              sounding of a and b, scaled to each scored power; each is
-             checked once (`_run_constants`)
+             checked once (`_run_constants`).  Scenario c's slot-to-slot
+             correlation rho = J0(2 pi fD Ts) is computed on first use and
+             kept on its `AgingParams`
   per trial  the draw plus everything independent of the transmit power:
              beams and effective channels, the SI calibration estimate,
              one canceller per (taps, layout), and in scenario c the
@@ -275,6 +277,9 @@ class ScenarioConfig:
                 raise ValueError("scenario 'c' requires aging parameters")
             if self.num_ue > self.arch.n_tx_rf:
                 raise ValueError("cannot zero-force more UEs than transmit chains")
+            # The UL channel, transposed, is the DL channel: one array serves both.
+            if self.arch.n_tx != self.arch.n_rx:
+                raise ValueError("scenario 'c' uses reciprocal channels, so n_tx must equal n_rx")
         if self.scenario in ("a", "b"):
             if self.ul_streams > self.ul_ue_antennas:
                 raise ValueError("ul_streams cannot exceed ul_ue_antennas")
@@ -1254,9 +1259,9 @@ def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
 
     Work is staged by what it depends on: per run the pilot matrices
-    (in a and b scaled to every swept power), per trial the draw and
-    everything power-free (SI estimate, taps, and in c the precoders,
-    their bursts and UE gains), per power the rest.  In a and b each
+    (in a and b scaled to every swept power) and c's aging rho, per trial
+    the draw and everything power-free (SI estimate, taps, and in c the
+    precoders, their bursts and UE gains), per power the rest.  In a and b each
     power's schemes sharing a burst are received together, and one rate
     pass per trial scores every (power, scheme) as one stack; c scores
     each power as one row, d one scheme at a time.

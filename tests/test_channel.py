@@ -1,10 +1,14 @@
 """Channel model statistics against independent closed forms."""
 
+import time
+
 import numpy as np
 import pytest
+import scipy.special  # the oracle for fdmimo's own J0, never used by fdmimo
 
 from fdmimo.channel import (
     AgingParams,
+    _bessel_j0,
     ClusteredParams,
     RicianParams,
     complex_gaussian,
@@ -42,6 +46,47 @@ def test_aging_params():
     assert aging.rho == pytest.approx(J0_50HZ_1MS, abs=1e-9)
     with pytest.raises(ValueError):
         AgingParams(doppler_hz=50.0, slot_s=0.0)
+
+
+def test_bessel_j0_is_within_1e_15_of_scipy_up_to_100():
+    # Both branches: the exact series up to 25, the Hankel expansion beyond.
+    xs = np.linspace(0.0, 100.0, 2001)
+    ours = np.array([_bessel_j0(float(x)) for x in xs])
+    assert np.max(np.abs(ours - scipy.special.j0(xs))) <= 1e-15
+
+
+@pytest.mark.parametrize("index, slope", [(0, -1.0), (1, 1.0)], ids=["2.405", "5.520"])
+def test_bessel_j0_changes_sign_at_its_zeros(index, slope):
+    zero = float(scipy.special.jn_zeros(0, 2)[index])
+    assert abs(_bessel_j0(zero) - float(scipy.special.j0(zero))) <= 1e-15
+    for dx in (1e-9, 1e-6, 1e-3):
+        assert slope * _bessel_j0(zero - dx) < 0.0 < slope * _bessel_j0(zero + dx)
+
+
+def test_doppler_correlation_clamps_negative_j0_to_zero():
+    # fD Ts = x / (2 pi) puts the argument between J0's first two zeros.
+    for x in (2.41, 3.8317, 5.51):
+        assert _bessel_j0(x) < 0.0
+        assert doppler_correlation(x / (2.0 * np.pi), 1.0) == 0.0
+    # Past the second zero J0 is positive again and passes through.
+    f = 5.53 / (2.0 * np.pi)
+    rho = doppler_correlation(f, 1.0)
+    assert rho > 0.0
+    assert rho == pytest.approx(float(scipy.special.j0(2.0 * np.pi * f)), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "x, tol",
+    # At 1e6 scipy first rounds x - pi/4 to a float: half an ulp of 1e6
+    # (5.8e-11) times the amplitude sqrt(2/(pi x)) (8e-4) is 5e-14.
+    [(1e3, 2e-15), (1e6, 1e-13)],
+    ids=["1e3", "1e6"],
+)
+def test_bessel_j0_far_out(x, tol):
+    start = time.perf_counter()
+    value = _bessel_j0(x)
+    assert time.perf_counter() - start < 0.01
+    assert abs(value - float(scipy.special.j0(x))) <= tol
 
 
 def test_complex_gaussian_moments():

@@ -265,6 +265,26 @@ def test_exit_code_one_on_nan_values(tmp_path, capsys, payload, key):
 
 
 @pytest.mark.parametrize(
+    "aging",
+    [
+        {"doppler_hz": 0, "slot_s": float("inf")},
+        {"doppler_hz": float("inf"), "slot_s": 1e-3},
+        {"doppler_hz": 1e300, "slot_s": 1e300},
+    ],
+    ids=["infinite-slot", "infinite-doppler", "infinite-product"],
+)
+def test_exit_code_one_on_non_finite_aging(tmp_path, capsys, aging):
+    # These used to pass `validate`, then exit 2 from the aging step's rho check.
+    src = _write(tmp_path, {"scenario": "c", "trials": 2, "aging": aging})
+    with pytest.raises(ConfigError, match="'aging'"):
+        parse_config(src)
+    for command in ("validate", "run"):
+        assert main([command, "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'aging'" in err
+
+
+@pytest.mark.parametrize(
     "payload, key",
     [
         ({"budget": {"dl_pathloss_db": 10**400}}, "'budget.dl_pathloss_db'"),
@@ -487,6 +507,19 @@ def test_too_few_hd_pilots_for_the_ues_exits_one(tmp_path, capsys):
         assert "config error" in err and "hd_pilot_fraction" in err
     # Four pilots, one per UE, are enough.
     assert parse_config(_write(tmp_path, {"scenario": "c", "hd_pilot_fraction": 0.01}))
+
+
+@pytest.mark.parametrize("schemes", [["proposed"], ["ideal-csi"]], ids=["proposed", "ideal-csi"])
+def test_scenario_c_with_unequal_arrays_exits_one(tmp_path, capsys, schemes):
+    # c's DL channel is its UL channel transposed.  With 4 TX and 8 RX
+    # antennas a full-duplex scheme exited 2 from a matmul, and ideal-csi
+    # alone ran, precoding over 8 antennas.
+    payload = {"scenario": "c", "trials": 2, "architecture": {"n_tx": 4, "n_tx_rf": 4}}
+    src = _write(tmp_path, {**payload, "schemes": schemes})
+    for command in ("validate", "run"):
+        assert main([command, "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "n_tx must equal n_rx" in err
 
 
 def test_too_few_pilots_for_the_ul_streams_exits_one(tmp_path, capsys):

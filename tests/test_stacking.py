@@ -5,8 +5,10 @@ score every (power, scheme) of a trial in one rate pass, each item at its
 own power.  Their CSVs stay byte-identical to scoring each point alone
 only if every stacked call returns exactly (`np.array_equal`), not
 approximately, what the 2-D call on each member returns; `run_scenario`
-is checked against `run_trial` on random small configs for the same
-reason.  The staging itself is guarded too: sounding pilots are built
+is checked against `run_trial` on random small configs of a, b and c for
+the same reason.  On c, which scores each power as one row, the rates
+must also be finite and non-negative, and ideal-CSI rates monotone in
+power.  The staging itself is guarded too: sounding pilots are built
 once per run and power, eigen precoders once per (trial, power, streams).
 """
 
@@ -24,6 +26,7 @@ from fdmimo.cancellation import (
     fit_digital_canceller,
     train_digital_canceller,
 )
+from fdmimo.channel import AgingParams
 from fdmimo.link import allowed_schemes, default_scenario, dl_rate, run_scenario, run_trial, ul_rate
 
 dims = st.integers(1, 6)
@@ -186,6 +189,39 @@ def test_run_scenario_is_run_trial_on_small_ab_configs(cfg):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
         dl, ul = run_trial(cfg, point.power_dbm, point.scheme, rng)
         assert point.mean_rate_bps_hz == dl + ul, point
+
+
+@st.composite
+def small_c_configs(draw):
+    """Scenario c with a 1-3 antenna array, up to one UE per antenna, a
+    Doppler and slot length that put J0's argument in either its series or
+    its Hankel branch, and 2-3 powers."""
+    n = draw(st.integers(1, 3))
+    arch = ArchitectureConfig(n, n, n, n, num_taps=draw(st.integers(0, n * n)), bf_mode="digital")
+    aging = AgingParams(doppler_hz=draw(st.floats(0.0, 1e3)), slot_s=draw(st.floats(1e-6, 0.1)))
+    powers = st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0])
+    return dataclasses.replace(
+        default_scenario("c"), arch=arch, aging=aging, num_ue=draw(st.integers(1, n)),
+        trials=1, seed=draw(seeds), packet_symbols=60,
+        power_sweep_dbm=tuple(draw(st.lists(powers, min_size=2, max_size=3, unique=True))),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=small_c_configs())
+def test_small_c_configs_score_sane_rates_and_run_scenario_is_run_trial(cfg):
+    points = run_scenario(cfg)
+    assert len(points) == len(cfg.schemes) * len(cfg.power_sweep_dbm)
+    for point in points:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
+        dl, ul = run_trial(cfg, point.power_dbm, point.scheme, rng)
+        assert np.isfinite([dl, ul]).all() and dl >= 0.0 and ul >= 0.0, point
+        assert point.mean_rate_bps_hz == dl + ul, point
+    # Ideal CSI, unimpaired: more power never costs rate (the slack is the
+    # one `run_scenario` itself allows).
+    ideal = [p.mean_rate_bps_hz for p in points if p.scheme == "ideal-csi"]
+    assert len(ideal) == len(cfg.power_sweep_dbm)
+    assert all(b >= a - 1e-9 for a, b in zip(ideal, ideal[1:]))
 
 
 def test_sweep_a_builds_pilots_per_power_and_eigen_precoders_once(monkeypatch):
