@@ -22,7 +22,9 @@ The trial loop is staged by what each quantity depends on:
              beams and effective channels, the SI calibration estimate,
              one canceller per (taps, layout), and in scenario c the
              probe, half-duplex and ideal-CSI precoders with their
-             unit-power bursts and UE gains (`_prepare_ab`, `_prepare_c`);
+             unit-power bursts and UE gains, and each full-duplex
+             scheme's probe slot, received once at unit amplitude with one
+             canceller fit (`_prepare_ab`, `_prepare_c`, `_stage_probe`);
              scenario d works from the draw alone.  In a and b, one rate
              pass scores every (power, scheme) of the trial as one stack
              (`_score_ab`)
@@ -31,12 +33,16 @@ The trial loop is staged by what each quantity depends on:
              per distinct precoder; schemes sharing a burst are received
              together, down to their covariances and UL combiners
              (`_receive_ab`).  In c, the fixed precoders' gains and bursts
-             are scaled by the power, and each full-duplex scheme probes,
-             estimates and zero-forces (`_score_c`).  d scores one scheme
-             at a time.
+             are scaled by the power, and each full-duplex scheme scales
+             its staged probe slot to the power for the saturation check
+             and residual SI (`_probe_receive`), then estimates and
+             zero-forces (`_score_c`).  d scores one scheme at a time.
 
-Every full-duplex slot of every scenario is received through one chain,
+The full-duplex slots of a, b and d are received through one chain,
 `_fd_receive`: analog taps, saturation check, then the digital canceller.
+Scenario c's probe slot, whose burst only scales with the power, takes the
+same stages split at the amplitude (`_stage_probe`, `_probe_receive`).
+Both run the digital canceller through `_digital_stage`.
 
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Nothing of
@@ -484,7 +490,7 @@ def _fd_receive(
     h_si: np.ndarray, c: np.ndarray, resid_lin: np.ndarray, x: np.ndarray, x_tx: np.ndarray,
     ul: np.ndarray, noise: np.ndarray, digital: bool, sat: SaturationSpec,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One full-duplex slot at the BS receive chains.
+    """One full-duplex slot of scenario a, b or d at the BS receive chains.
 
     The radiated burst `x_tx` leaks through `h_si`, the analog taps `c`
     subtract their copy of the clean burst `x`, UL signal and noise add.
@@ -503,17 +509,27 @@ def _fd_receive(
     saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=-1), sat)
     if digital:
         del r_si  # not returned; freed before the fit's temporaries
-        rows = r.reshape(-1, r.shape[-1])
-        phi = _regressors(x)
-        try:
-            coeffs = train_digital_canceller(x, rows, resid_lin, phi)
-        except RegressorRankError:
-            # Fewer streams than chains: the chain signals are dependent,
-            # and the minimum-norm fit still cancels what was radiated.
-            coeffs = fit_digital_canceller(x, rows, resid_lin, phi)
-        z = apply_digital_canceller(coeffs, x, rows, phi).reshape(r.shape)
+        z = _digital_stage(x, r.reshape(-1, r.shape[-1]), resid_lin).reshape(r.shape)
         return z - ul - noise, z, saturated
     return r_si, r, saturated
+
+
+def _digital_stage(x: np.ndarray, rows: np.ndarray, resid_lin: np.ndarray) -> np.ndarray:
+    """The digital canceller on receive `rows` of the clean burst `x`: fit,
+    seeded with `resid_lin` (one row per receive row), then applied.
+
+    The regressors of `x` are built once for both steps.  The fit is the
+    checked one, or the minimum-norm one when `x` cannot identify every
+    coefficient.  Returns the rows after cancellation.
+    """
+    phi = _regressors(x)
+    try:
+        coeffs = train_digital_canceller(x, rows, resid_lin, phi)
+    except RegressorRankError:
+        # Fewer streams than chains: the chain signals are dependent,
+        # and the minimum-norm fit still cancels what was radiated.
+        coeffs = fit_digital_canceller(x, rows, resid_lin, phi)
+    return apply_digital_canceller(coeffs, x, rows, phi)
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -868,24 +884,28 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
         )
         ctx["h_si_eff"] = h_si_eff
         ctx["taps"] = _trial_taps(fd, h_si_hat, arch.num_taps)
+        # The probe slot's UL pilot plus noise, the same at every power.
+        pil_rx = np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_joint"].matrix)
+        ctx["ul_noise"] = _ro(pil_rx + np.sqrt(bud.bs_noise_w) * draw["n_burst"])
         ctx["probe"] = {}  # csi mode -> (probe burst or None, noiseless pilot rx)
+        ctx["probe_rx"] = {}  # plan -> its probe slot received at unit amplitude
         for plan in fd:
-            if plan.csi in ctx["probe"]:
-                continue
-            if plan.csi == "sequential":
-                # One UE sounds per slot with the full pilot budget; the
-                # newest estimate of UE k is k + 1 slots old when applied.
-                stale = np.column_stack([g[4 - k][:, k] for k in range(u)])
-                pil = consts["ul_single"].matrix
-                sounded = [ul_amp * (g[4 - k][:, k : k + 1] @ pil) for k in range(u)]
-            else:
-                stale = g[4]
-                sounded = [ul_amp * (g[4] @ consts["ul_joint"].matrix)]
-            w_probe = _zf_or_none(dl_amp * stale.T)
-            burst = None if w_probe is None else _ro(w_probe @ draw["s_dl"])
-            ctx["probe"][plan.csi] = (burst, [_ro(y) for y in sounded])
-        ctx["pil_rx"] = _ro(np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_joint"].matrix))
-        ctx["noise_b"] = _ro(np.sqrt(bud.bs_noise_w) * draw["n_burst"])
+            if plan.csi not in ctx["probe"]:
+                if plan.csi == "sequential":
+                    # One UE sounds per slot with the full pilot budget; the
+                    # newest estimate of UE k is k + 1 slots old when applied.
+                    stale = np.column_stack([g[4 - k][:, k] for k in range(u)])
+                    pil = consts["ul_single"].matrix
+                    sounded = [ul_amp * (g[4 - k][:, k : k + 1] @ pil) for k in range(u)]
+                else:
+                    stale = g[4]
+                    sounded = [ul_amp * (g[4] @ consts["ul_joint"].matrix)]
+                w_probe = _zf_or_none(dl_amp * stale.T)
+                burst = None if w_probe is None else _ro(w_probe @ draw["s_dl"])
+                ctx["probe"][plan.csi] = (burst, [_ro(y) for y in sounded])
+            burst = ctx["probe"][plan.csi][0]
+            if burst is not None:
+                ctx["probe_rx"][plan] = _stage_probe(cfg, ctx, plan, burst)
     if any(plan.duplex == "hd" for plan in plans):
         # Train in the reserved slice of the previous slot, apply now.
         pil = consts["ul_hd"]
@@ -927,6 +947,43 @@ def _score_c(
     return out
 
 
+def _stage_probe(
+    cfg: ScenarioConfig, ctx: dict, plan: _Plan, burst: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A full-duplex plan's probe slot at unit amplitude, received once per
+    trial: (s, z_s, z_u) for `_probe_receive`.
+
+    `_tx_impair` drives every chain at a fixed level, so the impaired burst
+    scales with its amplitude a: at a = sqrt(p) the slot is a s + u, with
+    s = h_si tx(b) - C b the SI of the unit burst b and u the UL pilot plus
+    noise.  The regressors of a b span the rows those of b span, so the
+    digital stage is linear in the slot too, and its output is a z_s + z_u:
+    one fit on b over the rows [s; u], seeded with [h_si_hat - C; 0],
+    serves every power.
+    """
+    taps = ctx["taps"][(plan.taps, plan.layout)]
+    x_tx = _tx_impair(burst, cfg.impairments) if plan.impaired else burst
+    s = ctx["h_si_eff"] @ x_tx - taps.matrix @ burst
+    u = ctx["ul_noise"]
+    if not plan.digital:
+        return _ro(s), s, u
+    seed = np.vstack([taps.resid_lin, np.zeros_like(taps.resid_lin)])
+    z = _digital_stage(burst, np.vstack([s, u]), seed)
+    return _ro(s), _ro(z[: len(s)]), _ro(z[len(s) :])
+
+
+def _probe_receive(
+    ctx: dict, plan: _Plan, p_w: float, sat: SaturationSpec
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The residual SI after the last stage and the saturated chains of
+    `plan`'s probe slot at power `p_w`, from its staged receive."""
+    s, z_s, z_u = ctx["probe_rx"][plan]
+    u = ctx["ul_noise"]
+    amp = np.sqrt(p_w)
+    saturated = check_saturation(np.mean(np.abs(amp * s + u) ** 2, axis=-1), sat)
+    return amp * z_s + z_u - u, saturated
+
+
 def _c_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan) -> float:
     """Full duplex: measure the steady-state residual with the stale-truth
     probe burst, then estimate under that interference level and zero-force."""
@@ -934,13 +991,7 @@ def _c_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _
     burst, sounded = ctx["probe"][plan.csi]
     if burst is None:
         return 0.0
-    taps = ctx["taps"][(plan.taps, plan.layout)]
-    x = np.sqrt(p_w) * burst
-    x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
-    z_si, _, saturated = _fd_receive(
-        ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx,
-        ctx["pil_rx"], ctx["noise_b"], plan.digital, SaturationSpec(bud.rx_saturation_dbm),
-    )
+    z_si, saturated = _probe_receive(ctx, plan, p_w, SaturationSpec(bud.rx_saturation_dbm))
     noise_eff = bud.bs_noise_w + float(np.mean(np.mean(np.abs(z_si) ** 2, axis=1)))
     pil = consts["ul_single" if plan.csi == "sequential" else "ul_joint"]
     g_hat = np.hstack([
@@ -1261,7 +1312,8 @@ def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     Work is staged by what it depends on: per run the pilot matrices
     (in a and b scaled to every swept power) and c's aging rho, per trial
     the draw and everything power-free (SI estimate, taps, and in c the
-    precoders, their bursts and UE gains), per power the rest.  In a and b each
+    precoders, their bursts and UE gains, and each full-duplex probe slot
+    received at unit amplitude), per power the rest.  In a and b each
     power's schemes sharing a burst are received together, and one rate
     pass per trial scores every (power, scheme) as one stack; c scores
     each power as one row, d one scheme at a time.

@@ -288,38 +288,36 @@ def test_criterion_09_complexity_report():
 
 
 def test_criterion_10_thread_determinism(tmp_path):
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "scenario": "a",
-                "seed": 9,
-                "trials": 6,
-                "power_sweep_dbm": [0, 20, 40],
-                "schemes": ["proposed", "hd"],
-            }
-        )
-    )
-    outputs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"curve_{threads}.csv"
-        env = {**os.environ, "FDMIMO_THREADS": threads}
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "fdmimo.cli",
-                "run",
-                "--config",
-                str(cfg),
-                "--out",
-                str(out),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
-    _report(10, ok, "same seed, thread caps 1 and 4: byte-identical CSV")
+    # BLAS threading must not reach the curves: scenario a stacks small
+    # solves, and scenario c's canceller solves 16 right-hand sides at once.
+    sweeps = {
+        "a": {"trials": 6, "power_sweep_dbm": [0, 20, 40], "schemes": ["proposed", "hd"]},
+        "c": {"trials": 4, "power_sweep_dbm": [0, 20, 40], "schemes": ["proposed", "benchmark"]},
+    }
+    ok = True
+    for code, sweep in sweeps.items():
+        cfg = tmp_path / f"sweep_{code}.json"
+        cfg.write_text(json.dumps({"scenario": code, "seed": 9, **sweep}))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"curve_{code}_{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "fdmimo.cli",
+                    "run",
+                    "--config",
+                    str(cfg),
+                    "--out",
+                    str(out),
+                ],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        ok = ok and outputs[0] == outputs[1] and len(outputs[0]) > 0
+    _report(10, ok, "same seed, BLAS threads 1 and 2, scenarios a and c: byte-identical CSV")

@@ -1,0 +1,114 @@
+"""Scenario c receives each full-duplex probe slot once per trial.
+
+The probe burst at power p is sqrt(p) times a burst fixed per trial, and
+the receive chain is linear in that amplitude: `_tx_impair` drives every
+chain at a fixed level, and the digital canceller projects onto the row
+space of the burst's regressors, which the amplitude does not change.
+These tests check that identity at its two steps, and that the staging
+holds: the canceller is fit once per (trial, probe), not once per power.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fdmimo import link
+from fdmimo.cancellation import SaturationSpec
+from fdmimo.impairments import TxImpairmentConfig, dbm_to_watt
+from fdmimo.link import default_scenario, run_scenario
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def impairment_configs(draw):
+    """Either impairment stage switched off or on, the PA with an infinite
+    intercept or one above the drive level."""
+    drive = draw(st.floats(-40.0, 10.0))
+    iip3 = draw(st.one_of(st.just(np.inf), st.floats(drive + 10.0, drive + 40.0)))
+    return TxImpairmentConfig(
+        iip3_dbm=iip3, irr_db=draw(st.floats(10.0, 60.0)), enabled=draw(st.booleans()),
+        drive_dbm=drive,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cfg=impairment_configs(),
+    chains=st.integers(1, 8),
+    samples=st.integers(1, 200),
+    silent=st.lists(st.booleans(), min_size=8, max_size=8),
+    amp_db=st.floats(-60.0, 60.0),
+    seed=seeds,
+)
+def test_tx_impair_is_homogeneous_in_the_amplitude(cfg, chains, samples, silent, amp_db, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((chains, samples)) + 1j * rng.standard_normal((chains, samples))
+    x[np.array(silent[:chains])] = 0.0  # zero-power chains stay zero
+    a = 10.0 ** (amp_db / 20.0)
+    np.testing.assert_allclose(
+        link._tx_impair(a * x, cfg), a * link._tx_impair(x, cfg), rtol=1e-12, atol=0.0
+    )
+
+
+def test_staged_probe_matches_the_per_power_receive():
+    """Against `_fd_receive` on the probe burst at each power, as every
+    slot was received before the staging: residual SI power per chain
+    within 1e-9 relative, and the same saturated chains.
+
+    The staged and per-power slots sum the same terms in another order
+    (sqrt(p) s + u against h_si x_tx - C x + pilot + noise) and fit the
+    canceller on b instead of sqrt(p) b.  Over 40 default trials at every
+    power the residual SI power stayed within 4.3e-12 relative per chain
+    and 1.3e-12 over all chains, the level that sets the rate; 1e-9 leaves
+    room for other BLAS builds and is still far below anything the
+    six-digit CSV shows.
+    """
+    cfg = default_scenario("c")
+    bud = cfg.budget
+    sat = SaturationSpec(bud.rx_saturation_dbm)
+    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    plans = [link._PLANS["c"][s] for s in cfg.schemes]
+    checked = 0
+    for trial in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,)))
+        ctx = link._prepare_c(cfg, consts, link._draw_c(cfg, rng), plans)
+        pil_rx = np.sqrt(bud.ul_gain) * (ctx["g_slots"][5] @ consts["ul_joint"].matrix)
+        noise_b = np.sqrt(bud.bs_noise_w) * ctx["n_burst"]
+        for plan in ctx["probe_rx"]:
+            burst = ctx["probe"][plan.csi][0]
+            taps = ctx["taps"][(plan.taps, plan.layout)]
+            for power_dbm in cfg.power_sweep_dbm:
+                p_w = dbm_to_watt(power_dbm)
+                x = np.sqrt(p_w) * burst
+                x_tx = link._tx_impair(x, cfg.impairments) if plan.impaired else x
+                ref_si, _, ref_sat = link._fd_receive(
+                    ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx, pil_rx, noise_b,
+                    plan.digital, sat,
+                )
+                z_si, saturated = link._probe_receive(ctx, plan, p_w, sat)
+                ref = np.mean(np.abs(ref_si) ** 2, axis=1)
+                got = np.mean(np.abs(z_si) ** 2, axis=1)
+                np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+                assert np.array_equal(saturated, ref_sat)
+                checked += 1
+    # Both full-duplex schemes, at every power of every trial.
+    assert checked == 3 * 2 * len(cfg.power_sweep_dbm)
+
+
+def test_scenario_c_fits_the_canceller_once_per_trial_and_probe(monkeypatch):
+    cfg = dataclasses.replace(default_scenario("c"), trials=2)
+    probes = 2  # proposed and benchmark; ideal-csi and hd have no probe
+    fits = []
+    train = link.train_digital_canceller
+
+    def counted(*args):
+        fits.append(None)
+        return train(*args)
+
+    monkeypatch.setattr(link, "train_digital_canceller", counted)
+    run_scenario(cfg)
+    # A ceiling, not a count: staging that fits less often still passes.
+    assert len(fits) <= cfg.trials * probes
