@@ -15,19 +15,25 @@ The trial loop is staged by what each quantity depends on:
 
   per run    pilot matrices, fixed by the config and, for the DL and UL
              sounding of a and b, scaled to each scored power; each is
-             checked once (`_run_constants`).  Scenario c's slot-to-slot
-             correlation rho = J0(2 pi fD Ts) is computed on first use and
-             kept on its `AgingParams`
+             checked once.  Scenario d's beam grid: the codeword angles,
+             the DOA sweep over them, the codebook and each codeword's
+             analog beamformer (`_run_constants`).  Scenario c's
+             slot-to-slot correlation rho = J0(2 pi fD Ts) is computed on
+             first use and kept on its `AgingParams`
   per trial  the draw plus everything independent of the transmit power:
              beams and effective channels, the SI calibration estimate,
              one canceller per (taps, layout), and in scenario c the
              probe, half-duplex and ideal-CSI precoders with their
              unit-power bursts and UE gains, and each full-duplex
              scheme's probe slot, received once at unit amplitude with one
-             canceller fit (`_prepare_ab`, `_prepare_c`, `_stage_probe`);
-             scenario d works from the draw alone.  In a and b, one rate
-             pass scores every (power, scheme) of the trial as one stack
-             (`_score_ab`)
+             canceller fit (`_prepare_ab`, `_prepare_c`, `_stage_probe`).
+             In d, the ideal-CSI pointing, the HD angle estimate (trained
+             at the fixed UL power) with its pointing and burst, and the
+             UL pilot and noise of the full-duplex slot (`_prepare_d`); a
+             memo keyed by codeword holds each beam's DL and SI channels,
+             SI estimate and cancellers for every pass and power
+             (`_d_beam`).  In a and b, one rate pass scores every (power,
+             scheme) of the trial as one stack (`_score_ab`)
   per power  in a and b, the channel estimates, one eigen precoder per
              stream count shared by every scheme, and one precoded burst
              per distinct precoder; schemes sharing a burst are received
@@ -36,7 +42,12 @@ The trial loop is staged by what each quantity depends on:
              are scaled by the power, and each full-duplex scheme scales
              its staged probe slot to the power for the saturation check
              and residual SI (`_probe_receive`), then estimates and
-             zero-forces (`_score_c`).  d scores one scheme at a time.
+             zero-forces (`_score_c`).  In d, each full-duplex scheme
+             projects its precoder, receives the warm-up slot, refines
+             the angle and points the scored slot (`_d_fd_rate`).
+
+One table, `_DRIVERS`, gives each scenario its draw, prepare, per-power
+stage and, for a and b, the rate pass that finishes the trial.
 
 The full-duplex slots of a, b and d are received through one chain,
 `_fd_receive`: analog taps, saturation check, then the digital canceller.
@@ -45,8 +56,8 @@ same stages split at the amplitude (`_stage_probe`, `_probe_receive`).
 Both run the digital canceller through `_digital_stage`.
 
 Arrays shared across schemes or powers are read-only, so an in-place
-write by one scheme fails instead of leaking into the next.  Nothing of
-packet length outlives its power point.
+write by one scheme fails instead of leaking into the next.  Arrays of
+packet length built at a power point do not outlive it.
 
 Rates are spectral efficiencies in bps/Hz.  A trial returns a (DL, UL)
 pair; scenarios c and d carry data in the DL only and report UL as zero.
@@ -1073,115 +1084,178 @@ def _interferometric_doa(z: np.ndarray, rows: np.ndarray, coarse: float) -> floa
     return float(np.arcsin(np.angle(corr) / np.pi))
 
 
-def _d_geometry(cfg: ScenarioConfig, theta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Analog beams and matched digital weight for a pointing angle."""
+@dataclass(frozen=True)
+class _Beam:
+    """One analog beam of scenario d and what follows from it in a trial."""
+
+    f_tx: np.ndarray  # analog beamformer of the codeword, shared by the run
+    h_dl_eff: np.ndarray  # DL channel through the beam
+    h_si_eff: Optional[np.ndarray]  # SI channel between the chains; None with no FD plan
+    h_si_hat: Optional[np.ndarray]  # its calibration estimate
+    taps: Dict[Tuple[str, str], _Taps]  # one canceller per (taps, layout) of the FD plans
+
+
+def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
+    """The trial's entry for codeword `idx`, built on its first use.
+
+    Everything in it is fixed by the draw and the codeword, so the HD
+    pointing, the warm-up and scored passes and every power share it.
+    """
+    beams = ctx["beams"]
+    if idx not in beams:
+        bud = cfg.budget
+        f_tx = consts["d_f_tx"][idx]
+        h_si_eff = h_si_hat = None
+        taps: Dict[Tuple[str, str], _Taps] = {}
+        if ctx["fd"]:
+            h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(
+                ctx["h_si"], f_tx, np.eye(cfg.arch.n_rx, dtype=complex)
+            ))
+            h_si_hat = _ro(
+                _pilot_estimate(h_si_eff, ctx["n_cal"], consts["si_cal"], bud.bs_noise_w, bud.si_gain)
+            )
+            taps = _trial_taps(ctx["fd"], h_si_hat, cfg.arch.num_taps)
+        h_dl_eff = _ro(np.sqrt(bud.dl_gain) * (ctx["h_dl"] @ f_tx))
+        beams[idx] = _Beam(f_tx, h_dl_eff, h_si_eff, h_si_hat, taps)
+    return beams[idx]
+
+
+def _d_point(
+    cfg: ScenarioConfig, consts: dict, ctx: dict, theta: float
+) -> Tuple[_Beam, np.ndarray]:
+    """The beam for a pointing angle and the digital weight matched to it."""
     arch = cfg.arch
-    book = dft_codebook(arch.tx_subarray, arch.phase_bits)
-    idx = beam_select_doa(theta, book)
-    f_tx = assemble_analog_bf([idx] * arch.n_tx_rf, cfg.arch, "tx")
+    beam = _d_beam(cfg, consts, ctx, beam_select_doa(theta, consts["d_book"]))
     a_full = np.exp(1j * np.pi * np.arange(arch.n_tx) * np.sin(theta))
-    w = (a_full @ f_tx).conj()[:, None]
+    w = (a_full @ beam.f_tx).conj()[:, None]
     norm = np.linalg.norm(w)
     if norm > 0:
         w = w / norm
-    return f_tx, w
+    return beam, w
 
 
-def _d_dl(cfg: ScenarioConfig, draw: dict, f_tx, w, p_w, impaired) -> float:
+def _d_dl(
+    cfg: ScenarioConfig, h_eff: np.ndarray, w: np.ndarray, burst: Optional[np.ndarray], p_w: float
+) -> float:
+    """DL rate of precoder `w` through `h_eff` at power `p_w`.  The UE also
+    sees the TX distortion of the radiated `burst` (w s_dl at unit power)
+    when one is given."""
     bud = cfg.budget
-    h_eff = np.sqrt(bud.dl_gain) * (draw["h_dl"] @ f_tx)
     dist_pow = 0.0
-    if impaired:
-        x = np.sqrt(p_w) * (w @ draw["s_dl"])
+    if burst is not None:
+        x = np.sqrt(p_w) * burst
         dist = _tx_impair(x, cfg.impairments) - x
         dist_pow = float(np.mean(np.abs(h_eff @ dist) ** 2))
     sig = p_w * float(np.abs(h_eff @ w)[0, 0] ** 2)
     return float(np.log2(1.0 + sig / (dist_pow + bud.ue_noise_w)))
 
 
-def _eval_d(
-    cfg: ScenarioConfig, consts: dict, draw: dict, power_dbm: float, plan: _Plan
-) -> Tuple[float, float]:
+def _prepare_d(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]) -> dict:
+    """Per-trial context: every pointing that does not depend on the power.
+
+    That is the true angle's beam and matched weight (ideal CSI's beam and
+    the full-duplex warm-up's first pointing), ideal CSI's precoder, the
+    HD angle estimate with its beam and unit-power burst (trained at the
+    fixed `ul_power_dbm`), and the full-duplex slot's UL pilot and noise.
+    `ctx["beams"]` memoizes each codeword's channels and cancellers.
+    """
     arch = cfg.arch
     bud = cfg.budget
-    p_w = dbm_to_watt(power_dbm)
     pil_w = dbm_to_watt(bud.ul_power_dbm)
-    angles = dft_beam_angles(arch.tx_subarray)
-    sweep = np.vstack([steering_vector(arch.n_rx_rf, a) for a in angles])
     h_ul = np.sqrt(bud.ul_gain) * draw["h_ul"]
-
-    if plan.csi == "perfect":
-        f_tx, _ = _d_geometry(cfg, draw["theta"])
-        h_eff = np.sqrt(bud.dl_gain) * (draw["h_dl"] @ f_tx)
-        w = h_eff.conj().T / np.linalg.norm(h_eff)
-        return _d_dl(cfg, draw, f_tx, w, p_w, impaired=False), 0.0
-
-    t = cfg.packet_symbols
-    if plan.duplex == "hd":
-        pil_len = cfg.hd_pilot_len
-        y = h_ul * np.sqrt(pil_w) + np.sqrt(bud.bs_noise_w) * draw["n_slot"][:, :pil_len]
-        theta_hat = doa_estimate(y, sweep, angles)
+    ctx = dict(draw)
+    ctx["fd"] = [plan for plan in plans if plan.duplex == "fd" and plan.csi != "perfect"]
+    ctx["beams"] = {}  # codeword index -> _Beam
+    perfect = any(plan.csi == "perfect" for plan in plans)
+    if perfect or ctx["fd"]:
+        beam, w = _d_point(cfg, consts, ctx, draw["theta"])
+        ctx["ideal"] = (beam, _ro(w))
+        if perfect:
+            h_eff = beam.h_dl_eff
+            ctx["ideal_w"] = _ro(h_eff.conj().T / np.linalg.norm(h_eff))
+    if any(plan.duplex == "hd" for plan in plans):
+        y = h_ul * np.sqrt(pil_w) + np.sqrt(bud.bs_noise_w) * draw["n_slot"][:, : cfg.hd_pilot_len]
+        theta_hat = doa_estimate(y, consts["d_sweep"], consts["d_angles"])
         theta_hat = _interferometric_doa(y, np.arange(arch.n_rx_rf), theta_hat)
-        f_tx, w = _d_geometry(cfg, theta_hat)
-        return cfg.dl_data_fraction * _d_dl(cfg, draw, f_tx, w, p_w, impaired=True), 0.0
+        beam, w = _d_point(cfg, consts, ctx, theta_hat)
+        ctx["hd"] = (beam, _ro(w), _ro(w @ draw["s_dl"]))
+    if ctx["fd"]:
+        ctx["ul"] = _ro(h_ul @ (np.sqrt(pil_w) * np.ones((1, cfg.packet_symbols))))
+        ctx["noise"] = _ro(np.sqrt(bud.bs_noise_w) * draw["n_slot"])
+    return ctx
 
-    # Full duplex: the pointing angle in use came from last slot's training
-    # under the same interference conditions; one warm-up pass stands in
-    # for that history, the second pass is the slot that gets scored.
-    theta_ref = draw["theta"]
-    sat_spec = SaturationSpec(bud.rx_saturation_dbm)
-    mu_w = 0.5 * sat_spec.max_input_w if plan.budget == "saturation" else bud.bs_noise_w
-    f_tx = w = None
-    for final in (False, True):
-        f_tx, w = _d_geometry(cfg, theta_ref)
-        h_si_eff = np.sqrt(bud.si_gain) * effective_si_channel(draw["h_si"], f_tx, np.eye(arch.n_rx, dtype=complex))
-        h_si_hat = _pilot_estimate(
-            h_si_eff, draw["n_cal"], consts["si_cal"], bud.bs_noise_w, bud.si_gain
-        )
-        state = _build_taps(plan, h_si_hat, arch.num_taps)
-        try:
-            w = si_aware_precoder_projection(w, h_si_hat, state, mu_w / p_w)
-        except InfeasibleProjectionError:
-            return 0.0, 0.0
-        if final:
-            break
-        x = np.sqrt(p_w) * (w @ draw["s_dl"])
-        x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
-        c = state.matrix()
-        _, z, saturated = _fd_receive(
-            h_si_eff, c, h_si_hat - c, x, x_tx,
-            h_ul @ (np.sqrt(pil_w) * np.ones((1, t))), np.sqrt(bud.bs_noise_w) * draw["n_slot"],
-            plan.digital, sat_spec,
-        )
-        alive = ~saturated
-        if np.any(alive):
-            rows = np.flatnonzero(alive)
-            coarse = doa_estimate(z[alive], sweep[:, alive], angles)
-            theta_ref = _interferometric_doa(z, rows, coarse)
-        else:
-            theta_ref = float(angles[0])  # training slot lost to clipping
-    return _d_dl(cfg, draw, f_tx, w, p_w, impaired=plan.impaired), 0.0
+
+def _d_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan) -> float:
+    """Full duplex: the pointing angle in use came from last slot's training
+    under the same interference conditions.  One warm-up pass from the true
+    angle stands in for that history; the second pass is the scored slot."""
+    bud = cfg.budget
+    sat = SaturationSpec(bud.rx_saturation_dbm)
+    mu_w = 0.5 * sat.max_input_w if plan.budget == "saturation" else bud.bs_noise_w
+    key = (plan.taps, plan.layout)
+    beam, w = ctx["ideal"]
+    taps = beam.taps[key]
+    try:
+        w = si_aware_precoder_projection(w, beam.h_si_hat, taps.state, mu_w / p_w)
+    except InfeasibleProjectionError:
+        return 0.0
+    x = np.sqrt(p_w) * (w @ ctx["s_dl"])
+    x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
+    _, z, saturated = _fd_receive(
+        beam.h_si_eff, taps.matrix, taps.resid_lin, x, x_tx, ctx["ul"], ctx["noise"],
+        plan.digital, sat,
+    )
+    alive = ~saturated
+    if np.any(alive):
+        coarse = doa_estimate(z[alive], consts["d_sweep"][:, alive], consts["d_angles"])
+        theta = _interferometric_doa(z, np.flatnonzero(alive), coarse)
+    else:
+        theta = float(consts["d_angles"][0])  # training slot lost to clipping
+    beam, w = _d_point(cfg, consts, ctx, theta)
+    try:
+        w = si_aware_precoder_projection(w, beam.h_si_hat, beam.taps[key].state, mu_w / p_w)
+    except InfeasibleProjectionError:
+        return 0.0
+    return _d_dl(cfg, beam.h_dl_eff, w, w @ ctx["s_dl"] if plan.impaired else None, p_w)
 
 
 def _score_d(
-    cfg: ScenarioConfig, consts: dict, draw: dict, power_dbm: float, plans: List[_Plan]
+    cfg: ScenarioConfig, consts: dict, ctx: dict, power_dbm: float, plans: List[_Plan]
 ) -> List[Tuple[float, float]]:
-    """(DL, UL) rates of every plan at one power, one scheme at a time."""
-    return [_eval_d(cfg, consts, draw, power_dbm, plan) for plan in plans]
+    """(DL, UL) rates of every plan at one power; the UL carries no data.
+
+    Ideal CSI and half duplex point once per trial, so the power only
+    scales their signal and burst; each full-duplex plan trains and
+    points anew at every power (`_d_fd_rate`).
+    """
+    p_w = dbm_to_watt(power_dbm)
+    out = []
+    for plan in plans:
+        if plan.csi == "perfect":
+            rate = _d_dl(cfg, ctx["ideal"][0].h_dl_eff, ctx["ideal_w"], None, p_w)
+        elif plan.duplex == "hd":
+            beam, w, burst = ctx["hd"]
+            rate = cfg.dl_data_fraction * _d_dl(cfg, beam.h_dl_eff, w, burst, p_w)
+        else:
+            rate = _d_fd_rate(cfg, consts, ctx, p_w, plan)
+        out.append((rate, 0.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 
-def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object, Pilots]:
-    """Pilot matrices fixed by the config and `powers`, built and checked once
-    per run.
+def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object, object]:
+    """What the config and `powers` fix for the whole run, built and checked
+    once, all read-only.
 
-    Powers the config fixes are folded in.  The DL and UL sounding pilots
-    of scenarios a and b follow the swept power: they are scaled for each
-    of `powers`, the powers the run scores, under keys ("dl", power) and
-    ("ul", power).
+    Pilot matrices, with the powers the config fixes folded in.  The DL
+    and UL sounding pilots of scenarios a and b follow the swept power:
+    they are scaled for each of `powers`, the powers the run scores, under
+    keys ("dl", power) and ("ul", power).  Scenario d adds its beam grid:
+    the codeword angles, the DOA sweep over them, the codebook and the
+    analog beamformer of each codeword.
     """
     arch = cfg.arch
     # c and d train over the whole packet.
@@ -1199,7 +1273,38 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
         consts["ul_joint"] = amp * orthogonal_pilots(cfg.num_ue, lp)
         consts["ul_single"] = amp * orthogonal_pilots(1, lp)
         consts["ul_hd"] = amp * orthogonal_pilots(cfg.num_ue, cfg.hd_pilot_len)
-    return {name: Pilots(_ro(a)) for name, a in consts.items()}
+    out: Dict[object, object] = {name: Pilots(_ro(a)) for name, a in consts.items()}
+    if cfg.scenario == "d":
+        angles = dft_beam_angles(arch.tx_subarray)
+        out["d_angles"] = _ro(angles)
+        out["d_sweep"] = _ro(np.vstack([steering_vector(arch.n_rx_rf, a) for a in angles]))
+        out["d_book"] = _ro(dft_codebook(arch.tx_subarray, arch.phase_bits))
+        out["d_f_tx"] = tuple(
+            _ro(assemble_analog_bf([idx] * arch.n_tx_rf, arch, "tx"))
+            for idx in range(arch.tx_subarray)
+        )
+    return out
+
+
+@dataclass(frozen=True)
+class _Driver:
+    """How one scenario runs a trial: `draw` it from the RNG, `prepare` its
+    power-free context, take each power through `stage`, and, when given,
+    `finish` the per-power rows into (DL, UL) rates; without `finish` the
+    rows are the rates."""
+
+    draw: Callable
+    prepare: Callable
+    stage: Callable
+    finish: Optional[Callable] = None
+
+
+_DRIVERS: Dict[str, _Driver] = {
+    "a": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab),
+    "b": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab),
+    "c": _Driver(_draw_c, _prepare_c, _score_c),
+    "d": _Driver(_draw_d, _prepare_d, _score_d),
+}
 
 
 class TrialError(RuntimeError):
@@ -1227,22 +1332,15 @@ def _eval_draw(
     TrialError naming where it happened.
     """
     plans = [_PLANS[cfg.scenario][s] for s in schemes]
-    ctx = finish = power_dbm = None
+    drv = _DRIVERS[cfg.scenario]
+    ctx = power_dbm = None
     try:
-        if cfg.scenario in ("a", "b"):
-            ctx = _prepare_ab(cfg, consts, _draw_ab(cfg, rng), plans)
-            stage, finish = _receive_ab, _score_ab
-        elif cfg.scenario == "c":
-            ctx = _prepare_c(cfg, consts, _draw_c(cfg, rng), plans)
-            stage = _score_c
-        else:
-            ctx = _draw_d(cfg, rng)
-            stage = _score_d
+        ctx = drv.prepare(cfg, consts, drv.draw(cfg, rng), plans)
         rows = []
         for power_dbm in powers:
-            rows.append(stage(cfg, consts, ctx, power_dbm, plans))
+            rows.append(drv.stage(cfg, consts, ctx, power_dbm, plans))
         power_dbm = None
-        return rows if finish is None else finish(cfg, ctx, rows, plans)
+        return rows if drv.finish is None else drv.finish(cfg, ctx, rows, plans)
     except Exception as exc:
         if trial is None:
             raise
@@ -1252,7 +1350,7 @@ def _eval_draw(
         else:
             # A fault in the rate pass may lie at any power.
             tried = powers if power_dbm is None else [power_dbm]
-            power_dbm, scheme = _failing_point(cfg, consts, ctx, stage, finish, tried, schemes)
+            power_dbm, scheme = _failing_point(cfg, consts, ctx, drv, tried, schemes)
             if power_dbm is not None:
                 where += f", power {power_dbm:g} dBm"
             if scheme is not None:
@@ -1261,7 +1359,7 @@ def _eval_draw(
 
 
 def _failing_point(
-    cfg, consts, ctx, stage, finish, powers: Sequence[float], schemes: Sequence[str]
+    cfg, consts, ctx, drv: _Driver, powers: Sequence[float], schemes: Sequence[str]
 ) -> Tuple[Optional[float], Optional[str]]:
     """The first (power, scheme) that also fails when scored alone, as
     `run_trial` scores it: a failed stack does not say which member.
@@ -1273,9 +1371,9 @@ def _failing_point(
         for scheme in schemes:
             plan = [_PLANS[cfg.scenario][scheme]]
             try:
-                row = stage(cfg, consts, ctx, p, plan)
-                if finish is not None:
-                    finish(cfg, ctx, [row], plan)
+                row = drv.stage(cfg, consts, ctx, p, plan)
+                if drv.finish is not None:
+                    drv.finish(cfg, ctx, [row], plan)
             except Exception:  # noqa: BLE001  any fault reproduces the stacked one
                 return p, scheme
     return (powers[0] if len(powers) == 1 else None), None
@@ -1310,13 +1408,14 @@ def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
 
     Work is staged by what it depends on: per run the pilot matrices
-    (in a and b scaled to every swept power) and c's aging rho, per trial
-    the draw and everything power-free (SI estimate, taps, and in c the
-    precoders, their bursts and UE gains, and each full-duplex probe slot
-    received at unit amplitude), per power the rest.  In a and b each
-    power's schemes sharing a burst are received together, and one rate
-    pass per trial scores every (power, scheme) as one stack; c scores
-    each power as one row, d one scheme at a time.
+    (in a and b scaled to every swept power), c's aging rho and d's beam
+    grid, per trial the draw and everything power-free (SI estimate, taps,
+    in c the precoders, their bursts and UE gains, and each full-duplex
+    probe slot received at unit amplitude, in d the ideal-CSI and HD
+    pointings and each used codeword's channels and cancellers), per power
+    the rest.  In a and b each power's schemes sharing a burst are
+    received together, and one rate pass per trial scores every (power,
+    scheme) as one stack; c and d score each power as one row.
 
     Each trial draws from its own child seed, so results do not depend on
     the order trials run in.  With trials=1 each point equals `run_trial`

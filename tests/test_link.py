@@ -192,6 +192,20 @@ def test_run_scenario_matches_run_trial():
             assert point.trials == 1
 
 
+@pytest.mark.parametrize("code", "abcd")
+def test_trial_order_leaves_the_rates_unchanged(code):
+    # Trials share the per-run constants; scoring them in reverse must give
+    # every trial the rates it gets in order, bit for bit.
+    cfg = dataclasses.replace(default_scenario(code), trials=3)
+    trials = range(cfg.trials)
+    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    forward = [link._trial_rates(cfg, consts, t) for t in trials]
+    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    backward = {t: link._trial_rates(cfg, consts, t) for t in reversed(trials)}
+    for t in trials:
+        assert np.array_equal(forward[t], backward[t]), t
+
+
 # A legal changed value for each field some scenario leaves unread.
 UNREAD_CHANGES = {
     "num_ue": 3,
