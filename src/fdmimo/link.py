@@ -53,7 +53,10 @@ The full-duplex slots of a, b and d are received through one chain,
 `_fd_receive`: analog taps, saturation check, then the digital canceller.
 Scenario c's probe slot, whose burst only scales with the power, takes the
 same stages split at the amplitude (`_stage_probe`, `_probe_receive`).
-Both run the digital canceller through `_digital_stage`.
+Both run the digital canceller through `cancellation.cancel_slot`: a burst
+whose regressors identify every coefficient gets the unique least-squares
+residual from a projection on their Gram matrix, and one with fewer
+streams than chains the minimum-norm `lstsq` fit.
 
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Arrays of
@@ -68,7 +71,7 @@ already weighted, so DL + UL is always the headline sum rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,18 +91,14 @@ from fdmimo.beamforming import (
 from fdmimo.cancellation import (
     CancellerState,
     InfeasibleProjectionError,
-    RegressorRankError,
     SaturationSpec,
-    _regressors,
-    apply_digital_canceller,
+    cancel_slot,
     check_saturation,
     effective_si_channel,
-    fit_digital_canceller,
     select_taps,
     select_taps_by_row,
     set_tap_gains,
     si_aware_precoder_projection,
-    train_digital_canceller,
 )
 from fdmimo.channel import (
     AgingParams,
@@ -297,6 +296,9 @@ class ScenarioConfig:
             # The UL channel, transposed, is the DL channel: one array serves both.
             if self.arch.n_tx != self.arch.n_rx:
                 raise ValueError("scenario 'c' uses reciprocal channels, so n_tx must equal n_rx")
+        # d's receive side has no analog beamformer: each antenna is a chain.
+        if self.scenario == "d" and self.arch.n_rx != self.arch.n_rx_rf:
+            raise ValueError("scenario 'd' receives on every antenna, so n_rx must equal n_rx_rf")
         if self.scenario in ("a", "b"):
             if self.ul_streams > self.ul_ue_antennas:
                 raise ValueError("ul_streams cannot exceed ul_ue_antennas")
@@ -506,41 +508,26 @@ def _fd_receive(
     The radiated burst `x_tx` leaks through `h_si`, the analog taps `c`
     subtract their copy of the clean burst `x`, UL signal and noise add.
     With `digital` the canceller, seeded with `resid_lin`, is fit on the
-    slot and applied.  Returns the SI left after the last stage (the
-    analog residual h_si x_tx - c x without `digital`), the samples after
-    the last stage, and the flags of saturated chains.
+    slot and applied (`cancel_slot`).  Returns the SI left after the last
+    stage (the analog residual h_si x_tx - c x without `digital`), the
+    samples after the last stage, and the flags of saturated chains.
 
     A stack of radiated versions of one burst, `x_tx` of shape (members,
-    chains, samples), is received in one pass: all members' rows share
-    the regressors of `x`, built once for one fit and one apply that
-    serve them all, with `resid_lin` given once per member (stacked rows).
+    chains, samples), is received in one pass, with one `resid_lin` for
+    all members.  The canceller routes the stack as one burst: when `x`
+    identifies every coefficient, each member gets the unique residual of
+    its own rows, a projection on the Gram of the regressors built once
+    for all; otherwise (fewer streams than chains) all members' rows take
+    one minimum-norm `lstsq` fit and apply.
     """
     r_si = h_si @ x_tx - c @ x
     r = r_si + ul + noise
     saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=-1), sat)
     if digital:
         del r_si  # not returned; freed before the fit's temporaries
-        z = _digital_stage(x, r.reshape(-1, r.shape[-1]), resid_lin).reshape(r.shape)
+        z = cancel_slot(x, r, resid_lin)
         return z - ul - noise, z, saturated
     return r_si, r, saturated
-
-
-def _digital_stage(x: np.ndarray, rows: np.ndarray, resid_lin: np.ndarray) -> np.ndarray:
-    """The digital canceller on receive `rows` of the clean burst `x`: fit,
-    seeded with `resid_lin` (one row per receive row), then applied.
-
-    The regressors of `x` are built once for both steps.  The fit is the
-    checked one, or the minimum-norm one when `x` cannot identify every
-    coefficient.  Returns the rows after cancellation.
-    """
-    phi = _regressors(x)
-    try:
-        coeffs = train_digital_canceller(x, rows, resid_lin, phi)
-    except RegressorRankError:
-        # Fewer streams than chains: the chain signals are dependent,
-        # and the minimum-norm fit still cancels what was radiated.
-        coeffs = fit_digital_canceller(x, rows, resid_lin, phi)
-    return apply_digital_canceller(coeffs, x, rows, phi)
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -577,9 +564,15 @@ def _build_taps(plan: _Plan, h_si_hat: np.ndarray, configured: int) -> Canceller
 class _Taps:
     """Analog canceller of one (taps, layout) choice, fixed for a trial."""
 
-    state: CancellerState
     matrix: np.ndarray  # dense tap matrix C
-    resid_lin: np.ndarray  # h_si_hat - C, the linear seed of the digital fit
+    resid_lin: np.ndarray  # R = h_si_hat - C: the digital fit's seed, the projection's residual
+
+    @cached_property
+    def resid_svd(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Singular values and right singular vectors of R, for the
+        projections against it; computed on the first one."""
+        _, svals, vh = np.linalg.svd(self.resid_lin)
+        return _ro(svals), _ro(vh)
 
 
 def _trial_taps(
@@ -590,10 +583,8 @@ def _trial_taps(
     for plan in plans:
         key = (plan.taps, plan.layout)
         if key not in taps:
-            state = _build_taps(plan, h_si_hat, configured)
-            _ro(state.gains)
-            c = _ro(state.matrix())
-            taps[key] = _Taps(state, c, _ro(h_si_hat - c))
+            c = _ro(_build_taps(plan, h_si_hat, configured).matrix())
+            taps[key] = _Taps(c, _ro(h_si_hat - c))
     return taps
 
 
@@ -623,11 +614,14 @@ def _fd_precoder(
             if norm < 1e-12:
                 return None, 0
             return w / norm, streams
-        state = ctx["taps"][(plan.taps, plan.layout)].state
+        taps = ctx["taps"][(plan.taps, plan.layout)]
         try:
             # The budget is on radiated residual power, the projection
             # helper compares against ||R W||_F^2 with unit symbol power.
-            return si_aware_precoder_projection(w, ctx["h_si_hat"], state, mu_w / p_w), streams
+            return (
+                si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd),
+                streams,
+            )
         except InfeasibleProjectionError:
             streams -= 1
     return None, 0
@@ -697,7 +691,6 @@ def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan
         _pilot_estimate(h_si_eff, draw["n_cal"], consts["si_cal"], bud.bs_noise_w, bud.si_gain)
     )
     ctx["h_si_eff"] = h_si_eff
-    ctx["h_si_hat"] = h_si_hat
     fd = [plan for plan in plans if plan.duplex == "fd"]
     ctx["taps"] = _trial_taps(fd, h_si_hat, arch.num_taps)
     if any(plan.null_depth for plan in fd):
@@ -788,8 +781,8 @@ def _receive_ab(
         if lead.duplex == "fd":
             taps = ctx["taps"][(lead.taps, lead.layout)]
             z_si, _, saturated = _fd_receive(
-                ctx["h_si_eff"], taps.matrix, np.tile(taps.resid_lin, (len(members), 1)), x,
-                x_tx, ul_sym, ctx["noise_b"], digital and w is not None, sat,
+                ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx, ul_sym, ctx["noise_b"],
+                digital and w is not None, sat,
             )
             for i, cov, flags in zip(members, _measure_cov(z_si), saturated):
                 si_cov[i], alive[i] = cov, ~flags
@@ -969,8 +962,8 @@ def _stage_probe(
     s = h_si tx(b) - C b the SI of the unit burst b and u the UL pilot plus
     noise.  The regressors of a b span the rows those of b span, so the
     digital stage is linear in the slot too, and its output is a z_s + z_u:
-    one fit on b over the rows [s; u], seeded with [h_si_hat - C; 0],
-    serves every power.
+    one fit on b over the two slots (s, u), seeded with h_si_hat - C and
+    0, serves every power.
     """
     taps = ctx["taps"][(plan.taps, plan.layout)]
     x_tx = _tx_impair(burst, cfg.impairments) if plan.impaired else burst
@@ -978,9 +971,9 @@ def _stage_probe(
     u = ctx["ul_noise"]
     if not plan.digital:
         return _ro(s), s, u
-    seed = np.vstack([taps.resid_lin, np.zeros_like(taps.resid_lin)])
-    z = _digital_stage(burst, np.vstack([s, u]), seed)
-    return _ro(s), _ro(z[: len(s)]), _ro(z[len(s) :])
+    seed = np.stack([taps.resid_lin, np.zeros_like(taps.resid_lin)])
+    z_s, z_u = cancel_slot(burst, np.stack([s, u]), seed)
+    return _ro(s), _ro(z_s), _ro(z_u)
 
 
 def _probe_receive(
@@ -1091,7 +1084,6 @@ class _Beam:
     f_tx: np.ndarray  # analog beamformer of the codeword, shared by the run
     h_dl_eff: np.ndarray  # DL channel through the beam
     h_si_eff: Optional[np.ndarray]  # SI channel between the chains; None with no FD plan
-    h_si_hat: Optional[np.ndarray]  # its calibration estimate
     taps: Dict[Tuple[str, str], _Taps]  # one canceller per (taps, layout) of the FD plans
 
 
@@ -1105,7 +1097,7 @@ def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
     if idx not in beams:
         bud = cfg.budget
         f_tx = consts["d_f_tx"][idx]
-        h_si_eff = h_si_hat = None
+        h_si_eff = None
         taps: Dict[Tuple[str, str], _Taps] = {}
         if ctx["fd"]:
             h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(
@@ -1116,7 +1108,7 @@ def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
             )
             taps = _trial_taps(ctx["fd"], h_si_hat, cfg.arch.num_taps)
         h_dl_eff = _ro(np.sqrt(bud.dl_gain) * (ctx["h_dl"] @ f_tx))
-        beams[idx] = _Beam(f_tx, h_dl_eff, h_si_eff, h_si_hat, taps)
+        beams[idx] = _Beam(f_tx, h_dl_eff, h_si_eff, taps)
     return beams[idx]
 
 
@@ -1196,7 +1188,7 @@ def _d_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _
     beam, w = ctx["ideal"]
     taps = beam.taps[key]
     try:
-        w = si_aware_precoder_projection(w, beam.h_si_hat, taps.state, mu_w / p_w)
+        w = si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd)
     except InfeasibleProjectionError:
         return 0.0
     x = np.sqrt(p_w) * (w @ ctx["s_dl"])
@@ -1212,8 +1204,9 @@ def _d_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _
     else:
         theta = float(consts["d_angles"][0])  # training slot lost to clipping
     beam, w = _d_point(cfg, consts, ctx, theta)
+    taps = beam.taps[key]
     try:
-        w = si_aware_precoder_projection(w, beam.h_si_hat, beam.taps[key].state, mu_w / p_w)
+        w = si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd)
     except InfeasibleProjectionError:
         return 0.0
     return _d_dl(cfg, beam.h_dl_eff, w, w @ ctx["s_dl"] if plan.impaired else None, p_w)

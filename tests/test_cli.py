@@ -522,6 +522,18 @@ def test_scenario_c_with_unequal_arrays_exits_one(tmp_path, capsys, schemes):
         assert "config error" in err and "n_tx must equal n_rx" in err
 
 
+def test_scenario_d_with_a_hybrid_receive_side_exits_one(tmp_path, capsys):
+    # d receives on each antenna's own chain.  With 4 receive antennas on 2
+    # chains this passed validation and then exited 2 from a broadcast of
+    # the 4-row SI channel against the 2-row noise.
+    arch = {"n_tx": 64, "n_rx": 4, "n_tx_rf": 2, "n_rx_rf": 2, "phase_bits": 3, "num_taps": 2}
+    src = _write(tmp_path, {"scenario": "d", "trials": 2, "architecture": arch})
+    for command in ("validate", "run"):
+        assert main([command, "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "n_rx must equal n_rx_rf" in err
+
+
 def test_too_few_pilots_for_the_ul_streams_exits_one(tmp_path, capsys):
     payload = {"scenario": "a", "ul_ue_antennas": 8, "ul_streams": 8, "pilots": {"num_pilots": 4}}
     src = _write(tmp_path, payload)
