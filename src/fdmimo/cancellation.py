@@ -9,20 +9,21 @@ survives.  The digital stage then fits that survivor with a least-squares
 model over the basis {x, conj(x), x |x|^2} per transmit chain.
 
 A receive slot takes the digital stage through `cancel_slot`, which fits
-and applies on one burst and returns only the cleaned rows.  It has two
-solvers, chosen by the two rank tests of `train_digital_canceller`:
+and applies on one burst and returns only the cleaned rows.  One rule,
+`_gram_root`, routes the burst between two solvers:
 
-  full rank   the least-squares residual is unique, so it is computed as
-              the target minus its projection onto the regressors' row
-              space, from a Cholesky factor of their Gram matrix (which
-              the second rank test has already built), member by member
-  otherwise   (or when that Gram is too ill-conditioned to project
-              accurately) the minimum-norm fit of `fit_digital_canceller`
-              (an SVD-based `lstsq`) and `apply_digital_canceller`, on all
-              rows at once
+  projected   every regressor row has power, and the Gram of the
+              regressors, scaled to unit diagonal, has a Cholesky factor
+              L with 3n ||L^-1||_F^2 <= 1e5: the least-squares residual is
+              unique and is computed as the target minus its projection
+              onto the regressors' row space, member by member
+  otherwise   the minimum-norm `lstsq` fit, subtracted on all rows at once
 
-Both work on arrays built once per slot, which keeps a slot's heap peak
-small.
+A dependent burst (fewer streams than chains) has a singular Gram, so its
+scaled Gram has no factor with a bounded inverse and takes the `lstsq`
+fit: the rule covers the two rank tests of `train_digital_canceller`,
+which stays as the checked reference.  Both solvers work on arrays built
+once per slot, which keeps a slot's heap peak small.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from fdmimo.impairments import dbm_to_watt
-
 
 class InfeasibleProjectionError(RuntimeError):
     """No transmit direction satisfies the residual budget; shed a stream."""
@@ -41,17 +40,6 @@ class InfeasibleProjectionError(RuntimeError):
 
 class RegressorRankError(np.linalg.LinAlgError):
     """Training data cannot identify the digital canceller coefficients."""
-
-
-@dataclass(frozen=True)
-class SaturationSpec:
-    """Receive chain input limit before the LNA/ADC stage clips."""
-
-    max_input_dbm: float = -20.0
-
-    @property
-    def max_input_w(self) -> float:
-        return dbm_to_watt(self.max_input_dbm)
 
 
 @dataclass
@@ -151,9 +139,10 @@ def residual_si_power(
     return np.real(np.einsum("ij,jk,ik->i", r, np.asarray(tx_cov), r.conj()))
 
 
-def check_saturation(chain_power_w: np.ndarray, spec: SaturationSpec) -> np.ndarray:
-    """Flag receive chains whose total input power strictly exceeds the limit."""
-    return np.asarray(chain_power_w) > spec.max_input_w
+def check_saturation(chain_power_w: np.ndarray, limit_w: float) -> np.ndarray:
+    """Flag receive chains whose total input power strictly exceeds
+    `limit_w`, the input the LNA/ADC stage takes before it clips."""
+    return np.asarray(chain_power_w) > limit_w
 
 
 def si_aware_precoder_projection(
@@ -213,30 +202,15 @@ def _regressors(tx_baseband: np.ndarray) -> np.ndarray:
     return phi
 
 
-def fit_digital_canceller(
-    tx_baseband: np.ndarray,
-    rx_residual: np.ndarray,
-    residual_linear: np.ndarray,
-    regressors: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Minimum-norm least-squares fit of `train_digital_canceller`, unchecked.
+def _fit(phi: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares coefficients of rows `y` on regressors
+    `phi` of burst `x`, seeded with the linear residual `r`.
 
     With fewer streams than chains the regressors are dependent; the
     minimum-norm fit still cancels everything in the transmitted
-    subspace, which is all that was radiated.  `regressors` as in
-    `train_digital_canceller`.
-    """
-    x = np.asarray(tx_baseband, dtype=complex)
-    y = np.asarray(rx_residual, dtype=complex)
-    r = np.asarray(residual_linear, dtype=complex)
-    return _fit(_regressors(x) if regressors is None else regressors, x, y, r)
-
-
-def _fit(phi: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The fit behind both entry points, on regressors `phi` built once.
-
-    `phi` is conjugated in place for the solver and conjugated back after
-    it, which is exact, so the caller gets its regressors back unchanged.
+    subspace, which is all that was radiated.  `phi` is conjugated in
+    place for the solver and conjugated back after it, which is exact, so
+    the caller gets its regressors back unchanged.
     """
     # Seeding with the known linear part and fitting the leftover is
     # algebraically identical to a direct fit but keeps the target small.
@@ -252,17 +226,13 @@ def _fit(phi: np.ndarray, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.nda
 
 
 def train_digital_canceller(
-    tx_baseband: np.ndarray,
-    rx_residual: np.ndarray,
-    residual_linear: np.ndarray,
-    regressors: Optional[np.ndarray] = None,
+    tx_baseband: np.ndarray, rx_residual: np.ndarray, residual_linear: np.ndarray
 ) -> np.ndarray:
     """Least-squares fit of the post-analog residual on the nonlinear basis.
 
     Checks the inputs and that the regressors identify every coefficient
     (else RegressorRankError, raised before the regressors are built when
-    the burst's own chains are dependent), then runs the fit of
-    `fit_digital_canceller` on the regressors built for that check.
+    the burst's own chains are dependent), then runs the least-squares fit.
 
     Parameters
     ----------
@@ -274,10 +244,6 @@ def train_digital_canceller(
         Known linear residual matrix (rx chains x tx chains) that seeds the
         linear block of the fit; the remaining error is what the
         least-squares stage has to explain.
-    regressors : numpy.ndarray, optional
-        The blocks [x; conj(x); x |x|^2] of `tx_baseband`, built once by a
-        caller that also applies the fit to the burst.  The fit conjugates
-        them in place and back.  Built here if None.
 
     Returns
     -------
@@ -296,46 +262,29 @@ def train_digital_canceller(
         raise ValueError("tx and rx sample counts differ")
     if r.shape != (y.shape[0], n_tx):
         raise ValueError("residual_linear shape must be (rx chains, tx chains)")
-    phi, _ = _identifying_gram(x, regressors)
-    return _fit(phi, x, y, r)
-
-
-def _identifying_gram(
-    x: np.ndarray, phi: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The regressors of burst `x` (built here if `phi` is None) and their
-    Gram matrix, once both rank tests pass; RegressorRankError when the
-    regressors cannot identify every coefficient."""
-    n_tx = x.shape[0]
     # The burst is the regressors' first block: dependent chains (fewer
     # streams than chains) fail the full check too, so reject them before
     # building the 3n regressors.
     rank = np.linalg.matrix_rank(x @ x.conj().T)
     if rank < n_tx:
         raise RegressorRankError(f"transmit burst rank {rank} < {n_tx} chains")
-    phi = _regressors(x) if phi is None else phi
-    gram = phi @ phi.conj().T
-    rank = np.linalg.matrix_rank(gram)
+    phi = _regressors(x)
+    rank = np.linalg.matrix_rank(phi @ phi.conj().T)
     if rank < 3 * n_tx:
         raise RegressorRankError(f"regressor rank {rank} < {3 * n_tx}")
-    return phi, gram
+    return _fit(phi, x, y, r)
 
 
 def apply_digital_canceller(
-    coeffs: np.ndarray, tx_baseband: np.ndarray, rx_samples: np.ndarray,
-    regressors: Optional[np.ndarray] = None,
+    coeffs: np.ndarray, tx_baseband: np.ndarray, rx_samples: np.ndarray
 ) -> np.ndarray:
-    """Subtract the reconstructed nonlinear residual from receive samples.
-
-    `regressors`, when given, are the blocks [x; conj(x); x |x|^2] of
-    `tx_baseband` that the fit was computed on.
-    """
+    """Subtract the reconstructed nonlinear residual from receive samples."""
     coeffs = np.asarray(coeffs, dtype=complex)
     x = np.asarray(tx_baseband, dtype=complex)
     y = np.asarray(rx_samples, dtype=complex)
     if coeffs.shape != (y.shape[0], 3 * x.shape[0]):
         raise ValueError("coefficient shape must be (rx chains, 3 * tx chains)")
-    z = coeffs @ (_regressors(x) if regressors is None else regressors)
+    z = coeffs @ _regressors(x)
     return np.subtract(y, z, out=z)
 
 
@@ -348,23 +297,37 @@ def apply_digital_canceller(
 _GRAM_CONDITION_LIMIT = 1e5
 
 
-def _gram_root(x: np.ndarray, phi: np.ndarray) -> Optional[np.ndarray]:
+def _gram_root(phi: np.ndarray) -> Optional[np.ndarray]:
     """K = L^-1 D, with L L^H = D G D and D = diag(G)^-1/2, so that
-    G^-1 = K^H K for the Gram G of the regressors `phi` of burst `x`.
+    G^-1 = K^H K for the Gram G of the regressors `phi`; None when
+    `cancel_slot` must not project with it.
 
-    None unless both rank tests pass and D G D factors with a condition
-    number (bounded above by 3n ||L^-1||_F^2) within the limit.  The scaling
+    This is the slot canceller's one routing rule.  K is returned only
+    when every row of `phi` has power (a silent chain leaves D undefined),
+    D G D has a Cholesky factor, and 3n ||L^-1||_F^2, which bounds the
+    condition number of D G D from above, is within the limit; the test
+    is written so that a NaN bound fails it.
+
+    The rule needs no rank test of its own.  The rank tests of
+    `train_digital_canceller` reject a dependent burst, such as one with
+    fewer streams than chains.  Its G is singular, and so is D G D, which
+    rounding leaves either without a Cholesky factor or with one whose
+    inverse is of the order of 1/eps, far past the limit.  The scaling
     matters because the x |x|^2 block grows as the burst amplitude cubed,
     and G squares the regressors' condition number.
     """
+    gram = phi @ phi.conj().T
+    power = gram.diagonal().real
+    if not np.all(power > 0):
+        return None
+    scale = 1.0 / np.sqrt(power)
     try:
-        _, gram = _identifying_gram(x, phi)
-        scale = 1.0 / np.sqrt(gram.diagonal().real)
         chol = np.linalg.cholesky(gram * np.outer(scale, scale))
-    except np.linalg.LinAlgError:  # RegressorRankError among them
+    except np.linalg.LinAlgError:
         return None
     root = np.linalg.solve(chol, np.diag(scale))
-    if len(scale) * np.linalg.norm(root / scale) ** 2 > _GRAM_CONDITION_LIMIT:
+    bound = len(scale) * np.linalg.norm(root / scale) ** 2
+    if not bound <= _GRAM_CONDITION_LIMIT:
         return None
     return root
 
@@ -381,28 +344,28 @@ def cancel_slot(
     matrix for every member, or one per member.  The result has the shape
     of `rx_rows`; no input is written.
 
-    The two rank tests of `train_digital_canceller` pick the solver.  When
-    they pass, the least-squares residual is unique: with t = y - r x the
-    seeded target and G = Phi Phi^H the Gram of the regressors Phi that
-    the second test built, it is z = t - (t Phi^H) G^-1 Phi, with G^-1
-    from a Cholesky factor of G scaled to unit diagonal (`_gram_root`).
-    The products run member by member on the stack, so a member's rows
-    come out the same whatever else shares the call.  When a test fails
-    (fewer streams than chains), or the scaled Gram is too ill-conditioned
-    for the projection to keep its accuracy, every member's rows go through
-    the minimum-norm `fit_digital_canceller` and `apply_digital_canceller`
-    in one call.
+    `_gram_root`'s one rule routes the burst; it rejects every burst that
+    the rank tests of `train_digital_canceller` reject.  When it returns
+    K, the least-squares residual is unique: with t = y - r x the seeded
+    target and G = Phi Phi^H the Gram of the regressors Phi, it is
+    z = t - (t Phi^H) G^-1 Phi, with G^-1 = K^H K.  The products run
+    member by member on the stack, so a member's rows come out the same
+    whatever else shares the call.  Otherwise (a silent chain, fewer
+    streams than chains, or a scaled Gram too ill-conditioned for the
+    projection to keep its accuracy) every member's rows take one
+    minimum-norm `lstsq` fit (`_fit`), whose reconstruction is subtracted
+    from them: what `apply_digital_canceller` does with the fit.
     """
     x = np.asarray(tx_baseband, dtype=complex)
     y = np.asarray(rx_rows, dtype=complex)
     r = np.asarray(residual_linear, dtype=complex)
     phi = _regressors(x)
-    root = _gram_root(x, phi)
+    root = _gram_root(phi)
     if root is None:
         rows = y.reshape(-1, y.shape[-1])
         seed = np.broadcast_to(r, y.shape[:-1] + r.shape[-1:]).reshape(-1, x.shape[0])
-        coeffs = fit_digital_canceller(x, rows, seed, phi)
-        return apply_digital_canceller(coeffs, x, rows, phi).reshape(y.shape)
+        z = _fit(phi, x, rows, seed) @ phi
+        return np.subtract(rows, z, out=z).reshape(y.shape)
     gram_inv = root.conj().T @ root
     t = y - r @ x
     np.conj(phi, out=phi)  # conj(Phi).T is Phi^H; conjugated back below, exactly

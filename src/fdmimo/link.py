@@ -22,7 +22,7 @@ The trial loop is staged by what each quantity depends on:
              first use and kept on its `AgingParams`
   per trial  the draw plus everything independent of the transmit power:
              beams and effective channels, the SI calibration estimate,
-             one canceller per (taps, layout), and in scenario c the
+             one analog canceller per tap choice, and in scenario c the
              probe, half-duplex and ideal-CSI precoders with their
              unit-power bursts and UE gains, and each full-duplex
              scheme's probe slot, received once at unit amplitude with one
@@ -53,10 +53,11 @@ The full-duplex slots of a, b and d are received through one chain,
 `_fd_receive`: analog taps, saturation check, then the digital canceller.
 Scenario c's probe slot, whose burst only scales with the power, takes the
 same stages split at the amplitude (`_stage_probe`, `_probe_receive`).
-Both run the digital canceller through `cancellation.cancel_slot`: a burst
-whose regressors identify every coefficient gets the unique least-squares
-residual from a projection on their Gram matrix, and one with fewer
-streams than chains the minimum-norm `lstsq` fit.
+Both run the digital canceller through `cancellation.cancel_slot`, which
+projects a burst whose scaled regressor Gram is well conditioned and gives
+any other burst, such as one with fewer streams than chains, the
+minimum-norm `lstsq` fit.  A scheme's analog taps are the configured count
+laid out row by row, every position, or none (`_trial_taps`).
 
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Arrays of
@@ -89,13 +90,10 @@ from fdmimo.beamforming import (
     zf_precoder,
 )
 from fdmimo.cancellation import (
-    CancellerState,
     InfeasibleProjectionError,
-    SaturationSpec,
     cancel_slot,
     check_saturation,
     effective_si_channel,
-    select_taps,
     select_taps_by_row,
     set_tap_gains,
     si_aware_precoder_projection,
@@ -163,6 +161,10 @@ class LinkBudget:
     def ue_noise_w(self) -> float:
         return dbm_to_watt(self.ue_noise_dbm)
 
+    @property
+    def rx_saturation_w(self) -> float:
+        return dbm_to_watt(self.rx_saturation_dbm)
+
 
 _SCENARIOS = ("a", "b", "c", "d")
 
@@ -172,7 +174,6 @@ class _Plan:
     """How one scheme wires the transceiver for a trial."""
 
     taps: str = "config"  # "config" | "full" | "none"
-    layout: str = "row"  # "row" | "greedy"
     digital: bool = True
     impaired: bool = True
     duplex: str = "fd"  # "fd" | "hd"
@@ -185,11 +186,9 @@ _PLANS: Dict[str, Dict[str, _Plan]] = {
     "a": {
         "proposed": _Plan(),
         "proposed-ideal": _Plan(impaired=False),
-        "benchmark": _Plan(
-            taps="full", layout="greedy", digital=False, budget="noise", null_depth=True
-        ),
+        "benchmark": _Plan(taps="full", digital=False, budget="noise", null_depth=True),
         "benchmark-ideal": _Plan(
-            taps="full", layout="greedy", digital=False, impaired=False, budget="noise",
+            taps="full", digital=False, impaired=False, budget="noise",
             null_depth=True,
         ),
         "hd": _Plan(taps="none", digital=False, duplex="hd"),
@@ -201,14 +200,14 @@ _PLANS: Dict[str, Dict[str, _Plan]] = {
     },
     "c": {
         "proposed": _Plan(),
-        "benchmark": _Plan(taps="full", layout="greedy", csi="sequential"),
-        "ideal-csi": _Plan(taps="full", layout="greedy", digital=False, impaired=False, csi="perfect"),
+        "benchmark": _Plan(taps="full", csi="sequential"),
+        "ideal-csi": _Plan(taps="full", digital=False, impaired=False, csi="perfect"),
         "hd": _Plan(taps="none", digital=False, duplex="hd"),
     },
     "d": {
         "proposed": _Plan(),
-        "benchmark": _Plan(taps="full", layout="greedy"),
-        "ideal-csi": _Plan(taps="full", layout="greedy", digital=False, impaired=False, csi="perfect"),
+        "benchmark": _Plan(taps="full"),
+        "ideal-csi": _Plan(taps="full", digital=False, impaired=False, csi="perfect"),
         "hd": _Plan(taps="none", digital=False, duplex="hd"),
     },
 }
@@ -501,28 +500,29 @@ def _tx_impair(x: np.ndarray, cfg: TxImpairmentConfig) -> np.ndarray:
 
 def _fd_receive(
     h_si: np.ndarray, c: np.ndarray, resid_lin: np.ndarray, x: np.ndarray, x_tx: np.ndarray,
-    ul: np.ndarray, noise: np.ndarray, digital: bool, sat: SaturationSpec,
+    ul: np.ndarray, noise: np.ndarray, digital: bool, sat_w: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One full-duplex slot of scenario a, b or d at the BS receive chains.
 
     The radiated burst `x_tx` leaks through `h_si`, the analog taps `c`
-    subtract their copy of the clean burst `x`, UL signal and noise add.
-    With `digital` the canceller, seeded with `resid_lin`, is fit on the
-    slot and applied (`cancel_slot`).  Returns the SI left after the last
-    stage (the analog residual h_si x_tx - c x without `digital`), the
-    samples after the last stage, and the flags of saturated chains.
+    subtract their copy of the clean burst `x`, UL signal and noise add,
+    and a chain whose mean input power exceeds `sat_w` watts is flagged
+    as saturated.  With `digital` the canceller, seeded with `resid_lin`,
+    is fit on the slot and applied (`cancel_slot`).  Returns the SI left
+    after the last stage (the analog residual h_si x_tx - c x without
+    `digital`), the samples after the last stage, and the flags of
+    saturated chains.
 
     A stack of radiated versions of one burst, `x_tx` of shape (members,
     chains, samples), is received in one pass, with one `resid_lin` for
-    all members.  The canceller routes the stack as one burst: when `x`
-    identifies every coefficient, each member gets the unique residual of
-    its own rows, a projection on the Gram of the regressors built once
-    for all; otherwise (fewer streams than chains) all members' rows take
-    one minimum-norm `lstsq` fit and apply.
+    all members.  `cancel_slot` routes the stack as one burst, by the
+    scaled Gram of the regressors of `x` built once for all: either each
+    member gets the unique residual of its own rows by a projection, or
+    all members' rows take one minimum-norm `lstsq` fit.
     """
     r_si = h_si @ x_tx - c @ x
     r = r_si + ul + noise
-    saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=-1), sat)
+    saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=-1), sat_w)
     if digital:
         del r_si  # not returned; freed before the fit's temporaries
         z = cancel_slot(x, r, resid_lin)
@@ -548,21 +548,9 @@ def _pilot_estimate(
     return mmse_estimate(y, pil, noise_w, prior_var)
 
 
-def _build_taps(plan: _Plan, h_si_hat: np.ndarray, configured: int) -> CancellerState:
-    if plan.taps == "none":
-        support: List[Tuple[int, int]] = []
-    elif plan.taps == "full":
-        support = select_taps(h_si_hat, h_si_hat.size)
-    elif plan.layout == "row":
-        support = select_taps_by_row(h_si_hat, configured)
-    else:
-        support = select_taps(h_si_hat, configured)
-    return set_tap_gains(h_si_hat, support)
-
-
 @dataclass(frozen=True)
 class _Taps:
-    """Analog canceller of one (taps, layout) choice, fixed for a trial."""
+    """Analog canceller of one tap choice, fixed for a trial."""
 
     matrix: np.ndarray  # dense tap matrix C
     resid_lin: np.ndarray  # R = h_si_hat - C: the digital fit's seed, the projection's residual
@@ -575,17 +563,31 @@ class _Taps:
         return _ro(svals), _ro(vh)
 
 
-def _trial_taps(
-    plans: List[_Plan], h_si_hat: np.ndarray, configured: int
-) -> Dict[Tuple[str, str], _Taps]:
-    """One canceller per distinct (taps, layout) among the given plans."""
-    taps: Dict[Tuple[str, str], _Taps] = {}
+def _trial_taps(plans: List[_Plan], h_si_hat: np.ndarray, configured: int) -> Dict[str, _Taps]:
+    """One canceller per distinct tap choice among the given plans.
+
+    The `configured` taps cover whole receive rows first
+    (`select_taps_by_row`); full taps match every entry of the read-only
+    SI estimate `h_si_hat`, so C is that estimate, and no taps leave C zero.
+    """
+    taps: Dict[str, _Taps] = {}
     for plan in plans:
-        key = (plan.taps, plan.layout)
-        if key not in taps:
-            c = _ro(_build_taps(plan, h_si_hat, configured).matrix())
-            taps[key] = _Taps(c, _ro(h_si_hat - c))
+        if plan.taps in taps:
+            continue
+        if plan.taps == "full":
+            c = h_si_hat
+        elif plan.taps == "none":
+            c = _ro(np.zeros(h_si_hat.shape, dtype=complex))
+        else:
+            c = _ro(set_tap_gains(h_si_hat, select_taps_by_row(h_si_hat, configured)).matrix())
+        taps[plan.taps] = _Taps(c, _ro(h_si_hat - c))
     return taps
+
+
+def _residual_budget_w(bud: LinkBudget, plan: _Plan) -> float:
+    """The residual SI power, in watts, that `plan`'s precoder projection
+    may radiate: half the receive saturation limit, or the BS noise floor."""
+    return 0.5 * bud.rx_saturation_w if plan.budget == "saturation" else bud.bs_noise_w
 
 
 def _fd_precoder(
@@ -598,9 +600,7 @@ def _fd_precoder(
     by plans with a fixed null depth.  Returns (precoder, streams); the
     precoder is None when no stream count admits a feasible projection.
     """
-    bud = cfg.budget
-    sat = SaturationSpec(bud.rx_saturation_dbm)
-    mu_w = 0.5 * sat.max_input_w if plan.budget == "saturation" else bud.bs_noise_w
+    mu_w = _residual_budget_w(cfg.budget, plan)
     streams = min(cfg.arch.n_tx_rf, cfg.dl_ue_antennas)
     while streams >= 1:
         w = eig(streams)
@@ -614,7 +614,7 @@ def _fd_precoder(
             if norm < 1e-12:
                 return None, 0
             return w / norm, streams
-        taps = ctx["taps"][(plan.taps, plan.layout)]
+        taps = ctx["taps"][plan.taps]
         try:
             # The budget is on radiated residual power, the projection
             # helper compares against ||R W||_F^2 with unit symbol power.
@@ -702,7 +702,7 @@ def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan
 
 def _tx_key(plan: _Plan) -> tuple:
     """Plan fields that fix the precoder; impairments only act after it."""
-    return (plan.taps, plan.layout, plan.budget, plan.null_depth, plan.duplex)
+    return (plan.taps, plan.budget, plan.null_depth, plan.duplex)
 
 
 def _groups(keys) -> Dict[object, List[int]]:
@@ -741,7 +741,6 @@ def _receive_ab(
     """
     arch = cfg.arch
     bud = cfg.budget
-    sat = SaturationSpec(bud.rx_saturation_dbm)
     p_w = dbm_to_watt(power_dbm)
     ul_amp = np.sqrt(p_w / cfg.ul_streams)  # the UL UE tracks the swept DL power
     h_dl_hat = _pilot_estimate(
@@ -779,10 +778,10 @@ def _receive_ab(
             for i, cov in zip(members, _measure_cov(ctx["h_dl_eff"] @ (x_tx - x))):
                 dist_cov[i] = cov
         if lead.duplex == "fd":
-            taps = ctx["taps"][(lead.taps, lead.layout)]
+            taps = ctx["taps"][lead.taps]
             z_si, _, saturated = _fd_receive(
                 ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx, ul_sym, ctx["noise_b"],
-                digital and w is not None, sat,
+                digital and w is not None, bud.rx_saturation_w,
             )
             for i, cov, flags in zip(members, _measure_cov(z_si), saturated):
                 si_cov[i], alive[i] = cov, ~flags
@@ -965,7 +964,7 @@ def _stage_probe(
     one fit on b over the two slots (s, u), seeded with h_si_hat - C and
     0, serves every power.
     """
-    taps = ctx["taps"][(plan.taps, plan.layout)]
+    taps = ctx["taps"][plan.taps]
     x_tx = _tx_impair(burst, cfg.impairments) if plan.impaired else burst
     s = ctx["h_si_eff"] @ x_tx - taps.matrix @ burst
     u = ctx["ul_noise"]
@@ -977,14 +976,15 @@ def _stage_probe(
 
 
 def _probe_receive(
-    ctx: dict, plan: _Plan, p_w: float, sat: SaturationSpec
+    ctx: dict, plan: _Plan, p_w: float, sat_w: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The residual SI after the last stage and the saturated chains of
-    `plan`'s probe slot at power `p_w`, from its staged receive."""
+    """The residual SI after the last stage of `plan`'s probe slot at power
+    `p_w`, from its staged receive, and the chains whose input exceeds
+    `sat_w` watts."""
     s, z_s, z_u = ctx["probe_rx"][plan]
     u = ctx["ul_noise"]
     amp = np.sqrt(p_w)
-    saturated = check_saturation(np.mean(np.abs(amp * s + u) ** 2, axis=-1), sat)
+    saturated = check_saturation(np.mean(np.abs(amp * s + u) ** 2, axis=-1), sat_w)
     return amp * z_s + z_u - u, saturated
 
 
@@ -995,7 +995,7 @@ def _c_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _
     burst, sounded = ctx["probe"][plan.csi]
     if burst is None:
         return 0.0
-    z_si, saturated = _probe_receive(ctx, plan, p_w, SaturationSpec(bud.rx_saturation_dbm))
+    z_si, saturated = _probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
     noise_eff = bud.bs_noise_w + float(np.mean(np.mean(np.abs(z_si) ** 2, axis=1)))
     pil = consts["ul_single" if plan.csi == "sequential" else "ul_joint"]
     g_hat = np.hstack([
@@ -1084,7 +1084,7 @@ class _Beam:
     f_tx: np.ndarray  # analog beamformer of the codeword, shared by the run
     h_dl_eff: np.ndarray  # DL channel through the beam
     h_si_eff: Optional[np.ndarray]  # SI channel between the chains; None with no FD plan
-    taps: Dict[Tuple[str, str], _Taps]  # one canceller per (taps, layout) of the FD plans
+    taps: Dict[str, _Taps]  # one canceller per tap choice of the FD plans
 
 
 def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
@@ -1098,7 +1098,7 @@ def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
         bud = cfg.budget
         f_tx = consts["d_f_tx"][idx]
         h_si_eff = None
-        taps: Dict[Tuple[str, str], _Taps] = {}
+        taps: Dict[str, _Taps] = {}
         if ctx["fd"]:
             h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(
                 ctx["h_si"], f_tx, np.eye(cfg.arch.n_rx, dtype=complex)
@@ -1182,11 +1182,9 @@ def _d_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _
     under the same interference conditions.  One warm-up pass from the true
     angle stands in for that history; the second pass is the scored slot."""
     bud = cfg.budget
-    sat = SaturationSpec(bud.rx_saturation_dbm)
-    mu_w = 0.5 * sat.max_input_w if plan.budget == "saturation" else bud.bs_noise_w
-    key = (plan.taps, plan.layout)
+    mu_w = _residual_budget_w(bud, plan)
     beam, w = ctx["ideal"]
-    taps = beam.taps[key]
+    taps = beam.taps[plan.taps]
     try:
         w = si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd)
     except InfeasibleProjectionError:
@@ -1195,7 +1193,7 @@ def _d_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _
     x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
     _, z, saturated = _fd_receive(
         beam.h_si_eff, taps.matrix, taps.resid_lin, x, x_tx, ctx["ul"], ctx["noise"],
-        plan.digital, sat,
+        plan.digital, bud.rx_saturation_w,
     )
     alive = ~saturated
     if np.any(alive):
@@ -1204,7 +1202,7 @@ def _d_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _
     else:
         theta = float(consts["d_angles"][0])  # training slot lost to clipping
     beam, w = _d_point(cfg, consts, ctx, theta)
-    taps = beam.taps[key]
+    taps = beam.taps[plan.taps]
     try:
         w = si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd)
     except InfeasibleProjectionError:

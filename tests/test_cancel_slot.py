@@ -5,10 +5,11 @@ residual from a projection on the regressors' Gram; it must match the
 `lstsq` fit and apply within 1e-9 of the largest receive sample (the
 README's rate tolerance, taken relative to the slot's scale), and give
 each member of a stack exactly what it gives that member alone.  A
-rank-deficient burst must still take the minimum-norm fit and apply, bit
-for bit.  Bursts span the power sweep of the scenarios, -10 to 50 dBm,
-over which the amplitude of x grows a thousandfold and that of the
-x |x|^2 regressors a billionfold.
+burst that `cancel_slot` does not project must still take the
+minimum-norm fit and apply, bit for bit; one with fewer streams than
+chains, or with a silent chain, is never projected.  Bursts span the
+power sweep of the scenarios, -10 to 50 dBm, over which the amplitude of
+x grows a thousandfold and that of the x |x|^2 regressors a billionfold.
 """
 
 import numpy as np
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 
 from fdmimo.cancellation import (
     RegressorRankError,
+    _fit,
     _gram_root,
     _regressors,
     apply_digital_canceller,
     cancel_slot,
-    fit_digital_canceller,
     train_digital_canceller,
 )
 from fdmimo.impairments import dbm_to_watt
@@ -38,8 +39,9 @@ def slots(draw):
     """(burst, stacked receive rows, per-member linear seeds) of one slot.
 
     The burst has 1-8 chains carrying as many or fewer streams at a power
-    in [-10, 50] dBm; the rows are its linear and cubic leakage plus noise
-    at a random level, for 1-4 members of 1-8 receive chains each.
+    in [-10, 50] dBm, and may have one silent (all-zero) chain; the rows
+    are its linear and cubic leakage plus noise at a random level, for 1-4
+    members of 1-8 receive chains each.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     chains, rx, members = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
@@ -47,6 +49,9 @@ def slots(draw):
     samples = 3 * chains + draw(st.integers(0, 300))
     amp = np.sqrt(dbm_to_watt(draw(st.floats(-10.0, 50.0))) / chains)
     x = amp * (_cn(rng, chains, streams) @ _cn(rng, streams, samples)) / np.sqrt(streams)
+    silent = draw(st.one_of(st.none(), st.integers(0, chains - 1)))
+    if silent is not None:
+        x[silent] = 0.0
     cubic = x * np.abs(x) ** 2
     noise = 10.0 ** draw(st.floats(-12.0, 0.0))
     y = np.stack([
@@ -68,7 +73,13 @@ def _identified(x, y, seed):
 
 def _projected(x):
     """Whether `cancel_slot` takes the Gram projection for burst `x`."""
-    return _gram_root(x, _regressors(x)) is not None
+    return _gram_root(_regressors(x)) is not None
+
+
+def _lstsq_fit_and_apply(x, y, seed):
+    """The minimum-norm fit on all rows of `y` at once, then its apply."""
+    rows, seeds = y.reshape(-1, y.shape[-1]), seed.reshape(-1, x.shape[0])
+    return apply_digital_canceller(_fit(_regressors(x), x, rows, seeds), x, rows).reshape(y.shape)
 
 
 @settings(max_examples=150, deadline=None)
@@ -76,7 +87,9 @@ def _projected(x):
 def test_cancel_slot_is_the_lstsq_fit_and_apply(slot):
     """Within the tolerance for a burst that identifies every coefficient
     (measured at most 5e-11 over 4000 examples), and exactly for one that
-    `cancel_slot` does not project (rank-deficient or ill-conditioned)."""
+    `cancel_slot` does not project (rank-deficient or ill-conditioned).
+    A dependent burst (fewer streams than chains) or one with a silent
+    chain is never projected, and its rows come back finite."""
     x, y, seed = slot
     z = cancel_slot(x, y, seed)
     assert z.shape == y.shape
@@ -84,10 +97,13 @@ def test_cancel_slot_is_the_lstsq_fit_and_apply(slot):
         if _identified(x, y[k], seed[k]):
             ref = apply_digital_canceller(train_digital_canceller(x, y[k], seed[k]), x, y[k])
             assert np.abs(z[k] - ref).max() <= TOLERANCE * np.abs(y[k]).max()
+    dependent = np.linalg.matrix_rank(x) < len(x)
+    silent = not np.all(np.any(x != 0, axis=1))
+    if dependent or silent:
+        assert not _projected(x)
+        assert np.isfinite(z).all()
     if not _projected(x):
-        rows, seeds = y.reshape(-1, y.shape[-1]), seed.reshape(-1, x.shape[0])
-        ref = apply_digital_canceller(fit_digital_canceller(x, rows, seeds), x, rows)
-        assert np.array_equal(z, ref.reshape(y.shape))
+        assert np.array_equal(z, _lstsq_fit_and_apply(x, y, seed))
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmimo import link
-from fdmimo.cancellation import SaturationSpec
 from fdmimo.impairments import TxImpairmentConfig, dbm_to_watt
 from fdmimo.link import default_scenario, run_scenario
 
@@ -68,7 +67,6 @@ def test_staged_probe_matches_the_per_power_receive():
     """
     cfg = default_scenario("c")
     bud = cfg.budget
-    sat = SaturationSpec(bud.rx_saturation_dbm)
     consts = link._run_constants(cfg, cfg.power_sweep_dbm)
     plans = [link._PLANS["c"][s] for s in cfg.schemes]
     checked = 0
@@ -79,16 +77,16 @@ def test_staged_probe_matches_the_per_power_receive():
         noise_b = np.sqrt(bud.bs_noise_w) * ctx["n_burst"]
         for plan in ctx["probe_rx"]:
             burst = ctx["probe"][plan.csi][0]
-            taps = ctx["taps"][(plan.taps, plan.layout)]
+            taps = ctx["taps"][plan.taps]
             for power_dbm in cfg.power_sweep_dbm:
                 p_w = dbm_to_watt(power_dbm)
                 x = np.sqrt(p_w) * burst
                 x_tx = link._tx_impair(x, cfg.impairments) if plan.impaired else x
                 ref_si, _, ref_sat = link._fd_receive(
                     ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx, pil_rx, noise_b,
-                    plan.digital, sat,
+                    plan.digital, bud.rx_saturation_w,
                 )
-                z_si, saturated = link._probe_receive(ctx, plan, p_w, sat)
+                z_si, saturated = link._probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
                 ref = np.mean(np.abs(ref_si) ** 2, axis=1)
                 got = np.mean(np.abs(z_si) ** 2, axis=1)
                 np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
