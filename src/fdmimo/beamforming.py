@@ -24,9 +24,9 @@ class ArchitectureConfig:
     """Transceiver array geometry and hardware budgets.
 
     `n_tx` / `n_rx` count antennas, `n_tx_rf` / `n_rx_rf` RF chains, and
-    `num_taps` the analog canceller taps.  In `"digital"` mode every
-    antenna has a dedicated chain and the analog stage is the identity;
-    `"hybrid"` mode splits each side into equal contiguous sub-arrays.
+    `num_taps` the analog canceller taps.  Each side splits into equal
+    contiguous sub-arrays, one per chain.  A fully digital array is the
+    case of one antenna per chain, whose analog stage is the identity.
     """
 
     n_tx: int
@@ -35,7 +35,6 @@ class ArchitectureConfig:
     n_rx_rf: int
     phase_bits: int = 3
     num_taps: int = 0
-    bf_mode: str = "hybrid"
 
     def __post_init__(self):
         if min(self.n_tx, self.n_rx, self.n_tx_rf, self.n_rx_rf) < 1:
@@ -44,12 +43,6 @@ class ArchitectureConfig:
             raise ValueError("cannot have more RF chains than antennas")
         if self.n_tx % self.n_tx_rf or self.n_rx % self.n_rx_rf:
             raise ValueError("antennas must split evenly across RF chains")
-        if self.bf_mode not in ("digital", "hybrid"):
-            raise ValueError("bf_mode must be 'digital' or 'hybrid'")
-        if self.bf_mode == "digital" and (
-            self.n_tx != self.n_tx_rf or self.n_rx != self.n_rx_rf
-        ):
-            raise ValueError("digital mode requires one RF chain per antenna")
         if self.phase_bits < 1:
             raise ValueError("phase_bits must be >= 1")
         if not 0 <= self.num_taps <= self.n_tx_rf * self.n_rx_rf:
@@ -100,9 +93,9 @@ def assemble_analog_bf(
 ) -> np.ndarray:
     """Build the block-diagonal analog matrix from per-sub-array codewords.
 
-    In digital mode the matrix is the identity and `beam_indices` is
-    ignored.  Every nonzero entry has modulus 1/sqrt(sub-array size), so
-    each column is unit norm.
+    Every nonzero entry has modulus 1/sqrt(sub-array size), so each
+    column is unit norm.  With one antenna per chain the codebook is the
+    single codeword [1], and the matrix is the identity.
     """
     if side == "tx":
         n_ant, n_rf = cfg.n_tx, cfg.n_tx_rf
@@ -110,8 +103,6 @@ def assemble_analog_bf(
         n_ant, n_rf = cfg.n_rx, cfg.n_rx_rf
     else:
         raise ValueError("side must be 'tx' or 'rx'")
-    if cfg.bf_mode == "digital":
-        return np.eye(n_ant, dtype=complex)
     sub = n_ant // n_rf
     if len(beam_indices) != n_rf:
         raise ValueError("need one beam index per RF chain")

@@ -21,30 +21,32 @@ The trial loop is staged by what each quantity depends on:
              slot-to-slot correlation rho = J0(2 pi fD Ts) is computed on
              first use and kept on its `AgingParams`
   per trial  the draw plus everything independent of the transmit power:
-             beams and effective channels, the SI calibration estimate,
-             one analog canceller per tap choice, and in scenario c the
-             probe, half-duplex and ideal-CSI precoders with their
-             unit-power bursts and UE gains, and each full-duplex
-             scheme's probe slot, received once at unit amplitude with one
-             canceller fit (`_prepare_ab`, `_prepare_c`, `_stage_probe`).
-             In d, the ideal-CSI pointing, the HD angle estimate (trained
-             at the fixed UL power) with its pointing and burst, and the
-             UL pilot and noise of the full-duplex slot (`_prepare_d`); a
-             memo keyed by codeword holds each beam's DL and SI channels,
-             SI estimate and cancellers for every pass and power
-             (`_d_beam`).  In a and b, one rate pass scores every (power,
-             scheme) of the trial as one stack (`_score_ab`)
+             beams and effective channels, the SI calibration estimate and
+             one analog canceller per tap choice (`_trial_taps`).  In c and
+             d, the ideal-CSI and half-duplex pointings: UE rows, precoder
+             and unit-power burst.  In c also the probe precoders and each
+             full-duplex scheme's probe slot, received once at unit
+             amplitude with one canceller fit (`_prepare_c`,
+             `_stage_probe`); in d the HD angle estimate (trained at the
+             fixed UL power) and the UL pilot and noise of the full-duplex
+             slot (`_prepare_d`), with a memo keyed by codeword that holds
+             each beam's DL and SI channels, SI estimate and cancellers for
+             every pass and power (`_d_beam`).  In a and b, one rate pass
+             scores every (power, scheme) of the trial as one stack
+             (`_score_ab`)
   per power  in a and b, the channel estimates, one eigen precoder per
              stream count shared by every scheme, and one precoded burst
              per distinct precoder; schemes sharing a burst are received
              together, down to their covariances and UL combiners
-             (`_receive_ab`).  In c, the fixed precoders' gains and bursts
-             are scaled by the power, and each full-duplex scheme scales
+             (`_receive_ab`).  In c and d, one scorer (`_score_dl`) rates
+             the fixed pointings at the power and asks the scenario for
+             each full-duplex pointing: in c each full-duplex scheme scales
              its staged probe slot to the power for the saturation check
              and residual SI (`_probe_receive`), then estimates and
-             zero-forces (`_score_c`).  In d, each full-duplex scheme
-             projects its precoder, receives the warm-up slot, refines
-             the angle and points the scored slot (`_d_fd_rate`).
+             zero-forces (`_c_fd_point`); in d it projects its precoder,
+             receives the warm-up slot, refines the angle and points the
+             scored slot (`_d_fd_point`).  Every pointing is rated by one
+             per-UE SINR rate (`_sinr_rate`).
 
 One table, `_DRIVERS`, gives each scenario its draw, prepare, per-power
 stage and, for a and b, the rate pass that finishes the trial.
@@ -72,7 +74,7 @@ already weighted, so DL + UL is always the headline sum rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -214,17 +216,16 @@ _PLANS: Dict[str, Dict[str, _Plan]] = {
 
 
 # Config fields each scenario never reads, so a config may not set them.
-# `arch.bf_mode` is read but fixed: a and c are fully digital arrays, b and
-# d hybrid.  c and d train over the whole packet, not `pilots.num_pilots`.
+# c and d train over the whole packet, not `pilots.num_pilots`.
 UNREAD_FIELDS: Dict[str, Tuple[str, ...]] = {
     "a": ("num_ue", "num_paths", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
-          "budget.ul_power_dbm", "arch.phase_bits", "arch.bf_mode"),
+          "budget.ul_power_dbm", "arch.phase_bits"),
     "b": ("num_ue", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
-          "budget.ul_power_dbm", "arch.bf_mode"),
+          "budget.ul_power_dbm"),
     "c": ("num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "kappa_ue_db",
-          "arch.phase_bits", "arch.bf_mode", "pilots.num_pilots"),
+          "arch.phase_bits", "pilots.num_pilots"),
     "d": ("num_ue", "num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "aging",
-          "arch.bf_mode", "pilots.num_pilots"),
+          "pilots.num_pilots"),
 }
 
 
@@ -281,10 +282,12 @@ class ScenarioConfig:
                     f"scheme {s!r} not defined for scenario {self.scenario!r}; "
                     f"choose from {legal}"
                 )
-        if self.scenario in ("a", "c") and self.arch.bf_mode != "digital":
-            raise ValueError(f"scenario {self.scenario!r} uses a fully digital array")
-        if self.scenario in ("b", "d") and self.arch.bf_mode != "hybrid":
-            raise ValueError(f"scenario {self.scenario!r} uses a hybrid array")
+        if self.scenario in ("a", "c") and (
+            self.arch.n_tx != self.arch.n_tx_rf or self.arch.n_rx != self.arch.n_rx_rf
+        ):
+            raise ValueError(
+                f"scenario {self.scenario!r} uses a fully digital array, one RF chain per antenna"
+            )
         if min(self.num_ue, self.dl_ue_antennas, self.ul_ue_antennas, self.ul_streams) < 1:
             raise ValueError("UE counts, antennas and streams must be >= 1")
         if self.scenario == "c":
@@ -335,7 +338,7 @@ def default_scenario(code: str) -> ScenarioConfig:
     if code == "a":
         return ScenarioConfig(
             scenario="a",
-            arch=ArchitectureConfig(4, 4, 4, 4, num_taps=12, bf_mode="digital"),
+            arch=ArchitectureConfig(4, 4, 4, 4, num_taps=12),
             budget=LinkBudget(),
             pilots=PilotConfig(num_pilots=40, power_dbm=10.0),
             power_sweep_dbm=tuple(float(p) for p in range(-10, 51, 5)),
@@ -350,7 +353,7 @@ def default_scenario(code: str) -> ScenarioConfig:
     if code == "b":
         return ScenarioConfig(
             scenario="b",
-            arch=ArchitectureConfig(64, 32, 4, 2, phase_bits=3, num_taps=4, bf_mode="hybrid"),
+            arch=ArchitectureConfig(64, 32, 4, 2, phase_bits=3, num_taps=4),
             # Physically separated mmWave panels: much higher passive
             # isolation than the small co-located array of scenario a.
             budget=LinkBudget(si_isolation_db=76.0),
@@ -368,7 +371,7 @@ def default_scenario(code: str) -> ScenarioConfig:
     if code == "c":
         return ScenarioConfig(
             scenario="c",
-            arch=ArchitectureConfig(8, 8, 8, 8, num_taps=32, bf_mode="digital"),
+            arch=ArchitectureConfig(8, 8, 8, 8, num_taps=32),
             # Isolation keeps the strongest per-chain residual a few dB
             # under the front-end limit at the top of the power sweep.
             budget=LinkBudget(si_isolation_db=65.0),
@@ -383,7 +386,7 @@ def default_scenario(code: str) -> ScenarioConfig:
     if code == "d":
         return ScenarioConfig(
             scenario="d",
-            arch=ArchitectureConfig(64, 2, 2, 2, phase_bits=3, num_taps=2, bf_mode="hybrid"),
+            arch=ArchitectureConfig(64, 2, 2, 2, phase_bits=3, num_taps=2),
             budget=LinkBudget(),
             power_sweep_dbm=tuple(float(p) for p in range(0, 46, 5)),
             trials=200,
@@ -563,13 +566,21 @@ class _Taps:
         return _ro(svals), _ro(vh)
 
 
-def _trial_taps(plans: List[_Plan], h_si_hat: np.ndarray, configured: int) -> Dict[str, _Taps]:
-    """One canceller per distinct tap choice among the given plans.
+def _trial_taps(
+    cfg: ScenarioConfig, consts: dict, h_si_eff: np.ndarray, n_cal: np.ndarray,
+    plans: List[_Plan],
+) -> Tuple[np.ndarray, Dict[str, _Taps]]:
+    """The trial's SI calibration: the read-only estimate of `h_si_eff`,
+    sounded once at the calibration power with noise `n_cal`, and one
+    analog canceller per distinct tap choice among the given plans.
 
-    The `configured` taps cover whole receive rows first
-    (`select_taps_by_row`); full taps match every entry of the read-only
-    SI estimate `h_si_hat`, so C is that estimate, and no taps leave C zero.
+    The configured taps cover whole receive rows first
+    (`select_taps_by_row`); full taps match every entry of the estimate,
+    so C is that estimate, and no taps leave C zero.
     """
+    bud = cfg.budget
+    configured = cfg.arch.num_taps
+    h_si_hat = _ro(_pilot_estimate(h_si_eff, n_cal, consts["si_cal"], bud.bs_noise_w, bud.si_gain))
     taps: Dict[str, _Taps] = {}
     for plan in plans:
         if plan.taps in taps:
@@ -581,7 +592,7 @@ def _trial_taps(plans: List[_Plan], h_si_hat: np.ndarray, configured: int) -> Di
         else:
             c = _ro(set_tap_gains(h_si_hat, select_taps_by_row(h_si_hat, configured)).matrix())
         taps[plan.taps] = _Taps(c, _ro(h_si_hat - c))
-    return taps
+    return h_si_hat, taps
 
 
 def _residual_budget_w(bud: LinkBudget, plan: _Plan) -> float:
@@ -668,31 +679,22 @@ def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan
     """Per-trial context: beams, effective channels, SI estimate, taps."""
     arch = cfg.arch
     bud = cfg.budget
-    if arch.bf_mode == "hybrid":
-        tx_book = dft_codebook(arch.tx_subarray, arch.phase_bits)
-        rx_book = dft_codebook(arch.rx_subarray, arch.phase_bits)
-        f_tx = assemble_analog_bf(
-            select_subarray_beams(draw["h_dl"], tx_book, arch.n_tx_rf, "tx"), arch, "tx"
-        )
-        f_rx = assemble_analog_bf(
-            select_subarray_beams(draw["h_ul"], rx_book, arch.n_rx_rf, "rx"), arch, "rx"
-        )
-    else:
-        f_tx = np.eye(arch.n_tx, dtype=complex)
-        f_rx = np.eye(arch.n_rx, dtype=complex)
-
+    tx_book = dft_codebook(arch.tx_subarray, arch.phase_bits)
+    rx_book = dft_codebook(arch.rx_subarray, arch.phase_bits)
+    f_tx = assemble_analog_bf(
+        select_subarray_beams(draw["h_dl"], tx_book, arch.n_tx_rf, "tx"), arch, "tx"
+    )
+    f_rx = assemble_analog_bf(
+        select_subarray_beams(draw["h_ul"], rx_book, arch.n_rx_rf, "rx"), arch, "rx"
+    )
     ctx = dict(draw)
     ctx["h_dl_eff"] = _ro(np.sqrt(bud.dl_gain) * (draw["h_dl"] @ f_tx))
     h_ul = draw["h_ul"][:, : cfg.ul_streams]
     ctx["h_ul_eff"] = _ro(np.sqrt(bud.ul_gain) * (f_rx.conj().T @ h_ul))
     h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(draw["h_si"], f_tx, f_rx))
-    # The SI channel is sounded once, at the calibration power.
-    h_si_hat = _ro(
-        _pilot_estimate(h_si_eff, draw["n_cal"], consts["si_cal"], bud.bs_noise_w, bud.si_gain)
-    )
     ctx["h_si_eff"] = h_si_eff
     fd = [plan for plan in plans if plan.duplex == "fd"]
-    ctx["taps"] = _trial_taps(fd, h_si_hat, arch.num_taps)
+    h_si_hat, ctx["taps"] = _trial_taps(cfg, consts, h_si_eff, draw["n_cal"], fd)
     if any(plan.null_depth for plan in fd):
         _, _, vh = np.linalg.svd(h_si_hat)
         ctx["null_v"] = _ro(vh[: arch.n_tx_rf // 2].conj().T)
@@ -867,8 +869,8 @@ def _zf_or_none(h: np.ndarray) -> Optional[np.ndarray]:
 
 def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]) -> dict:
     """Per-trial context: SI estimate, taps, every power-free precoder and
-    the unit-power bursts, UE rows and stream gains that follow from them."""
-    arch = cfg.arch
+    the unit-power bursts and UE rows that follow from them: the ideal-CSI
+    and HD pointings for `_sinr_rate`, and each full-duplex probe slot."""
     bud = cfg.budget
     u = cfg.num_ue
     g = draw["g_slots"]
@@ -882,11 +884,8 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
         # Calibrate taps once at the fixed calibration power; the probe
         # precoder measures the steady-state residual from stale truth.
         h_si_eff = _ro(np.sqrt(bud.si_gain) * draw["h_si"])
-        h_si_hat = _ro(
-            _pilot_estimate(h_si_eff, draw["n_cal"], consts["si_cal"], bud.bs_noise_w, bud.si_gain)
-        )
         ctx["h_si_eff"] = h_si_eff
-        ctx["taps"] = _trial_taps(fd, h_si_hat, arch.num_taps)
+        _, ctx["taps"] = _trial_taps(cfg, consts, h_si_eff, draw["n_cal"], fd)
         # The probe slot's UL pilot plus noise, the same at every power.
         pil_rx = np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_joint"].matrix)
         ctx["ul_noise"] = _ro(pil_rx + np.sqrt(bud.bs_noise_w) * draw["n_burst"])
@@ -916,38 +915,11 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
         y = y + np.sqrt(bud.bs_noise_w) * draw["n_pilot"][0][:, : pil.matrix.shape[1]]
         g_hat = mmse_estimate(y, pil, bud.bs_noise_w, bud.ul_gain)
         w = _zf_or_none(dl_amp * g_hat.T)
-        # Unit-power stream gains at the UEs, and the unit-power burst.
-        ctx["hd"] = None if w is None else (_ro(np.abs(rows @ w) ** 2), _ro(w @ draw["s_dl"]))
+        ctx["hd"] = None if w is None else (rows, w, _ro(w @ draw["s_dl"]))
     if any(plan.csi == "perfect" for plan in plans):
         w = _zf_or_none(dl_amp * g[5].T)
-        ctx["ideal_gains"] = None if w is None else _ro(np.abs(rows @ w) ** 2)
+        ctx["ideal"] = None if w is None else (rows, w, None)
     return ctx
-
-
-def _score_c(
-    cfg: ScenarioConfig, consts: dict, ctx: dict, power_dbm: float, plans: List[_Plan]
-) -> List[Tuple[float, float]]:
-    """(DL, UL) rates of every plan at one power; the UL carries no data.
-
-    The ideal-CSI and half-duplex precoders are fixed per trial, so the
-    power only scales their stream gains and burst.
-    """
-    p_w = dbm_to_watt(power_dbm)
-    out = []
-    for plan in plans:
-        if plan.csi == "perfect":
-            gains = ctx["ideal_gains"]
-            rate = 0.0 if gains is None else _c_dl_rate(cfg, ctx, gains * p_w)
-        elif plan.duplex == "hd":
-            rate = 0.0
-            if ctx["hd"] is not None:
-                gains, burst = ctx["hd"]
-                rate = _c_dl_rate(cfg, ctx, gains * p_w, np.sqrt(p_w) * burst)
-                rate *= cfg.dl_data_fraction
-        else:
-            rate = _c_fd_rate(cfg, consts, ctx, p_w, plan)
-        out.append((rate, 0.0))
-    return out
 
 
 def _stage_probe(
@@ -988,13 +960,16 @@ def _probe_receive(
     return amp * z_s + z_u - u, saturated
 
 
-def _c_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan) -> float:
+def _c_fd_point(
+    cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan
+) -> Optional[tuple]:
     """Full duplex: measure the steady-state residual with the stale-truth
-    probe burst, then estimate under that interference level and zero-force."""
+    probe burst, then estimate under that interference level and zero-force.
+    Returns the pointing for `_sinr_rate`, or None without a precoder."""
     bud = cfg.budget
     burst, sounded = ctx["probe"][plan.csi]
     if burst is None:
-        return 0.0
+        return None
     z_si, saturated = _probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
     noise_eff = bud.bs_noise_w + float(np.mean(np.mean(np.abs(z_si) ** 2, axis=1)))
     pil = consts["ul_single" if plan.csi == "sequential" else "ul_joint"]
@@ -1007,33 +982,10 @@ def _c_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _
     try:
         w = zf_precoder(g_hat.T)
     except SingularChannelError:
-        return 0.0
+        return None
     # The scored slot only needs the TX distortion the UEs see; its
     # receive side was already measured with the probe.
-    x = np.sqrt(p_w) * (w @ ctx["s_dl"]) if plan.impaired else None
-    return _c_dl_rate(cfg, ctx, np.abs(ctx["rows"] @ w) ** 2 * p_w, x)
-
-
-def _c_dl_rate(
-    cfg: ScenarioConfig, ctx: dict, gains: np.ndarray, x: Optional[np.ndarray] = None
-) -> float:
-    """Sum of per-UE log rates; UEs cannot cooperate, so no joint decoding.
-
-    `gains[k, j]` is the power of stream j at UE k.  The UEs also see the
-    TX distortion of the radiated burst `x`, when one is given.
-    """
-    bud = cfg.budget
-    dist_ue = np.zeros(cfg.num_ue)
-    if x is not None:
-        dist = _tx_impair(x, cfg.impairments) - x
-        g_now = ctx["g_slots"][5]
-        dist_ue = np.mean(np.abs(np.sqrt(bud.dl_gain) * (g_now.T @ dist)) ** 2, axis=1)
-    total = 0.0
-    for k in range(cfg.num_ue):
-        sig = gains[k, k]
-        intf = float(np.sum(gains[k, :]) - sig)
-        total += np.log2(1.0 + sig / (intf + dist_ue[k] + bud.ue_noise_w))
-    return float(total)
+    return ctx["rows"], w, (w @ ctx["s_dl"] if plan.impaired else None)
 
 
 # ---------------------------------------------------------------------------
@@ -1103,10 +1055,7 @@ def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
             h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(
                 ctx["h_si"], f_tx, np.eye(cfg.arch.n_rx, dtype=complex)
             ))
-            h_si_hat = _ro(
-                _pilot_estimate(h_si_eff, ctx["n_cal"], consts["si_cal"], bud.bs_noise_w, bud.si_gain)
-            )
-            taps = _trial_taps(ctx["fd"], h_si_hat, cfg.arch.num_taps)
+            _, taps = _trial_taps(cfg, consts, h_si_eff, ctx["n_cal"], ctx["fd"])
         h_dl_eff = _ro(np.sqrt(bud.dl_gain) * (ctx["h_dl"] @ f_tx))
         beams[idx] = _Beam(f_tx, h_dl_eff, h_si_eff, taps)
     return beams[idx]
@@ -1126,30 +1075,15 @@ def _d_point(
     return beam, w
 
 
-def _d_dl(
-    cfg: ScenarioConfig, h_eff: np.ndarray, w: np.ndarray, burst: Optional[np.ndarray], p_w: float
-) -> float:
-    """DL rate of precoder `w` through `h_eff` at power `p_w`.  The UE also
-    sees the TX distortion of the radiated `burst` (w s_dl at unit power)
-    when one is given."""
-    bud = cfg.budget
-    dist_pow = 0.0
-    if burst is not None:
-        x = np.sqrt(p_w) * burst
-        dist = _tx_impair(x, cfg.impairments) - x
-        dist_pow = float(np.mean(np.abs(h_eff @ dist) ** 2))
-    sig = p_w * float(np.abs(h_eff @ w)[0, 0] ** 2)
-    return float(np.log2(1.0 + sig / (dist_pow + bud.ue_noise_w)))
-
-
 def _prepare_d(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]) -> dict:
     """Per-trial context: every pointing that does not depend on the power.
 
     That is the true angle's beam and matched weight (ideal CSI's beam and
-    the full-duplex warm-up's first pointing), ideal CSI's precoder, the
-    HD angle estimate with its beam and unit-power burst (trained at the
-    fixed `ul_power_dbm`), and the full-duplex slot's UL pilot and noise.
-    `ctx["beams"]` memoizes each codeword's channels and cancellers.
+    the full-duplex warm-up's first pointing, `ctx["true"]`), ideal CSI's
+    pointing, the HD angle estimate's pointing with its unit-power burst
+    (trained at the fixed `ul_power_dbm`), and the full-duplex slot's UL
+    pilot and noise.  `ctx["beams"]` memoizes each codeword's channels and
+    cancellers.
     """
     arch = cfg.arch
     bud = cfg.budget
@@ -1161,34 +1095,38 @@ def _prepare_d(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
     perfect = any(plan.csi == "perfect" for plan in plans)
     if perfect or ctx["fd"]:
         beam, w = _d_point(cfg, consts, ctx, draw["theta"])
-        ctx["ideal"] = (beam, _ro(w))
+        ctx["true"] = (beam, _ro(w))
         if perfect:
             h_eff = beam.h_dl_eff
-            ctx["ideal_w"] = _ro(h_eff.conj().T / np.linalg.norm(h_eff))
+            ctx["ideal"] = (h_eff, _ro(h_eff.conj().T / np.linalg.norm(h_eff)), None)
     if any(plan.duplex == "hd" for plan in plans):
         y = h_ul * np.sqrt(pil_w) + np.sqrt(bud.bs_noise_w) * draw["n_slot"][:, : cfg.hd_pilot_len]
         theta_hat = doa_estimate(y, consts["d_sweep"], consts["d_angles"])
         theta_hat = _interferometric_doa(y, np.arange(arch.n_rx_rf), theta_hat)
         beam, w = _d_point(cfg, consts, ctx, theta_hat)
-        ctx["hd"] = (beam, _ro(w), _ro(w @ draw["s_dl"]))
+        ctx["hd"] = (beam.h_dl_eff, _ro(w), _ro(w @ draw["s_dl"]))
     if ctx["fd"]:
         ctx["ul"] = _ro(h_ul @ (np.sqrt(pil_w) * np.ones((1, cfg.packet_symbols))))
         ctx["noise"] = _ro(np.sqrt(bud.bs_noise_w) * draw["n_slot"])
     return ctx
 
 
-def _d_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan) -> float:
+def _d_fd_point(
+    cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan
+) -> Optional[tuple]:
     """Full duplex: the pointing angle in use came from last slot's training
     under the same interference conditions.  One warm-up pass from the true
-    angle stands in for that history; the second pass is the scored slot."""
+    angle stands in for that history; the second pass is the scored slot.
+    Returns the pointing for `_sinr_rate`, or None when a projection is
+    infeasible."""
     bud = cfg.budget
     mu_w = _residual_budget_w(bud, plan)
-    beam, w = ctx["ideal"]
+    beam, w = ctx["true"]
     taps = beam.taps[plan.taps]
     try:
         w = si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd)
     except InfeasibleProjectionError:
-        return 0.0
+        return None
     x = np.sqrt(p_w) * (w @ ctx["s_dl"])
     x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
     _, z, saturated = _fd_receive(
@@ -1206,29 +1144,60 @@ def _d_fd_rate(cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _
     try:
         w = si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd)
     except InfeasibleProjectionError:
+        return None
+    return beam.h_dl_eff, w, (w @ ctx["s_dl"] if plan.impaired else None)
+
+
+# ---------------------------------------------------------------------------
+# scenarios c and d: single-antenna UEs served in the DL only
+
+
+def _sinr_rate(cfg: ScenarioConfig, pointing: Optional[tuple], p_w: float) -> float:
+    """Sum of per-UE log rates at power `p_w`; UEs cannot cooperate, so no
+    joint decoding.
+
+    `pointing` is (rows, w, burst): the UEs' channel rows with the DL gain,
+    the unit-norm precoder, and the unit-power burst w s_dl whose TX
+    distortion the UEs also see, or None for an unimpaired transmitter.
+    Stream k serves UE k; the other streams interfere.  A None pointing,
+    a scheme left without a precoder, scores 0.
+    """
+    if pointing is None:
         return 0.0
-    return _d_dl(cfg, beam.h_dl_eff, w, w @ ctx["s_dl"] if plan.impaired else None, p_w)
+    rows, w, burst = pointing
+    gains = np.abs(rows @ w) ** 2 * p_w  # power of stream j at UE k
+    dist_ue = np.zeros(len(rows))
+    if burst is not None:
+        x = np.sqrt(p_w) * burst
+        dist = _tx_impair(x, cfg.impairments) - x
+        dist_ue = np.mean(np.abs(rows @ dist) ** 2, axis=1)
+    total = 0.0
+    for k in range(len(rows)):
+        sig = gains[k, k]
+        intf = float(np.sum(gains[k, :]) - sig)
+        total += np.log2(1.0 + sig / (intf + dist_ue[k] + cfg.budget.ue_noise_w))
+    return float(total)
 
 
-def _score_d(
-    cfg: ScenarioConfig, consts: dict, ctx: dict, power_dbm: float, plans: List[_Plan]
+def _score_dl(
+    fd_point: Callable, cfg: ScenarioConfig, consts: dict, ctx: dict, power_dbm: float,
+    plans: List[_Plan],
 ) -> List[Tuple[float, float]]:
     """(DL, UL) rates of every plan at one power; the UL carries no data.
 
     Ideal CSI and half duplex point once per trial, so the power only
     scales their signal and burst; each full-duplex plan trains and
-    points anew at every power (`_d_fd_rate`).
+    points again at every power through the scenario's `fd_point`.
     """
     p_w = dbm_to_watt(power_dbm)
     out = []
     for plan in plans:
         if plan.csi == "perfect":
-            rate = _d_dl(cfg, ctx["ideal"][0].h_dl_eff, ctx["ideal_w"], None, p_w)
+            rate = _sinr_rate(cfg, ctx["ideal"], p_w)
         elif plan.duplex == "hd":
-            beam, w, burst = ctx["hd"]
-            rate = cfg.dl_data_fraction * _d_dl(cfg, beam.h_dl_eff, w, burst, p_w)
+            rate = cfg.dl_data_fraction * _sinr_rate(cfg, ctx["hd"], p_w)
         else:
-            rate = _d_fd_rate(cfg, consts, ctx, p_w, plan)
+            rate = _sinr_rate(cfg, fd_point(cfg, consts, ctx, p_w, plan), p_w)
         out.append((rate, 0.0))
     return out
 
@@ -1293,8 +1262,8 @@ class _Driver:
 _DRIVERS: Dict[str, _Driver] = {
     "a": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab),
     "b": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab),
-    "c": _Driver(_draw_c, _prepare_c, _score_c),
-    "d": _Driver(_draw_d, _prepare_d, _score_d),
+    "c": _Driver(_draw_c, _prepare_c, partial(_score_dl, _c_fd_point)),
+    "d": _Driver(_draw_d, _prepare_d, partial(_score_dl, _d_fd_point)),
 }
 
 
@@ -1401,12 +1370,13 @@ def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     Work is staged by what it depends on: per run the pilot matrices
     (in a and b scaled to every swept power), c's aging rho and d's beam
     grid, per trial the draw and everything power-free (SI estimate, taps,
-    in c the precoders, their bursts and UE gains, and each full-duplex
-    probe slot received at unit amplitude, in d the ideal-CSI and HD
-    pointings and each used codeword's channels and cancellers), per power
+    in c and d the ideal-CSI and HD pointings with their unit-power bursts,
+    in c each full-duplex probe slot received at unit amplitude, in d each
+    used codeword's channels and cancellers), per power
     the rest.  In a and b each power's schemes sharing a burst are
     received together, and one rate pass per trial scores every (power,
-    scheme) as one stack; c and d score each power as one row.
+    scheme) as one stack; c and d share one downlink scorer, which rates
+    each power as one row.
 
     Each trial draws from its own child seed, so results do not depend on
     the order trials run in.  With trials=1 each point equals `run_trial`

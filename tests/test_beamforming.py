@@ -18,17 +18,13 @@ from fdmimo.beamforming import (
 
 
 def test_architecture_validation():
-    cfg = ArchitectureConfig(n_tx=64, n_rx=32, n_tx_rf=4, n_rx_rf=2, bf_mode="hybrid")
+    cfg = ArchitectureConfig(n_tx=64, n_rx=32, n_tx_rf=4, n_rx_rf=2)
     assert cfg.tx_subarray == 16
     assert cfg.rx_subarray == 16
     with pytest.raises(ValueError):
         ArchitectureConfig(n_tx=8, n_rx=8, n_tx_rf=3, n_rx_rf=2)  # uneven split
     with pytest.raises(ValueError):
         ArchitectureConfig(n_tx=4, n_rx=4, n_tx_rf=8, n_rx_rf=2)
-    with pytest.raises(ValueError):
-        ArchitectureConfig(n_tx=8, n_rx=8, n_tx_rf=4, n_rx_rf=4, bf_mode="digital")
-    with pytest.raises(ValueError):
-        ArchitectureConfig(n_tx=4, n_rx=4, n_tx_rf=4, n_rx_rf=4, bf_mode="analog")
     with pytest.raises(ValueError):
         ArchitectureConfig(n_tx=4, n_rx=4, n_tx_rf=2, n_rx_rf=2, num_taps=5)
     with pytest.raises(ValueError):
@@ -98,7 +94,7 @@ def test_beam_select_doa_inverts_angle_grid():
 
 
 def test_assemble_analog_bf_blocks():
-    cfg = ArchitectureConfig(n_tx=8, n_rx=8, n_tx_rf=2, n_rx_rf=2, phase_bits=3, bf_mode="hybrid")
+    cfg = ArchitectureConfig(n_tx=8, n_rx=8, n_tx_rf=2, n_rx_rf=2, phase_bits=3)
     book = dft_codebook(4, 3)
     f = assemble_analog_bf([1, 3], cfg, "tx")
     assert f.shape == (8, 2)
@@ -114,8 +110,12 @@ def test_assemble_analog_bf_blocks():
 
 
 def test_assemble_analog_bf_digital_identity():
-    cfg = ArchitectureConfig(n_tx=4, n_rx=4, n_tx_rf=4, n_rx_rf=4, bf_mode="digital")
-    assert np.array_equal(assemble_analog_bf([], cfg, "rx"), np.eye(4))
+    # One antenna per chain: the one-entry codebook is [1], so the analog
+    # stage of a fully digital array is exactly the identity.
+    for phase_bits in (1, 2, 3, 4):
+        cfg = ArchitectureConfig(n_tx=4, n_rx=3, n_tx_rf=4, n_rx_rf=3, phase_bits=phase_bits)
+        for side, n in (("tx", 4), ("rx", 3)):
+            assert np.array_equal(assemble_analog_bf([0] * n, cfg, side), np.eye(n))
 
 
 def test_select_subarray_beams_planted():

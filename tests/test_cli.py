@@ -422,17 +422,17 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 1
 
 
-# Every (scenario, key) a scenario does not read, and `bf_mode`, which each
-# scenario fixes, with a value that is legal where the key is read.
+# Every (scenario, key) a scenario does not read, with a value that is
+# legal where the key is read.
 UNREAD = {
     "a": ["num_ue", "num_paths", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
-          "budget.ul_power_dbm", "architecture.phase_bits", "architecture.bf_mode"],
+          "budget.ul_power_dbm", "architecture.phase_bits"],
     "b": ["num_ue", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
-          "budget.ul_power_dbm", "architecture.bf_mode"],
+          "budget.ul_power_dbm"],
     "c": ["num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "kappa_ue_db",
-          "architecture.phase_bits", "architecture.bf_mode", "pilots.num_pilots"],
+          "architecture.phase_bits", "pilots.num_pilots"],
     "d": ["num_ue", "num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "aging",
-          "architecture.bf_mode", "pilots.num_pilots"],
+          "pilots.num_pilots"],
 }
 
 
@@ -450,6 +450,17 @@ def test_unread_key_exits_one(tmp_path, capsys, scenario, key):
     assert main(["validate", "--config", src]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("scenario", "abcd")
+def test_bf_mode_is_an_unknown_key(tmp_path, capsys, scenario):
+    # The geometry alone makes an array fully digital or hybrid.
+    src = _write(tmp_path, {"scenario": scenario, "architecture": {"bf_mode": "digital"}})
+    message = "unknown key 'bf_mode' in section 'architecture'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(src)
+    assert main(["validate", "--config", src]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_accepted_keys_are_every_key_but_the_unread(accepted_keys):

@@ -58,7 +58,7 @@ def small_d_configs(draw):
     n_tx_rf = draw(st.integers(1, 3))
     arch = ArchitectureConfig(
         n_tx_rf * draw(st.integers(1, 8)), 2, n_tx_rf, 2, phase_bits=draw(st.integers(1, 4)),
-        num_taps=draw(st.integers(0, 2 * n_tx_rf)), bf_mode="hybrid",
+        num_taps=draw(st.integers(0, 2 * n_tx_rf)),
     )
     others = st.sampled_from([0.0, 15.0, 30.0, 45.0])
     powers = draw(st.lists(others, min_size=1, max_size=2, unique=True))

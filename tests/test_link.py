@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fdmimo import link
-from fdmimo.beamforming import ArchitectureConfig, SingularChannelError
-from fdmimo.channel import AgingParams
+from fdmimo.beamforming import ArchitectureConfig, SingularChannelError, zf_precoder
+from fdmimo.channel import AgingParams, complex_gaussian
 from fdmimo.cli import format_csv
 from fdmimo.link import (
     LinkBudget,
@@ -55,6 +55,36 @@ def test_ul_rate_splits_power_across_streams():
     u = np.eye(2, dtype=complex)
     rate = ul_rate(h, u, 2.0, np.eye(2, dtype=complex))
     assert rate == pytest.approx(2.0 * np.log2(2.0), rel=1e-12)
+
+
+def test_sinr_rate_of_one_ue_is_dl_rate():
+    # c's and d's per-UE SINR rate, one UE and no burst: the public DL rate.
+    cfg = default_scenario("d")
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 8):
+        h = np.sqrt(cfg.budget.dl_gain) * complex_gaussian(rng, 1, n)
+        w = complex_gaussian(rng, n, 1)
+        w /= np.linalg.norm(w)
+        for p_w in (1e-3, 1.0, 30.0):
+            expected = dl_rate(h, w, p_w, cfg.budget.ue_noise_w)
+            assert link._sinr_rate(cfg, (h, w, None), p_w) == pytest.approx(expected, rel=1e-12)
+    assert link._sinr_rate(cfg, None, 1.0) == 0.0
+
+
+def test_sinr_rate_under_zero_forcing_sums_the_one_ue_rates():
+    # A zero-forcing precoder leaves no inter-UE interference, so K UEs
+    # score the sum of each UE's rate on its own stream.
+    cfg = default_scenario("c")
+    rng = np.random.default_rng(6)
+    for k, n in ((1, 1), (2, 4), (4, 8)):
+        rows = np.sqrt(cfg.budget.dl_gain) * complex_gaussian(rng, k, n)
+        w = zf_precoder(rows)
+        for p_w in (1e-3, 1.0, 30.0):
+            alone = sum(
+                link._sinr_rate(cfg, (rows[j : j + 1], w[:, j : j + 1], None), p_w)
+                for j in range(k)
+            )
+            assert link._sinr_rate(cfg, (rows, w, None), p_w) == pytest.approx(alone, rel=1e-12)
 
 
 def test_link_budget_gains():
@@ -128,9 +158,14 @@ def test_scenario_config_validation():
         dataclasses.replace(base, packet_symbols=8)  # canceller basis needs 3 per chain
     with pytest.raises(ValueError):
         dataclasses.replace(base, dl_data_fraction=0.0)
-    hybrid = default_scenario("b").arch
-    with pytest.raises(ValueError):
-        dataclasses.replace(base, arch=hybrid)  # scenario a is fully digital
+    # a and c are fully digital: one RF chain per antenna on both sides.
+    digital = "one RF chain per antenna"
+    with pytest.raises(ValueError, match=digital):
+        dataclasses.replace(base, arch=default_scenario("b").arch)
+    with pytest.raises(ValueError, match=digital):
+        dataclasses.replace(base, arch=ArchitectureConfig(8, 8, 4, 4))
+    with pytest.raises(ValueError, match=digital):
+        dataclasses.replace(default_scenario("c"), arch=ArchitectureConfig(8, 8, 8, 4, num_taps=32))
     with pytest.raises(ValueError):
         dataclasses.replace(default_scenario("c"), aging=None)
     with pytest.raises(ValueError):
@@ -228,8 +263,6 @@ def test_unread_fields_leave_the_curves_unchanged(code):
     base = dataclasses.replace(default_scenario(code), trials=2)
     expected = format_csv(run_scenario(base))
     for name in link.UNREAD_FIELDS[code]:
-        if name == "arch.bf_mode":
-            continue  # each scenario allows one value only
         section, _, field = name.partition(".")
         if field:
             changed = dataclasses.replace(getattr(base, section), **{field: UNREAD_CHANGES[name]})
@@ -254,7 +287,7 @@ def test_one_chain_receiver_matches_run_trial():
     # With one receive chain BLAS takes vector kernels whose rounding a
     # stack of rows would not reproduce, so such schemes are not stacked;
     # run_scenario must still equal run_trial exactly.
-    arch = ArchitectureConfig(4, 1, 4, 1, phase_bits=3, num_taps=4, bf_mode="digital")
+    arch = ArchitectureConfig(4, 1, 4, 1, phase_bits=3, num_taps=4)
     base = dataclasses.replace(
         default_scenario("a"), arch=arch, trials=1, power_sweep_dbm=(0.0, 20.0, 40.0),
         ul_ue_antennas=1,

@@ -32,7 +32,7 @@ def _schema_rows():
 def test_config_table_names_the_accepted_keys(accepted_keys):
     rows = list(_schema_rows())
     listed = [key for keys, _ in rows for key in keys]
-    assert sorted(listed) == sorted(EVERY_KEY)  # each key once, bf_mode too
+    assert sorted(listed) == sorted(EVERY_KEY)  # each key once
     for code in "abcd":
         read = [key for keys, scenarios in rows if code in scenarios for key in keys]
         assert sorted(read) == sorted(accepted_keys[code]), code

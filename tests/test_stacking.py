@@ -162,7 +162,7 @@ def small_ab_configs(draw):
     code = draw(st.sampled_from("ab"))
     n_tx_rf, n_rx_rf = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     if code == "a":
-        arch = ArchitectureConfig(n_tx_rf, n_rx_rf, n_tx_rf, n_rx_rf, bf_mode="digital")
+        arch = ArchitectureConfig(n_tx_rf, n_rx_rf, n_tx_rf, n_rx_rf)
     else:
         sub_tx, sub_rx = draw(st.integers(1, 4)), draw(st.integers(1, 4))
         arch = ArchitectureConfig(n_tx_rf * sub_tx, n_rx_rf * sub_rx, n_tx_rf, n_rx_rf)
@@ -200,7 +200,7 @@ def small_c_configs(draw):
     Doppler and slot length that put J0's argument in either its series or
     its Hankel branch, and 2-3 powers."""
     n = draw(st.integers(1, 3))
-    arch = ArchitectureConfig(n, n, n, n, num_taps=draw(st.integers(0, n * n)), bf_mode="digital")
+    arch = ArchitectureConfig(n, n, n, n, num_taps=draw(st.integers(0, n * n)))
     aging = AgingParams(doppler_hz=draw(st.floats(0.0, 1e3)), slot_s=draw(st.floats(1e-6, 0.1)))
     powers = st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0])
     return dataclasses.replace(
