@@ -112,8 +112,16 @@ def mmse_estimate(
     p = pilots.matrix
     if y.shape[1] != p.shape[1]:
         raise ValueError("pilot length mismatch between y and pilots")
-    shrink = prior_var / (prior_var * pilots.energy + noise_var)
-    return shrink * (y @ p.conj().T)
+    return mmse_shrink(pilots, noise_var, prior_var) * (y @ p.conj().T)
+
+
+def mmse_shrink(pilots: Pilots, noise_var: float, prior_var: float) -> float:
+    """The LMMSE gain that `mmse_estimate` applies to the correlation y P^H.
+
+    A caller that sounds the same channel at several noise levels can
+    correlate once and apply this gain per level.
+    """
+    return prior_var / (prior_var * pilots.energy + noise_var)
 
 
 def doa_estimate(

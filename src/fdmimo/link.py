@@ -15,8 +15,9 @@ The trial loop is staged by what each quantity depends on:
 
   per run    pilot matrices, fixed by the config and, for the DL and UL
              sounding of a and b, scaled to each scored power; each is
-             checked once.  Scenario d's beam grid: the codeword angles,
-             the DOA sweep over them, the codebook and each codeword's
+             checked once.  The transmit codebook of a, b and d and the
+             receive codebook of a and b.  Scenario d's beam grid: the
+             codeword angles, the DOA sweep over them and each codeword's
              analog beamformer (`_run_constants`).  Scenario c's
              slot-to-slot correlation rho = J0(2 pi fD Ts) is computed on
              first use and kept on its `AgingParams`
@@ -24,32 +25,35 @@ The trial loop is staged by what each quantity depends on:
              beams and effective channels, the SI calibration estimate and
              one analog canceller per tap choice (`_trial_taps`).  In c and
              d, the ideal-CSI and half-duplex pointings: UE rows, precoder
-             and unit-power burst.  In c also the probe precoders and each
-             full-duplex scheme's probe slot, received once at unit
-             amplitude with one canceller fit (`_prepare_c`,
-             `_stage_probe`); in d the HD angle estimate (trained at the
-             fixed UL power) and the UL pilot and noise of the full-duplex
-             slot (`_prepare_d`), with a memo keyed by codeword that holds
-             each beam's DL and SI channels, SI estimate and cancellers for
-             every pass and power (`_d_beam`).  In a and b, one rate pass
-             scores every (power, scheme) of the trial as one stack
-             (`_score_ab`)
+             and the per-UE TX distortion power of the unit-power burst,
+             which the power only scales (`_fixed_pointing`).  In c also
+             the probe precoders, each full-duplex scheme's probe slot,
+             received once at unit amplitude with one canceller fit and
+             kept as per-chain second moments (`_prepare_c`,
+             `_stage_probe`), and its sounded pilots correlated with the
+             pilot matrix; in d the HD angle estimate (trained at the fixed
+             UL power) and the UL pilot and noise of the full-duplex slot
+             (`_prepare_d`), with a memo keyed by codeword that holds each
+             beam's DL and SI channels, SI estimate and cancellers for
+             every pass and power (`_d_beam`).  In every scenario, one rate
+             pass scores every (power, scheme) of the trial as one stack
+             per array shape (`_score_ab`, `_rate_dl`)
   per power  in a and b, the channel estimates, one eigen precoder per
              stream count shared by every scheme, and one precoded burst
              per distinct precoder; schemes sharing a burst are received
              together, down to their covariances and UL combiners
-             (`_receive_ab`).  In c and d, one scorer (`_score_dl`) rates
-             the fixed pointings at the power and asks the scenario for
-             each full-duplex pointing: in c each full-duplex scheme scales
-             its staged probe slot to the power for the saturation check
-             and residual SI (`_probe_receive`), then estimates and
-             zero-forces (`_c_fd_point`); in d it projects its precoder,
-             receives the warm-up slot, refines the angle and points the
-             scored slot (`_d_fd_point`).  Every pointing is rated by one
-             per-UE SINR rate (`_sinr_rate`).
+             (`_receive_ab`).  In c and d, one stage (`_point_dl`) scales
+             the fixed pointings to the power and asks the scenario for
+             each full-duplex pointing, whose burst it distorts: in c each
+             full-duplex scheme takes its probe slot's residual SI and
+             saturated chains at the power from the moments
+             (`_probe_receive`), then scales its staged correlations into
+             an LMMSE estimate and zero-forces (`_c_fd_point`); in d it
+             projects its precoder, receives the warm-up slot, refines the
+             angle and points the scored slot (`_d_fd_point`).
 
 One table, `_DRIVERS`, gives each scenario its draw, prepare, per-power
-stage and, for a and b, the rate pass that finishes the trial.
+stage and the rate pass that finishes the trial.
 
 The full-duplex slots of a, b and d are received through one chain,
 `_fd_receive`: analog taps, saturation check, then the digital canceller.
@@ -63,7 +67,8 @@ laid out row by row, every position, or none (`_trial_taps`).
 
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Arrays of
-packet length built at a power point do not outlive it.
+packet length built at a power point do not outlive it; c's probe slot
+builds none at a power.
 
 Rates are spectral efficiencies in bps/Hz.  A trial returns a (DL, UL)
 pair; scenarios c and d carry data in the DL only and report UL as zero.
@@ -111,7 +116,9 @@ from fdmimo.channel import (
     gen_rician,
     steering_vector,
 )
-from fdmimo.estimation import Pilots, mmse_estimate, orthogonal_pilots, doa_estimate, PilotConfig
+from fdmimo.estimation import (
+    Pilots, PilotConfig, doa_estimate, mmse_estimate, mmse_shrink, orthogonal_pilots,
+)
 from fdmimo.impairments import TxImpairmentConfig, apply_tx_chain, check_dbm, dbm_to_watt
 
 
@@ -679,13 +686,11 @@ def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan
     """Per-trial context: beams, effective channels, SI estimate, taps."""
     arch = cfg.arch
     bud = cfg.budget
-    tx_book = dft_codebook(arch.tx_subarray, arch.phase_bits)
-    rx_book = dft_codebook(arch.rx_subarray, arch.phase_bits)
     f_tx = assemble_analog_bf(
-        select_subarray_beams(draw["h_dl"], tx_book, arch.n_tx_rf, "tx"), arch, "tx"
+        select_subarray_beams(draw["h_dl"], consts["tx_book"], arch.n_tx_rf, "tx"), arch, "tx"
     )
     f_rx = assemble_analog_bf(
-        select_subarray_beams(draw["h_ul"], rx_book, arch.n_rx_rf, "rx"), arch, "rx"
+        select_subarray_beams(draw["h_ul"], consts["rx_book"], arch.n_rx_rf, "rx"), arch, "rx"
     )
     ctx = dict(draw)
     ctx["h_dl_eff"] = _ro(np.sqrt(bud.dl_gain) * (draw["h_dl"] @ f_tx))
@@ -869,8 +874,9 @@ def _zf_or_none(h: np.ndarray) -> Optional[np.ndarray]:
 
 def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]) -> dict:
     """Per-trial context: SI estimate, taps, every power-free precoder and
-    the unit-power bursts and UE rows that follow from them: the ideal-CSI
-    and HD pointings for `_sinr_rate`, and each full-duplex probe slot."""
+    what follows from it: the ideal-CSI and HD pointings for `_point_dl`,
+    and for each full-duplex scheme its probe slot's moments and its
+    sounded pilots correlated with the pilot matrix."""
     bud = cfg.budget
     u = cfg.num_ue
     g = draw["g_slots"]
@@ -889,8 +895,8 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
         # The probe slot's UL pilot plus noise, the same at every power.
         pil_rx = np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_joint"].matrix)
         ctx["ul_noise"] = _ro(pil_rx + np.sqrt(bud.bs_noise_w) * draw["n_burst"])
-        ctx["probe"] = {}  # csi mode -> (probe burst or None, noiseless pilot rx)
-        ctx["probe_rx"] = {}  # plan -> its probe slot received at unit amplitude
+        ctx["probe"] = {}  # csi mode -> (probe burst or None, sounding correlations)
+        ctx["probe_rx"] = {}  # plan -> its probe slot's moments, `_stage_probe`
         for plan in fd:
             if plan.csi not in ctx["probe"]:
                 if plan.csi == "sequential":
@@ -901,10 +907,15 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
                     sounded = [ul_amp * (g[4 - k][:, k : k + 1] @ pil) for k in range(u)]
                 else:
                     stale = g[4]
-                    sounded = [ul_amp * (g[4] @ consts["ul_joint"].matrix)]
+                    pil = consts["ul_joint"].matrix
+                    sounded = [ul_amp * (g[4] @ pil)]
+                # The sounding at noise level N is y + sqrt(N) n, so its
+                # correlation with the pilots is y P^H + sqrt(N) n P^H.
+                ph = pil.conj().T
+                corr = [(_ro(y @ ph), _ro(n @ ph)) for y, n in zip(sounded, draw["n_pilot"])]
                 w_probe = _zf_or_none(dl_amp * stale.T)
                 burst = None if w_probe is None else _ro(w_probe @ draw["s_dl"])
-                ctx["probe"][plan.csi] = (burst, [_ro(y) for y in sounded])
+                ctx["probe"][plan.csi] = (burst, corr)
             burst = ctx["probe"][plan.csi][0]
             if burst is not None:
                 ctx["probe_rx"][plan] = _stage_probe(cfg, ctx, plan, burst)
@@ -915,18 +926,36 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
         y = y + np.sqrt(bud.bs_noise_w) * draw["n_pilot"][0][:, : pil.matrix.shape[1]]
         g_hat = mmse_estimate(y, pil, bud.bs_noise_w, bud.ul_gain)
         w = _zf_or_none(dl_amp * g_hat.T)
-        ctx["hd"] = None if w is None else (rows, w, _ro(w @ draw["s_dl"]))
+        ctx["hd"] = None if w is None else _fixed_pointing(cfg, rows, w, draw["s_dl"])
     if any(plan.csi == "perfect" for plan in plans):
         w = _zf_or_none(dl_amp * g[5].T)
-        ctx["ideal"] = None if w is None else (rows, w, None)
+        ctx["ideal"] = None if w is None else (rows, w, _ro(np.zeros(len(rows))))
     return ctx
+
+
+def _moments(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row <|x|^2>, Re<x conj(y)> and <|y|^2>, stacked read-only, so
+    that `_power_at` gives the per-row power of sqrt(p) x + y at any p."""
+    return _ro(np.stack([
+        np.mean(np.abs(x) ** 2, axis=-1),
+        np.mean((x * y.conj()).real, axis=-1),
+        np.mean(np.abs(y) ** 2, axis=-1),
+    ]))
+
+
+def _power_at(m: np.ndarray, p_w: float) -> np.ndarray:
+    """Per-row mean power of sqrt(p_w) x + y from the `_moments` of (x, y):
+    p <|x|^2> + 2 sqrt(p) Re<x conj(y)> + <|y|^2>, never below zero."""
+    return np.maximum(p_w * m[0] + 2.0 * np.sqrt(p_w) * m[1] + m[2], 0.0)
 
 
 def _stage_probe(
     cfg: ScenarioConfig, ctx: dict, plan: _Plan, burst: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A full-duplex plan's probe slot at unit amplitude, received once per
-    trial: (s, z_s, z_u) for `_probe_receive`.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A full-duplex plan's probe slot, received once per trial at unit
+    amplitude and kept as per-chain second moments for `_probe_receive`:
+    those of (s, u), the slot's input, and of (z_s, z_u - u), the SI left
+    after the digital stage.
 
     `_tx_impair` drives every chain at a fixed level, so the impaired burst
     scales with its amplitude a: at a = sqrt(p) the slot is a s + u, with
@@ -934,30 +963,28 @@ def _stage_probe(
     noise.  The regressors of a b span the rows those of b span, so the
     digital stage is linear in the slot too, and its output is a z_s + z_u:
     one fit on b over the two slots (s, u), seeded with h_si_hat - C and
-    0, serves every power.
+    0, serves every power.  Without the digital stage z_s = s and z_u = u.
     """
     taps = ctx["taps"][plan.taps]
     x_tx = _tx_impair(burst, cfg.impairments) if plan.impaired else burst
     s = ctx["h_si_eff"] @ x_tx - taps.matrix @ burst
     u = ctx["ul_noise"]
-    if not plan.digital:
-        return _ro(s), s, u
-    seed = np.stack([taps.resid_lin, np.zeros_like(taps.resid_lin)])
-    z_s, z_u = cancel_slot(burst, np.stack([s, u]), seed)
-    return _ro(s), _ro(z_s), _ro(z_u)
+    z_s, z_u = s, u
+    if plan.digital:
+        seed = np.stack([taps.resid_lin, np.zeros_like(taps.resid_lin)])
+        z_s, z_u = cancel_slot(burst, np.stack([s, u]), seed)
+    return _moments(s, u), _moments(z_s, z_u - u)
 
 
 def _probe_receive(
     ctx: dict, plan: _Plan, p_w: float, sat_w: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The residual SI after the last stage of `plan`'s probe slot at power
-    `p_w`, from its staged receive, and the chains whose input exceeds
-    `sat_w` watts."""
-    s, z_s, z_u = ctx["probe_rx"][plan]
-    u = ctx["ul_noise"]
-    amp = np.sqrt(p_w)
-    saturated = check_saturation(np.mean(np.abs(amp * s + u) ** 2, axis=-1), sat_w)
-    return amp * z_s + z_u - u, saturated
+    """The per-chain power of the SI left after the last stage of `plan`'s
+    probe slot at power `p_w`, and the chains whose input exceeds `sat_w`
+    watts; both from the moments `_stage_probe` kept, with no sample of
+    the slot touched."""
+    m_in, m_out = ctx["probe_rx"][plan]
+    return _power_at(m_out, p_w), check_saturation(_power_at(m_in, p_w), sat_w)
 
 
 def _c_fd_point(
@@ -965,18 +992,17 @@ def _c_fd_point(
 ) -> Optional[tuple]:
     """Full duplex: measure the steady-state residual with the stale-truth
     probe burst, then estimate under that interference level and zero-force.
-    Returns the pointing for `_sinr_rate`, or None without a precoder."""
+    Returns the pointing (rows, w, unit-power burst or None) for
+    `_point_dl`, or None without a precoder."""
     bud = cfg.budget
-    burst, sounded = ctx["probe"][plan.csi]
-    if burst is None:
-        return None
-    z_si, saturated = _probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
-    noise_eff = bud.bs_noise_w + float(np.mean(np.mean(np.abs(z_si) ** 2, axis=1)))
+    if plan not in ctx["probe_rx"]:
+        return None  # no probe precoder
+    resid_w, saturated = _probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
+    noise_eff = bud.bs_noise_w + float(np.mean(resid_w))
     pil = consts["ul_single" if plan.csi == "sequential" else "ul_joint"]
-    g_hat = np.hstack([
-        mmse_estimate(y + np.sqrt(noise_eff) * n, pil, noise_eff, bud.ul_gain)
-        for y, n in zip(sounded, ctx["n_pilot"])
-    ])
+    shrink = mmse_shrink(pil, noise_eff, bud.ul_gain)
+    amp = np.sqrt(noise_eff)
+    g_hat = np.hstack([shrink * (yp + amp * n_p) for yp, n_p in ctx["probe"][plan.csi][1]])
     g_hat = g_hat / np.sqrt(bud.ul_gain) * np.sqrt(bud.dl_gain)  # reciprocity
     g_hat[saturated, :] = 0.0  # clipped chains yield no usable estimate
     try:
@@ -1066,7 +1092,7 @@ def _d_point(
 ) -> Tuple[_Beam, np.ndarray]:
     """The beam for a pointing angle and the digital weight matched to it."""
     arch = cfg.arch
-    beam = _d_beam(cfg, consts, ctx, beam_select_doa(theta, consts["d_book"]))
+    beam = _d_beam(cfg, consts, ctx, beam_select_doa(theta, consts["tx_book"]))
     a_full = np.exp(1j * np.pi * np.arange(arch.n_tx) * np.sin(theta))
     w = (a_full @ beam.f_tx).conj()[:, None]
     norm = np.linalg.norm(w)
@@ -1080,10 +1106,10 @@ def _prepare_d(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
 
     That is the true angle's beam and matched weight (ideal CSI's beam and
     the full-duplex warm-up's first pointing, `ctx["true"]`), ideal CSI's
-    pointing, the HD angle estimate's pointing with its unit-power burst
-    (trained at the fixed `ul_power_dbm`), and the full-duplex slot's UL
-    pilot and noise.  `ctx["beams"]` memoizes each codeword's channels and
-    cancellers.
+    pointing, the HD angle estimate's pointing with its TX distortion at
+    unit power (trained at the fixed `ul_power_dbm`), and the full-duplex
+    slot's UL pilot and noise.  `ctx["beams"]` memoizes each codeword's
+    channels and cancellers.
     """
     arch = cfg.arch
     bud = cfg.budget
@@ -1098,13 +1124,14 @@ def _prepare_d(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
         ctx["true"] = (beam, _ro(w))
         if perfect:
             h_eff = beam.h_dl_eff
-            ctx["ideal"] = (h_eff, _ro(h_eff.conj().T / np.linalg.norm(h_eff)), None)
+            w = _ro(h_eff.conj().T / np.linalg.norm(h_eff))
+            ctx["ideal"] = (h_eff, w, _ro(np.zeros(len(h_eff))))
     if any(plan.duplex == "hd" for plan in plans):
         y = h_ul * np.sqrt(pil_w) + np.sqrt(bud.bs_noise_w) * draw["n_slot"][:, : cfg.hd_pilot_len]
         theta_hat = doa_estimate(y, consts["d_sweep"], consts["d_angles"])
         theta_hat = _interferometric_doa(y, np.arange(arch.n_rx_rf), theta_hat)
         beam, w = _d_point(cfg, consts, ctx, theta_hat)
-        ctx["hd"] = (beam.h_dl_eff, _ro(w), _ro(w @ draw["s_dl"]))
+        ctx["hd"] = _fixed_pointing(cfg, beam.h_dl_eff, _ro(w), draw["s_dl"])
     if ctx["fd"]:
         ctx["ul"] = _ro(h_ul @ (np.sqrt(pil_w) * np.ones((1, cfg.packet_symbols))))
         ctx["noise"] = _ro(np.sqrt(bud.bs_noise_w) * draw["n_slot"])
@@ -1117,7 +1144,7 @@ def _d_fd_point(
     """Full duplex: the pointing angle in use came from last slot's training
     under the same interference conditions.  One warm-up pass from the true
     angle stands in for that history; the second pass is the scored slot.
-    Returns the pointing for `_sinr_rate`, or None when a projection is
+    Returns the pointing for `_point_dl`, or None when a projection is
     infeasible."""
     bud = cfg.budget
     mu_w = _residual_budget_w(bud, plan)
@@ -1152,54 +1179,93 @@ def _d_fd_point(
 # scenarios c and d: single-antenna UEs served in the DL only
 
 
-def _sinr_rate(cfg: ScenarioConfig, pointing: Optional[tuple], p_w: float) -> float:
-    """Sum of per-UE log rates at power `p_w`; UEs cannot cooperate, so no
-    joint decoding.
-
-    `pointing` is (rows, w, burst): the UEs' channel rows with the DL gain,
-    the unit-norm precoder, and the unit-power burst w s_dl whose TX
-    distortion the UEs also see, or None for an unimpaired transmitter.
-    Stream k serves UE k; the other streams interfere.  A None pointing,
-    a scheme left without a precoder, scores 0.
-    """
-    if pointing is None:
-        return 0.0
-    rows, w, burst = pointing
-    gains = np.abs(rows @ w) ** 2 * p_w  # power of stream j at UE k
-    dist_ue = np.zeros(len(rows))
-    if burst is not None:
-        x = np.sqrt(p_w) * burst
-        dist = _tx_impair(x, cfg.impairments) - x
-        dist_ue = np.mean(np.abs(rows @ dist) ** 2, axis=1)
-    total = 0.0
-    for k in range(len(rows)):
-        sig = gains[k, k]
-        intf = float(np.sum(gains[k, :]) - sig)
-        total += np.log2(1.0 + sig / (intf + dist_ue[k] + cfg.budget.ue_noise_w))
-    return float(total)
+def _ue_distortion(cfg: ScenarioConfig, rows: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
+    """Per-UE power of the TX distortion of burst `x` seen through the UE
+    `rows`; zero for an unimpaired transmitter (`x` None)."""
+    if x is None:
+        return np.zeros(len(rows))
+    dist = _tx_impair(x, cfg.impairments) - x
+    return np.mean(np.abs(rows @ dist) ** 2, axis=1)
 
 
-def _score_dl(
+def _fixed_pointing(
+    cfg: ScenarioConfig, rows: np.ndarray, w: np.ndarray, s_dl: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pointing fixed for the trial: (rows, w, per-UE TX distortion power
+    of the unit-power burst w s_dl).  `_tx_impair` is homogeneous in the
+    amplitude, so at power p the distortion power is p times this."""
+    return rows, w, _ro(_ue_distortion(cfg, rows, w @ s_dl))
+
+
+def _point_dl(
     fd_point: Callable, cfg: ScenarioConfig, consts: dict, ctx: dict, power_dbm: float,
     plans: List[_Plan],
-) -> List[Tuple[float, float]]:
-    """(DL, UL) rates of every plan at one power; the UL carries no data.
+) -> List[Optional[tuple]]:
+    """Every plan's downlink pointing at one power, up to the rates.
 
-    Ideal CSI and half duplex point once per trial, so the power only
-    scales their signal and burst; each full-duplex plan trains and
-    points again at every power through the scenario's `fd_point`.
+    Returns one item per plan for `_rate_dl`: None for a scheme left
+    without a precoder, else (power, UE rows with the DL gain, unit-norm
+    precoder, per-UE TX distortion power).  Ideal CSI and half duplex
+    point once per trial, so the power only scales their distortion; each
+    full-duplex plan trains and points again through the scenario's
+    `fd_point`, and its burst is distorted here at the power, one burst at
+    a time.
     """
     p_w = dbm_to_watt(power_dbm)
-    out = []
+    out: List[Optional[tuple]] = []
     for plan in plans:
-        if plan.csi == "perfect":
-            rate = _sinr_rate(cfg, ctx["ideal"], p_w)
-        elif plan.duplex == "hd":
-            rate = cfg.dl_data_fraction * _sinr_rate(cfg, ctx["hd"], p_w)
+        if plan.csi == "perfect" or plan.duplex == "hd":
+            pointing = ctx["ideal" if plan.csi == "perfect" else "hd"]
+            if pointing is not None:
+                rows, w, dist = pointing
+                pointing = (p_w, rows, w, p_w * dist)
         else:
-            rate = _sinr_rate(cfg, fd_point(cfg, consts, ctx, p_w, plan), p_w)
-        out.append((rate, 0.0))
+            pointing = fd_point(cfg, consts, ctx, p_w, plan)
+            if pointing is not None:
+                rows, w, burst = pointing
+                x = None if burst is None else np.sqrt(p_w) * burst
+                pointing = (p_w, rows, w, _ue_distortion(cfg, rows, x))
+        out.append(pointing)
     return out
+
+
+def _sinr_rates(
+    noise_w: float, p_w: np.ndarray, rows: np.ndarray, w: np.ndarray, dist: np.ndarray
+) -> np.ndarray:
+    """Sum of per-UE log rates of a stack of pointings; UEs cannot
+    cooperate, so no joint decoding.
+
+    Along the leading axis: powers, UE rows (UEs x chains), precoders
+    (chains x streams) and per-UE TX distortion powers.  Stream k serves
+    UE k; the other streams interfere.
+    """
+    gains = np.abs(rows @ w) ** 2 * p_w[:, None, None]  # power of stream j at UE k
+    sig = np.diagonal(gains, axis1=-2, axis2=-1)
+    intf = np.sum(gains, axis=-1) - sig
+    return np.sum(np.log2(1.0 + sig / (intf + dist + noise_w)), axis=-1)
+
+
+def _rate_dl(
+    cfg: ScenarioConfig, ctx: dict, received: List[List[Optional[tuple]]], plans: List[_Plan]
+) -> List[List[Tuple[float, float]]]:
+    """(DL, UL) rates of every plan, one row per power of `received`; the
+    UL carries no data.
+
+    Every (power, plan) item of the trial is rated at once, one stack per
+    shape of UE rows and precoder.  A None item scores 0, and half duplex
+    keeps its DL share of the slot.
+    """
+    items = [item for row in received for item in row]
+    rates = _stacked(
+        partial(_sinr_rates, cfg.budget.ue_noise_w),
+        [None if it is None else (it[1].shape, it[2].shape) for it in items],
+        *zip(*(it or (None,) * 4 for it in items)),
+    )
+    out = []
+    for k, rate in enumerate(rates):
+        scale = cfg.dl_data_fraction if plans[k % len(plans)].duplex == "hd" else 1.0
+        out.append((0.0 if rate is None else scale * float(rate), 0.0))
+    return [out[i : i + len(plans)] for i in range(0, len(out), len(plans))]
 
 
 # ---------------------------------------------------------------------------
@@ -1213,9 +1279,10 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
     Pilot matrices, with the powers the config fixes folded in.  The DL
     and UL sounding pilots of scenarios a and b follow the swept power:
     they are scaled for each of `powers`, the powers the run scores, under
-    keys ("dl", power) and ("ul", power).  Scenario d adds its beam grid:
-    the codeword angles, the DOA sweep over them, the codebook and the
-    analog beamformer of each codeword.
+    keys ("dl", power) and ("ul", power).  The transmit codebook of a, b
+    and d and the receive codebook of a and b.  Scenario d adds its beam
+    grid: the codeword angles, the DOA sweep over them and the analog
+    beamformer of each codeword.
     """
     arch = cfg.arch
     # c and d train over the whole packet.
@@ -1234,11 +1301,14 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
         consts["ul_single"] = amp * orthogonal_pilots(1, lp)
         consts["ul_hd"] = amp * orthogonal_pilots(cfg.num_ue, cfg.hd_pilot_len)
     out: Dict[object, object] = {name: Pilots(_ro(a)) for name, a in consts.items()}
+    if cfg.scenario != "c":
+        out["tx_book"] = _ro(dft_codebook(arch.tx_subarray, arch.phase_bits))
+    if cfg.scenario in ("a", "b"):
+        out["rx_book"] = _ro(dft_codebook(arch.rx_subarray, arch.phase_bits))
     if cfg.scenario == "d":
         angles = dft_beam_angles(arch.tx_subarray)
         out["d_angles"] = _ro(angles)
         out["d_sweep"] = _ro(np.vstack([steering_vector(arch.n_rx_rf, a) for a in angles]))
-        out["d_book"] = _ro(dft_codebook(arch.tx_subarray, arch.phase_bits))
         out["d_f_tx"] = tuple(
             _ro(assemble_analog_bf([idx] * arch.n_tx_rf, arch, "tx"))
             for idx in range(arch.tx_subarray)
@@ -1249,21 +1319,20 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
 @dataclass(frozen=True)
 class _Driver:
     """How one scenario runs a trial: `draw` it from the RNG, `prepare` its
-    power-free context, take each power through `stage`, and, when given,
-    `finish` the per-power rows into (DL, UL) rates; without `finish` the
-    rows are the rates."""
+    power-free context, take each power through `stage` up to the rates,
+    and `finish` the per-power rows into (DL, UL) rates in one pass."""
 
     draw: Callable
     prepare: Callable
     stage: Callable
-    finish: Optional[Callable] = None
+    finish: Callable
 
 
 _DRIVERS: Dict[str, _Driver] = {
     "a": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab),
     "b": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab),
-    "c": _Driver(_draw_c, _prepare_c, partial(_score_dl, _c_fd_point)),
-    "d": _Driver(_draw_d, _prepare_d, partial(_score_dl, _d_fd_point)),
+    "c": _Driver(_draw_c, _prepare_c, partial(_point_dl, _c_fd_point), _rate_dl),
+    "d": _Driver(_draw_d, _prepare_d, partial(_point_dl, _d_fd_point), _rate_dl),
 }
 
 
@@ -1287,8 +1356,8 @@ def _eval_draw(
     """(DL, UL) rates per power and scheme for one trial drawn from `rng`.
 
     Draws the trial and builds its context once, then takes every power
-    through the per-power stage; in a and b one rate pass then scores the
-    whole trial.  Given the `trial` index, a fault is re-raised as
+    through the per-power stage; one rate pass then scores the whole
+    trial.  Given the `trial` index, a fault is re-raised as
     TrialError naming where it happened.
     """
     plans = [_PLANS[cfg.scenario][s] for s in schemes]
@@ -1300,7 +1369,7 @@ def _eval_draw(
         for power_dbm in powers:
             rows.append(drv.stage(cfg, consts, ctx, power_dbm, plans))
         power_dbm = None
-        return rows if drv.finish is None else drv.finish(cfg, ctx, rows, plans)
+        return drv.finish(cfg, ctx, rows, plans)
     except Exception as exc:
         if trial is None:
             raise
@@ -1331,9 +1400,7 @@ def _failing_point(
         for scheme in schemes:
             plan = [_PLANS[cfg.scenario][scheme]]
             try:
-                row = drv.stage(cfg, consts, ctx, p, plan)
-                if drv.finish is not None:
-                    drv.finish(cfg, ctx, [row], plan)
+                drv.finish(cfg, ctx, [drv.stage(cfg, consts, ctx, p, plan)], plan)
             except Exception:  # noqa: BLE001  any fault reproduces the stacked one
                 return p, scheme
     return (powers[0] if len(powers) == 1 else None), None
@@ -1353,6 +1420,13 @@ def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,)))
     pairs = _eval_draw(cfg, consts, rng, cfg.power_sweep_dbm, cfg.schemes, trial)
     out = np.array([[dl + ul for dl, ul in row] for row in pairs])
+    bad = np.argwhere(~np.isfinite(out))
+    if len(bad):
+        ip, isch = bad[0]
+        raise TrialError(
+            f"{_trial_label(cfg, trial)}, power {cfg.power_sweep_dbm[ip]:g} dBm, "
+            f"scheme {cfg.schemes[isch]}: rate is not finite ({out[ip, isch]})"
+        )
     order = np.argsort(cfg.power_sweep_dbm, kind="stable")
     for isch, scheme in enumerate(cfg.schemes):
         plan = _PLANS[cfg.scenario][scheme]
@@ -1368,20 +1442,21 @@ def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
 
     Work is staged by what it depends on: per run the pilot matrices
-    (in a and b scaled to every swept power), c's aging rho and d's beam
-    grid, per trial the draw and everything power-free (SI estimate, taps,
-    in c and d the ideal-CSI and HD pointings with their unit-power bursts,
-    in c each full-duplex probe slot received at unit amplitude, in d each
-    used codeword's channels and cancellers), per power
-    the rest.  In a and b each power's schemes sharing a burst are
-    received together, and one rate pass per trial scores every (power,
-    scheme) as one stack; c and d share one downlink scorer, which rates
-    each power as one row.
+    (in a and b scaled to every swept power), the codebooks, c's aging
+    rho and d's beam grid, per trial the draw and everything power-free
+    (SI estimate, taps, in c and d the ideal-CSI and HD pointings with the
+    TX distortion of their unit-power bursts, in c each full-duplex probe
+    slot received at unit amplitude and kept as second moments, and its
+    pilot correlations, in d each used codeword's channels and
+    cancellers), per power the rest.  In a and b each power's schemes
+    sharing a burst are received together.  In every scenario one rate
+    pass per trial scores every (power, scheme) as one stack per array
+    shape.
 
     Each trial draws from its own child seed, so results do not depend on
     the order trials run in.  With trials=1 each point equals `run_trial`
     seeded with SeedSequence(entropy=seed, spawn_key=(0,)).  A failing
-    trial raises TrialError.
+    trial, or one that scores a non-finite rate, raises TrialError.
     """
     consts = _run_constants(cfg, cfg.power_sweep_dbm)
     rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))

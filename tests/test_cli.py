@@ -408,6 +408,24 @@ def test_failing_trial_names_where_it_failed(tmp_path, monkeypatch, capsys):
     assert all(f in err for f in fields), err
 
 
+def test_non_finite_rate_exits_two_naming_the_point(tmp_path, monkeypatch, capsys):
+    # A rate that leaves the float range is a simulation fault, not a CSV
+    # entry: the trial names the first such (power, scheme) and run exits 2.
+    payload = {
+        "scenario": "a", "trials": 1, "power_sweep_dbm": [20, 30], "schemes": ["proposed", "hd"],
+    }
+    original = link.dl_rate
+
+    def inf_at_one_watt(h, w, p, noise, cov=None):
+        return np.where(np.asarray(p) == 1.0, np.inf, original(h, w, p, noise, cov))
+
+    monkeypatch.setattr(link, "dl_rate", inf_at_one_watt)
+    with pytest.raises(TrialError, match="trial 0, power 30 dBm, scheme proposed: rate is not fin"):
+        run_scenario(parse_config(_write(tmp_path, payload)))
+    assert main(["run", "--config", _write(tmp_path, payload)]) == 2
+    assert "power 30 dBm, scheme proposed: rate is not finite (inf)" in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "fdmimo.cli", "validate", "--config", "scenario_a"],

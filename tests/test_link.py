@@ -57,6 +57,16 @@ def test_ul_rate_splits_power_across_streams():
     assert rate == pytest.approx(2.0 * np.log2(2.0), rel=1e-12)
 
 
+def _sinr_rate(cfg, rows, w, p_w):
+    """c's and d's DL rate of one pointing with no TX distortion, through
+    the rate pass that scores every item of a trial."""
+    item = (p_w, rows, w, np.zeros(len(rows)))
+    ideal = link._PLANS[cfg.scenario]["ideal-csi"]
+    (dl, ul), = link._rate_dl(cfg, {}, [[item]], [ideal])[0]
+    assert ul == 0.0
+    return dl
+
+
 def test_sinr_rate_of_one_ue_is_dl_rate():
     # c's and d's per-UE SINR rate, one UE and no burst: the public DL rate.
     cfg = default_scenario("d")
@@ -67,8 +77,9 @@ def test_sinr_rate_of_one_ue_is_dl_rate():
         w /= np.linalg.norm(w)
         for p_w in (1e-3, 1.0, 30.0):
             expected = dl_rate(h, w, p_w, cfg.budget.ue_noise_w)
-            assert link._sinr_rate(cfg, (h, w, None), p_w) == pytest.approx(expected, rel=1e-12)
-    assert link._sinr_rate(cfg, None, 1.0) == 0.0
+            assert _sinr_rate(cfg, h, w, p_w) == pytest.approx(expected, rel=1e-12)
+    # A scheme left without a precoder scores 0.
+    assert link._rate_dl(cfg, {}, [[None]], [link._PLANS["d"]["hd"]]) == [[(0.0, 0.0)]]
 
 
 def test_sinr_rate_under_zero_forcing_sums_the_one_ue_rates():
@@ -81,10 +92,9 @@ def test_sinr_rate_under_zero_forcing_sums_the_one_ue_rates():
         w = zf_precoder(rows)
         for p_w in (1e-3, 1.0, 30.0):
             alone = sum(
-                link._sinr_rate(cfg, (rows[j : j + 1], w[:, j : j + 1], None), p_w)
-                for j in range(k)
+                _sinr_rate(cfg, rows[j : j + 1], w[:, j : j + 1], p_w) for j in range(k)
             )
-            assert link._sinr_rate(cfg, (rows, w, None), p_w) == pytest.approx(alone, rel=1e-12)
+            assert _sinr_rate(cfg, rows, w, p_w) == pytest.approx(alone, rel=1e-12)
 
 
 def test_link_budget_gains():
@@ -330,14 +340,14 @@ def test_stacked_fault_in_scenario_c_names_a_scheme_run_trial_reproduces(monkeyp
         default_scenario("c"), trials=1, power_sweep_dbm=(20.0,),
         schemes=("proposed", "hd", "benchmark"),
     )
-    original = link.mmse_estimate
+    original = link.mmse_shrink
 
-    def fails_for_one_ue(y, pilots, noise_var, prior_var):
+    def fails_for_one_ue(pilots, noise_var, prior_var):
         if pilots.matrix.shape[0] == 1:
             raise SingularChannelError("planted")
-        return original(y, pilots, noise_var, prior_var)
+        return original(pilots, noise_var, prior_var)
 
-    monkeypatch.setattr(link, "mmse_estimate", fails_for_one_ue)
+    monkeypatch.setattr(link, "mmse_shrink", fails_for_one_ue)
     with pytest.raises(TrialError, match="power 20 dBm, scheme benchmark: SingularChannelError"):
         run_scenario(cfg)
     seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))

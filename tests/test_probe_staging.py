@@ -4,8 +4,10 @@ The probe burst at power p is sqrt(p) times a burst fixed per trial, and
 the receive chain is linear in that amplitude: `_tx_impair` drives every
 chain at a fixed level, and the digital canceller projects onto the row
 space of the burst's regressors, which the amplitude does not change.
-These tests check that identity at its two steps, and that the staging
-holds: the canceller is fit once per (trial, probe), not once per power.
+These tests check that identity at its two steps, the second moments
+that carry the staged slot to each power, and that the staging holds: the
+canceller is fit once per (trial, probe), not once per power, and the TX
+chain runs once per probe, once per full-duplex pointing and once for HD.
 """
 
 import dataclasses
@@ -52,14 +54,40 @@ def test_tx_impair_is_homogeneous_in_the_amplitude(cfg, chains, samples, silent,
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    chains=st.integers(1, 8),
+    samples=st.integers(1, 200),
+    silent=st.lists(st.sampled_from(["", "x", "y", "xy"]), min_size=8, max_size=8),
+    amp_db=st.floats(-60.0, 60.0),
+    seed=seeds,
+)
+def test_probe_moments_give_the_power_at_any_amplitude(chains, samples, silent, amp_db, seed):
+    # Per row, mean |a x + y|^2 from the moments of (x, y) at p = a^2,
+    # with rows where x, y or both are zero.
+    rng = np.random.default_rng(seed)
+    x, y = (
+        rng.standard_normal((2, chains, samples)) + 1j * rng.standard_normal((2, chains, samples))
+    )
+    for row, which in enumerate(silent[:chains]):
+        x[row] *= "x" not in which
+        y[row] *= "y" not in which
+    p_w = 10.0 ** (amp_db / 10.0)
+    got = link._power_at(link._moments(x, y), p_w)
+    ref = np.mean(np.abs(np.sqrt(p_w) * x + y) ** 2, axis=1)
+    assert np.all(got >= 0.0)
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+
+
 def test_staged_probe_matches_the_per_power_receive():
     """Against `_fd_receive` on the probe burst at each power, as every
     slot was received before the staging: residual SI power per chain
     within 1e-9 relative, and the same saturated chains.
 
     The staged and per-power slots sum the same terms in another order
-    (sqrt(p) s + u against h_si x_tx - C x + pilot + noise) and fit the
-    canceller on b instead of sqrt(p) b.  Over 40 default trials at every
+    (sqrt(p) s + u against h_si x_tx - C x + pilot + noise), fit the
+    canceller on b instead of sqrt(p) b, and the staged powers come from
+    second moments instead of the samples.  Over 40 default trials at every
     power the residual SI power stayed within 4.3e-12 relative per chain
     and 1.3e-12 over all chains, the level that sets the rate; 1e-9 leaves
     room for other BLAS builds and is still far below anything the
@@ -86,9 +114,8 @@ def test_staged_probe_matches_the_per_power_receive():
                     ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx, pil_rx, noise_b,
                     plan.digital, bud.rx_saturation_w,
                 )
-                z_si, saturated = link._probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
+                got, saturated = link._probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
                 ref = np.mean(np.abs(ref_si) ** 2, axis=1)
-                got = np.mean(np.abs(z_si) ** 2, axis=1)
                 np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
                 assert np.array_equal(saturated, ref_sat)
                 checked += 1
@@ -111,3 +138,20 @@ def test_scenario_c_fits_the_canceller_once_per_trial_and_probe(monkeypatch):
     # A ceiling, not a count: staging that fits less often still passes.
     # The floor keeps the ceiling from passing on a path that counts nothing.
     assert 0 < len(fits) <= cfg.trials * probes
+
+
+def test_scenario_c_runs_the_tx_chain_once_per_burst_it_scores(monkeypatch):
+    # Per trial: one probe burst per full-duplex scheme, one pointing per
+    # full-duplex scheme and power, and one HD burst, scaled to each power.
+    cfg = dataclasses.replace(default_scenario("c"), trials=2)
+    calls = []
+    impair = link._tx_impair
+
+    def counted(*args):
+        calls.append(None)
+        return impair(*args)
+
+    monkeypatch.setattr(link, "_tx_impair", counted)
+    run_scenario(cfg)
+    fd, hd = 2, 1  # proposed and benchmark; ideal-csi is unimpaired
+    assert 0 < len(calls) <= cfg.trials * (fd + fd * len(cfg.power_sweep_dbm) + hd)

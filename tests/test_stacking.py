@@ -7,13 +7,17 @@ only if every stacked call returns exactly (`np.array_equal`), not
 approximately, what the 2-D call on each member returns; `run_scenario`
 is checked against `run_trial` on random small configs of a, b and c for
 the same reason.  On every scenario checked there the rates must also be
-finite and non-negative, and on c ideal-CSI rates monotone in power.  The staging itself is guarded too: sounding pilots are built
-once per run and power, eigen precoders once per (trial, power, streams).
+finite and non-negative, and on c ideal-CSI rates monotone in power.  c
+and d rate every (power, scheme) of a trial in one pass too, which must
+equal rating each item alone.  The staging itself is guarded too: sounding
+pilots are built once per run and power, eigen precoders once per (trial,
+power, streams), and a's and b's codebooks once per run.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +157,69 @@ def test_ul_rate_with_a_power_per_link_is_exact(batch, chains, streams, seed):
     for k in range(batch):
         for j in range(2):
             assert np.array_equal(both[k, j], ul_rate(h[k], u[k], float(p[k]), pairs[k, j]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    powers=st.integers(1, 3),
+    shapes=st.lists(st.tuples(dims, dims), min_size=1, max_size=2),
+    picks=st.lists(st.integers(-1, 1), min_size=12, max_size=12),
+    seed=seeds,
+)
+def test_stacked_dl_rate_pass_is_exact(powers, shapes, picks, seed):
+    # c's and d's rate pass stacks every (power, scheme) item of a trial
+    # by shape; each rate equals the pass over that item alone.
+    cfg = default_scenario("c")
+    plans = [link._PLANS["c"][s] for s in cfg.schemes]
+    rng = np.random.default_rng(seed)
+    received = []
+    for i in range(powers):
+        row = []
+        for j in range(len(plans)):
+            pick = picks[i * len(plans) + j]
+            if pick < 0 or pick >= len(shapes):
+                row.append(None)  # a scheme left without a precoder
+                continue
+            ues, chains = shapes[pick]
+            rows = 1e-5 * _cn(rng, ues, chains)
+            w = _cn(rng, chains, ues)
+            row.append((float(rng.uniform(1e-3, 10.0)), rows, w / np.linalg.norm(w),
+                        1e-12 * rng.uniform(0.0, 1.0, ues)))
+        received.append(row)
+    stacked = link._rate_dl(cfg, {}, received, plans)
+    for i, row in enumerate(received):
+        for j, item in enumerate(row):
+            assert stacked[i][j] == link._rate_dl(cfg, {}, [[item]], [plans[j]])[0][0]
+            share = cfg.dl_data_fraction if plans[j].duplex == "hd" else 1.0
+            ref = 0.0 if item is None else share * _per_ue_loop(cfg.budget.ue_noise_w, *item)
+            assert stacked[i][j][0] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _per_ue_loop(noise_w, p_w, rows, w, dist):
+    """The rate pass for one pointing, UE by UE: the reference it vectorises."""
+    gains = np.abs(rows @ w) ** 2 * p_w
+    total = 0.0
+    for k in range(len(rows)):
+        intf = np.sum(gains[k]) - gains[k, k]
+        total += np.log2(1.0 + gains[k, k] / (intf + dist[k] + noise_w))
+    return total
+
+
+@pytest.mark.parametrize("code", "ab")
+def test_sweep_ab_builds_its_codebooks_once_per_run(monkeypatch, code):
+    cfg = dataclasses.replace(default_scenario(code), trials=2)
+    calls = []
+    book = link.dft_codebook
+
+    def counted(*args):
+        calls.append(args)
+        return book(*args)
+
+    monkeypatch.setattr(link, "dft_codebook", counted)
+    run_scenario(cfg)
+    # A ceiling: the transmit and receive codebooks, once per run; building
+    # them in each trial made 2 calls per trial.
+    assert 0 < len(calls) <= 2
 
 
 @st.composite
