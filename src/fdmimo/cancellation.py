@@ -149,7 +149,7 @@ def si_aware_precoder_projection(
     w: np.ndarray,
     residual: np.ndarray,
     mu: float,
-    svd: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    svd: Tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Project precoder columns away from the dominant residual directions.
 
@@ -161,9 +161,9 @@ def si_aware_precoder_projection(
     budget cannot be met before the precoder collapses, in which case the
     caller should reduce the stream count and retry.
 
-    `svd`, when given, is the (singular values, Vh) that `np.linalg.svd`
-    returns for R, for a caller that projects against one R many times;
-    it is computed here otherwise, and only when `w` misses the budget.
+    `svd` is the (singular values, Vh) that `np.linalg.svd` returns for R;
+    the caller computes it once per R and passes it to every projection
+    against that R.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -171,7 +171,7 @@ def si_aware_precoder_projection(
     r = np.asarray(residual, dtype=complex)
     if np.linalg.norm(r @ w) ** 2 <= mu:
         return w
-    svals, vh = np.linalg.svd(r)[1:] if svd is None else svd
+    svals, vh = svd
     projected = w.copy()
     for i in range(len(svals)):
         if svals[i] == 0:

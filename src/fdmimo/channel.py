@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,24 +39,19 @@ class RicianParams:
 class ClusteredParams:
     """Geometric multipath description for large planar-wave channels.
 
-    `aod` / `aoa` fix the per-path departure/arrival angles in radians; when
-    left as None each realization draws them uniformly in [-pi/2, pi/2].
+    Each realization draws the per-path departure and arrival angles
+    uniformly in [-pi/2, pi/2].
     """
 
     num_paths: int
     rx_size: int
     tx_size: int
-    aod: Optional[Sequence[float]] = None
-    aoa: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
         if self.rx_size < 1 or self.tx_size < 1:
             raise ValueError("array sizes must be positive")
-        for name, angles in (("aod", self.aod), ("aoa", self.aoa)):
-            if angles is not None and len(angles) != self.num_paths:
-                raise ValueError(f"{name} must list one angle per path")
 
 
 @dataclass(frozen=True)
@@ -147,8 +142,8 @@ def gen_clustered_mmwave(params: ClusteredParams, rng: np.random.Generator) -> n
         (rx_size, tx_size) complex matrix.
     """
     p = params.num_paths
-    aod = params.aod if params.aod is not None else rng.uniform(-np.pi / 2, np.pi / 2, p)
-    aoa = params.aoa if params.aoa is not None else rng.uniform(-np.pi / 2, np.pi / 2, p)
+    aod = rng.uniform(-np.pi / 2, np.pi / 2, p)
+    aoa = rng.uniform(-np.pi / 2, np.pi / 2, p)
     gains = (rng.standard_normal(p) + 1j * rng.standard_normal(p)) / np.sqrt(2.0)
     h = np.zeros((params.rx_size, params.tx_size), dtype=complex)
     for alpha, th_rx, th_tx in zip(gains, aoa, aod):

@@ -240,10 +240,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _apply_overrides(parse_config(args.config), args)
-    except ConfigError as exc:
-        print(f"fdmimo: config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"fdmimo: config error: {exc}", file=sys.stderr)
         return 1
 

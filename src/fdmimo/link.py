@@ -180,14 +180,20 @@ _SCENARIOS = ("a", "b", "c", "d")
 
 @dataclass(frozen=True)
 class _Plan:
-    """How one scheme wires the transceiver for a trial."""
+    """How one scheme wires the transceiver for a trial.
+
+    `digital` also sets the residual SI that a full-duplex precoder
+    projection may leave (`_project`).  A digital stage cancels what
+    reaches it, so the residual only has to keep the receive chains out
+    of saturation, with half the limit as margin; without one the residual
+    stays in the samples, so it must stay under the BS noise floor.
+    """
 
     taps: str = "config"  # "config" | "full" | "none"
     digital: bool = True
     impaired: bool = True
     duplex: str = "fd"  # "fd" | "hd"
     csi: str = "estimated"  # "estimated" | "sequential" | "perfect"
-    budget: str = "saturation"  # projection budget: "saturation" | "noise"
     null_depth: bool = False  # fixed half-dimension null-space projection
 
 
@@ -195,16 +201,13 @@ _PLANS: Dict[str, Dict[str, _Plan]] = {
     "a": {
         "proposed": _Plan(),
         "proposed-ideal": _Plan(impaired=False),
-        "benchmark": _Plan(taps="full", digital=False, budget="noise", null_depth=True),
-        "benchmark-ideal": _Plan(
-            taps="full", digital=False, impaired=False, budget="noise",
-            null_depth=True,
-        ),
+        "benchmark": _Plan(taps="full", digital=False, null_depth=True),
+        "benchmark-ideal": _Plan(taps="full", digital=False, impaired=False, null_depth=True),
         "hd": _Plan(taps="none", digital=False, duplex="hd"),
     },
     "b": {
         "proposed": _Plan(),
-        "benchmark": _Plan(taps="none", digital=False, budget="noise"),
+        "benchmark": _Plan(taps="none", digital=False),
         "hd": _Plan(taps="none", digital=False, duplex="hd"),
     },
     "c": {
@@ -280,8 +283,13 @@ class ScenarioConfig:
             raise ValueError("power_sweep_dbm must not be empty")
         for i, p in enumerate(self.power_sweep_dbm):
             check_dbm(f"power_sweep_dbm[{i}]", p)
+        # A repeat would write its rows twice; 0.0 and -0.0 are one power.
+        if len(set(self.power_sweep_dbm)) < len(self.power_sweep_dbm):
+            raise ValueError("power_sweep_dbm must not repeat a power")
         if len(self.schemes) < 1:
             raise ValueError("schemes must not be empty")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValueError("schemes must not repeat a scheme")
         legal = allowed_schemes(self.scenario)
         for s in self.schemes:
             if s not in legal:
@@ -602,10 +610,18 @@ def _trial_taps(
     return h_si_hat, taps
 
 
-def _residual_budget_w(bud: LinkBudget, plan: _Plan) -> float:
-    """The residual SI power, in watts, that `plan`'s precoder projection
-    may radiate: half the receive saturation limit, or the BS noise floor."""
-    return 0.5 * bud.rx_saturation_w if plan.budget == "saturation" else bud.bs_noise_w
+def _project(
+    bud: LinkBudget, plan: _Plan, taps: _Taps, w: np.ndarray, p_w: float
+) -> Optional[np.ndarray]:
+    """`w` projected until its residual SI at power `p_w` meets `plan`'s
+    budget (see `_Plan`), or None when no projection meets it."""
+    mu_w = 0.5 * bud.rx_saturation_w if plan.digital else bud.bs_noise_w
+    try:
+        # The budget is on radiated residual power, the projection
+        # compares against ||R W||_F^2 with unit symbol power.
+        return si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd)
+    except InfeasibleProjectionError:
+        return None
 
 
 def _fd_precoder(
@@ -618,7 +634,6 @@ def _fd_precoder(
     by plans with a fixed null depth.  Returns (precoder, streams); the
     precoder is None when no stream count admits a feasible projection.
     """
-    mu_w = _residual_budget_w(cfg.budget, plan)
     streams = min(cfg.arch.n_tx_rf, cfg.dl_ue_antennas)
     while streams >= 1:
         w = eig(streams)
@@ -632,16 +647,10 @@ def _fd_precoder(
             if norm < 1e-12:
                 return None, 0
             return w / norm, streams
-        taps = ctx["taps"][plan.taps]
-        try:
-            # The budget is on radiated residual power, the projection
-            # helper compares against ||R W||_F^2 with unit symbol power.
-            return (
-                si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd),
-                streams,
-            )
-        except InfeasibleProjectionError:
-            streams -= 1
+        w = _project(cfg.budget, plan, ctx["taps"][plan.taps], w, p_w)
+        if w is not None:
+            return w, streams
+        streams -= 1
     return None, 0
 
 
@@ -707,11 +716,6 @@ def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan
     return ctx
 
 
-def _tx_key(plan: _Plan) -> tuple:
-    """Plan fields that fix the precoder; impairments only act after it."""
-    return (plan.taps, plan.budget, plan.null_depth, plan.duplex)
-
-
 def _groups(keys) -> Dict[object, List[int]]:
     """Positions of equal keys, in first-seen order; None keys are left out."""
     out: Dict[object, List[int]] = {}
@@ -769,8 +773,12 @@ def _receive_ab(
     # BLAS takes vector kernels for a lone receive row, which round unlike
     # a stack of rows; a one-chain receiver receives each scheme on its own.
     solo = arch.n_rx_rf == 1
-    bursts = _groups((_tx_key(p), p.digital, solo and i) for i, p in enumerate(plans))
-    for (_, digital, _), members in bursts.items():
+    # The fields that fix the precoder (impairments only act after it) and
+    # the digital stage; `digital` also sets the projection budget.
+    bursts = _groups(
+        (p.taps, p.null_depth, p.duplex, p.digital, solo and i) for i, p in enumerate(plans)
+    )
+    for (_, _, _, digital, _), members in bursts.items():
         lead = plans[members[0]]
         w, streams = _fd_precoder(cfg, ctx, eig, lead, p_w)
         if w is None:
@@ -1005,9 +1013,8 @@ def _c_fd_point(
     g_hat = np.hstack([shrink * (yp + amp * n_p) for yp, n_p in ctx["probe"][plan.csi][1]])
     g_hat = g_hat / np.sqrt(bud.ul_gain) * np.sqrt(bud.dl_gain)  # reciprocity
     g_hat[saturated, :] = 0.0  # clipped chains yield no usable estimate
-    try:
-        w = zf_precoder(g_hat.T)
-    except SingularChannelError:
+    w = _zf_or_none(g_hat.T)
+    if w is None:
         return None
     # The scored slot only needs the TX distortion the UEs see; its
     # receive side was already measured with the probe.
@@ -1147,12 +1154,10 @@ def _d_fd_point(
     Returns the pointing for `_point_dl`, or None when a projection is
     infeasible."""
     bud = cfg.budget
-    mu_w = _residual_budget_w(bud, plan)
     beam, w = ctx["true"]
     taps = beam.taps[plan.taps]
-    try:
-        w = si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd)
-    except InfeasibleProjectionError:
+    w = _project(bud, plan, taps, w, p_w)
+    if w is None:
         return None
     x = np.sqrt(p_w) * (w @ ctx["s_dl"])
     x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
@@ -1167,10 +1172,8 @@ def _d_fd_point(
     else:
         theta = float(consts["d_angles"][0])  # training slot lost to clipping
     beam, w = _d_point(cfg, consts, ctx, theta)
-    taps = beam.taps[plan.taps]
-    try:
-        w = si_aware_precoder_projection(w, taps.resid_lin, mu_w / p_w, taps.resid_svd)
-    except InfeasibleProjectionError:
+    w = _project(bud, plan, beam.taps[plan.taps], w, p_w)
+    if w is None:
         return None
     return beam.h_dl_eff, w, (w @ ctx["s_dl"] if plan.impaired else None)
 

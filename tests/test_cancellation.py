@@ -127,7 +127,8 @@ def test_projection_meets_budget():
     w = _cn(rng, 8, 2)
     w /= np.linalg.norm(w)
     mu = 0.1 * np.linalg.norm(h @ w) ** 2
-    out = si_aware_precoder_projection(w, h - state.matrix(), mu)
+    r = h - state.matrix()
+    out = si_aware_precoder_projection(w, r, mu, np.linalg.svd(r)[1:])
     assert np.linalg.norm(h @ out) ** 2 <= mu + 1e-12
     assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-9)
 
@@ -138,21 +139,11 @@ def test_projection_feasible_input_is_untouched():
     state = set_tap_gains(h, select_taps(h, 8))  # full taps: zero residual
     w = _cn(rng, 4, 2)
     w /= np.linalg.norm(w)
-    out = si_aware_precoder_projection(w, h - state.matrix(), 1e-9)
+    r = h - state.matrix()
+    out = si_aware_precoder_projection(w, r, 1e-9, np.linalg.svd(r)[1:])
     assert np.array_equal(out, w)
     with pytest.raises(ValueError):
-        si_aware_precoder_projection(w, h - state.matrix(), -1.0)
-
-
-def test_projection_with_the_residual_svd_given_is_exact():
-    # Callers that project against one residual many times pass its SVD.
-    rng = np.random.default_rng(7)
-    r = _cn(rng, 4, 4)
-    w = _cn(rng, 4, 2)
-    w /= np.linalg.norm(w)
-    mu = 0.05 * np.linalg.norm(r @ w) ** 2
-    given = si_aware_precoder_projection(w, r, mu, np.linalg.svd(r)[1:])
-    assert np.array_equal(given, si_aware_precoder_projection(w, r, mu))
+        si_aware_precoder_projection(w, r, -1.0, np.linalg.svd(r)[1:])
 
 
 def test_projection_infeasible_raises():
@@ -161,8 +152,9 @@ def test_projection_infeasible_raises():
     state = set_tap_gains(h, [])
     w = _cn(rng, 4, 2)
     w /= np.linalg.norm(w)
+    r = h - state.matrix()
     with pytest.raises(InfeasibleProjectionError):
-        si_aware_precoder_projection(w, h - state.matrix(), 1e-20)
+        si_aware_precoder_projection(w, r, 1e-20, np.linalg.svd(r)[1:])
 
 
 def test_digital_canceller_recovers_planted_model():

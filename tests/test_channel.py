@@ -161,16 +161,6 @@ def test_clustered_rank_bounded_by_paths():
     assert np.all(svals[3:] < 1e-10)
 
 
-def test_clustered_fixed_angles():
-    # a single boresight path makes every entry the common path gain
-    rng = np.random.default_rng(7)
-    params = ClusteredParams(num_paths=1, rx_size=4, tx_size=8, aod=[0.0], aoa=[0.0])
-    h = gen_clustered_mmwave(params, rng)
-    assert np.allclose(h, h[0, 0])
-    with pytest.raises(ValueError):
-        ClusteredParams(num_paths=2, rx_size=4, tx_size=4, aod=[0.0])
-
-
 def test_gauss_markov_marginal_power_preserved():
     rng = np.random.default_rng(8)
     h = complex_gaussian(rng, 200, 200)

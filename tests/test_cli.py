@@ -509,7 +509,7 @@ def small_overrides(draw):
         seed=draw(st.integers(0, 2**70)),
         trials=draw(st.integers(1, 1000)),
         schemes=tuple(schemes),
-        power_sweep_dbm=tuple(draw(st.lists(dbm, min_size=1, max_size=4))),
+        power_sweep_dbm=tuple(draw(st.lists(dbm, min_size=1, max_size=4, unique=True))),
         arch=dataclasses.replace(arch, num_taps=draw(st.integers(0, arch.n_tx_rf * arch.n_rx_rf))),
         budget=dataclasses.replace(bud, si_isolation_db=draw(st.floats(0.0, 200.0))),
         impairments=dataclasses.replace(imp, enabled=draw(st.booleans()), drive_dbm=draw(dbm)),
@@ -570,6 +570,26 @@ def test_too_few_pilots_for_the_ul_streams_exits_one(tmp_path, capsys):
         assert main([command, "--config", src]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "pilots.num_pilots" in err
+
+
+def test_repeated_schemes_exit_one(capsys):
+    # A repeated scheme ran, exited 0 and wrote each of its rows twice.
+    for command in ("validate", "run"):
+        assert main([command, "--config", "scenario_a", "--schemes", "proposed,proposed"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "schemes must not repeat" in err
+
+
+@pytest.mark.parametrize(
+    "sweep", [[0, 0], [0.0, -0.0], [10, 20, 10.0]], ids=["equal", "signed-zero", "apart"]
+)
+def test_repeated_powers_exit_one(tmp_path, capsys, sweep):
+    # A repeated power ran, exited 0 and wrote each of its rows twice.
+    src = _write(tmp_path, {"scenario": "a", "trials": 1, "power_sweep_dbm": sweep})
+    for command in ("validate", "run"):
+        assert main([command, "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "power_sweep_dbm must not repeat" in err
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,28 @@ def test_sinr_rate_under_zero_forcing_sums_the_one_ue_rates():
             assert _sinr_rate(cfg, rows, w, p_w) == pytest.approx(alone, rel=1e-12)
 
 
+def test_projection_budget_follows_the_digital_stage():
+    # With a digital stage the residual SI may reach half the saturation
+    # limit; without one it must stay under the BS noise floor.  At 0 dBm
+    # the weak residual directions (1e-8 W per watt radiated) pass the
+    # first budget and break the second.
+    bud = LinkBudget()
+    rng = np.random.default_rng(11)
+    u, _, vh = np.linalg.svd(complex_gaussian(rng, 4, 4))
+    r = u @ np.diag([1.0, 1.0, 1e-4, 1e-4]) @ vh
+    taps = link._Taps(np.zeros((4, 4), dtype=complex), r)
+    w = complex_gaussian(rng, 4, 1)
+    w /= np.linalg.norm(w)
+    p_w = 1e-3
+    digital = link._Plan()
+    out = link._project(bud, digital, taps, w, p_w)
+    assert out is not None
+    assert p_w * np.linalg.norm(r @ out) ** 2 <= 0.5 * bud.rx_saturation_w
+    assert p_w * np.linalg.norm(r @ out) ** 2 > bud.bs_noise_w
+    assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
+    assert link._project(bud, dataclasses.replace(digital, digital=False), taps, w, p_w) is None
+
+
 def test_link_budget_gains():
     budget = LinkBudget()
     assert budget.dl_gain == pytest.approx(1e-10, rel=1e-12)
