@@ -4,9 +4,9 @@ Building blocks: fading channel generators (`channel`), transmit-chain
 impairment models (`impairments`), analog/digital beamforming
 (`beamforming`), multi-tap analog plus nonlinear digital self-interference
 cancellation (`cancellation`), pilot-based channel and direction estimation
-(`estimation`), and the Monte Carlo link simulator with its scenario
-catalogue (`link`).  The `fdmimo` console script drives everything from
-JSON configs.
+(`estimation`), and the Monte Carlo link simulator (`link`).  The bundled
+JSON configs define the four scenarios; `cli` reads them and the `fdmimo`
+console script drives everything from them.
 """
 
 from fdmimo.beamforming import ArchitectureConfig
@@ -19,7 +19,6 @@ from fdmimo.link import (
     ScenarioConfig,
     allowed_schemes,
     complexity_report,
-    default_scenario,
     run_scenario,
     run_trial,
 )
@@ -42,3 +41,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Loaded on first use: importing cli here runs it twice under `python -m fdmimo.cli`.
+    if name == "default_scenario":
+        from fdmimo.cli import default_scenario
+        return default_scenario
+    raise AttributeError(f"module 'fdmimo' has no attribute {name!r}")

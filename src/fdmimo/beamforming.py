@@ -151,22 +151,21 @@ def beam_select_doa(theta: float, codebook: np.ndarray) -> int:
 def zf_precoder(h: np.ndarray) -> np.ndarray:
     """Zero-forcing precoder for a users x chains channel.
 
-    Returns W = H^H (H H^H)^-1 normalized to unit Frobenius norm, so H W
-    is diagonal.
+    Returns W = H^H (H H^H)^-1 = V diag(1/s) U^H, from one SVD of H,
+    normalized to unit Frobenius norm, so H W is diagonal.  A Gram matrix
+    H H^H of condition (s_max / s_min)^2 above 1e12 is singular.
     """
     h = np.asarray(h, dtype=complex)
     users, chains = h.shape
     if users > chains:
         raise ValueError("more streams than transmit chains")
-    gram = h @ h.conj().T
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularChannelError(f"channel Gram matrix condition {cond:.3e}")
-    w = h.conj().T @ np.linalg.inv(gram)
-    norm = np.linalg.norm(w)
-    if norm == 0:
-        raise SingularChannelError("zero-forcing solution collapsed to zero")
-    return w / norm
+    u, s, vh = np.linalg.svd(h, full_matrices=False)
+    # (s_max / s_min)^2 > 1e12, written without a division: a zero s_min
+    # raises here, and no ratio can overflow.
+    if not (s[-1] > 0 and s[0] <= 1e6 * s[-1]):
+        raise SingularChannelError(f"channel singular values {s[0]:.3e} to {s[-1]:.3e}")
+    w = (vh.conj().T / s) @ u.conj().T
+    return w / np.linalg.norm(w)
 
 
 def mmse_combiner(h: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:

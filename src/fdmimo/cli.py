@@ -18,12 +18,16 @@ from typing import List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
+from fdmimo.beamforming import ArchitectureConfig
+from fdmimo.channel import AgingParams
+from fdmimo.estimation import PilotConfig
+from fdmimo.impairments import TxImpairmentConfig
 from fdmimo.link import (
-    UNREAD_FIELDS,
+    SCENARIOS,
     CurvePoint,
+    LinkBudget,
     ScenarioConfig,
     complexity_report,
-    default_scenario,
     run_scenario,
 )
 
@@ -34,9 +38,17 @@ class ConfigError(ValueError):
     """Anything wrong with the requested configuration."""
 
 
-# JSON section -> ScenarioConfig field.
-_SECTIONS = {"architecture": "arch", "budget": "budget", "impairments": "impairments",
-             "pilots": "pilots", "aging": "aging"}
+# JSON section -> (ScenarioConfig field, section type).
+_SECTIONS = {
+    "architecture": ("arch", ArchitectureConfig),
+    "budget": ("budget", LinkBudget),
+    "impairments": ("impairments", TxImpairmentConfig),
+    "pilots": ("pilots", PilotConfig),
+    "aging": ("aging", AgingParams),
+}
+
+# The bundled configs, one per scenario.
+_CONFIGS = resources.files("fdmimo") / "configs"
 
 # Top-level numeric fields of ScenarioConfig, by declared type.
 _SCALARS = {
@@ -85,89 +97,102 @@ def _check_keys(given: dict, allowed, where: str) -> None:
         )
 
 
-def _check_read(raw: dict, scenario: str) -> None:
-    """ConfigError naming the first key of `raw` that `scenario` does not read."""
+def _check_read(raw: dict, bundled: dict, scenario: str) -> None:
+    """ConfigError naming the first key of `raw` that `bundled`, its scenario's, does not set."""
     for key, value in raw.items():
-        attr = _SECTIONS.get(key, key)
-        fields = value if isinstance(value, dict) else {}
-        for name, shown in [(attr, key)] + [(f"{attr}.{f}", f"{key}.{f}") for f in fields]:
-            if name in UNREAD_FIELDS[scenario]:
-                raise ConfigError(
-                    f"scenario {scenario!r} does not take {shown!r}: it ignores or fixes it"
-                )
+        unread = [] if key in bundled else [key]
+        if not unread and key in _SECTIONS and isinstance(value, dict):
+            unread = [f"{key}.{f}" for f in value if f not in bundled[key]]
+        if unread:
+            raise ConfigError(
+                f"scenario {scenario!r} does not take {unread[0]!r}: it ignores or fixes it"
+            )
 
 
-def _build_section(name: str, payload: dict, current):
+def _build_section(name: str, payload, bundled: dict, cls):
+    """Section `name`: `payload`'s fields merged over the bundled ones."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{name!r} must be a JSON object")
-    names = [f.name for f in dataclasses.fields(current)]
-    _check_keys(payload, names, f"section {name!r}")
-    types = get_type_hints(type(current))
-    payload = {k: _typed(f"{name}.{k}", v, types[k]) for k, v in payload.items()}
+    types = get_type_hints(cls)
+    payload = {k: _typed(f"{name}.{k}", v, types[k]) for k, v in {**bundled, **payload}.items()}
     try:
-        return dataclasses.replace(current, **payload)
+        return cls(**payload)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {name!r} settings: {exc}") from exc
 
 
 def parse_config(source: str) -> ScenarioConfig:
-    """Load a scenario config, filling unspecified fields from the
-    scenario's reference defaults.  `source` is a filesystem path or the
-    bare name of a bundled config such as `scenario_a`.  A key the
-    scenario does not read (`link.UNREAD_FIELDS`) is a ConfigError."""
-    text = _read_config_text(source)
+    """Load a scenario config.  `source` is a filesystem path or the bare
+    name of a bundled config such as `scenario_a`.
+
+    The object is merged over the scenario's bundled config, section by
+    section, so an omitted key takes the bundled value.  A key the bundled
+    config does not set is one the scenario does not read, and a
+    ConfigError.
+    """
+    path = _config_path(source)
     try:
-        raw = json.loads(text)
-    except ValueError as exc:  # also an integer past Python's digit limit
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, past the digit or nesting limit
         raise ConfigError(f"{source}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
+    return _scenario_config(raw)
+
+
+def default_scenario(code: str) -> ScenarioConfig:
+    """Reference configuration of a scenario: its bundled config."""
+    return _scenario_config({"scenario": code})
+
+
+def _scenario_config(raw: dict) -> ScenarioConfig:
+    """`raw`, a config object, merged over its scenario's bundled config."""
     if "scenario" not in raw:
-        raise ConfigError("config must name a 'scenario' (a, b, c or d)")
-    scenario = raw["scenario"]
-    if scenario not in ("a", "b", "c", "d"):
-        raise ConfigError(f"scenario must be one of a, b, c, d, got {scenario!r}")
-
-    top = ["scenario", "schemes", "power_sweep_dbm", *_SCALARS, *_SECTIONS]
-    _check_keys(raw, top, "config")
-    _check_read(raw, scenario)
-
-    cfg = default_scenario(scenario)
-    updates: dict = {}
-    for key, attr in _SECTIONS.items():
-        if key in raw:
-            updates[attr] = _build_section(key, raw[key], getattr(cfg, attr))
-    for key, typ in _SCALARS.items():
-        if key in raw:
-            updates[key] = _typed(key, raw[key], typ)
-    if "power_sweep_dbm" in raw:
-        sweep = raw["power_sweep_dbm"]
-        if not isinstance(sweep, list) or not sweep:
-            raise ConfigError("'power_sweep_dbm' must be a non-empty list of dBm values")
-        updates["power_sweep_dbm"] = tuple(
-            _typed(f"power_sweep_dbm[{i}]", p, float) for i, p in enumerate(sweep)
+        raise ConfigError(
+            f"config must name a 'scenario' ({', '.join(SCENARIOS[:-1])} or {SCENARIOS[-1]})"
         )
-    if "schemes" in raw:
-        schemes = raw["schemes"]
-        if not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes):
-            raise ConfigError("'schemes' must be a list of scheme names")
-        updates["schemes"] = tuple(schemes)
+    scenario = raw["scenario"]
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"scenario must be one of {', '.join(SCENARIOS)}, got {scenario!r}")
+
+    _check_keys(raw, ["scenario", "schemes", "power_sweep_dbm", *_SCALARS, *_SECTIONS], "config")
+    for key, (_, cls) in _SECTIONS.items():
+        if isinstance(raw.get(key), dict):
+            _check_keys(raw[key], [f.name for f in dataclasses.fields(cls)], f"section {key!r}")
+    bundled = json.loads((_CONFIGS / f"scenario_{scenario}.json").read_text(encoding="utf-8"))
+    _check_read(raw, bundled, scenario)
+
+    merged = {**bundled, **raw}
+    fields: dict = {"scenario": scenario}
+    for key, (attr, cls) in _SECTIONS.items():
+        if key in merged:
+            fields[attr] = _build_section(key, merged[key], bundled[key], cls)
+    for key, typ in _SCALARS.items():
+        if key in merged:
+            fields[key] = _typed(key, merged[key], typ)
+    sweep = merged["power_sweep_dbm"]
+    if not isinstance(sweep, list) or not sweep:
+        raise ConfigError("'power_sweep_dbm' must be a non-empty list of dBm values")
+    fields["power_sweep_dbm"] = tuple(
+        _typed(f"power_sweep_dbm[{i}]", p, float) for i, p in enumerate(sweep)
+    )
+    schemes = merged["schemes"]
+    if not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes):
+        raise ConfigError("'schemes' must be a list of scheme names")
+    fields["schemes"] = tuple(schemes)
     try:
-        return dataclasses.replace(cfg, **updates)
+        return ScenarioConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _read_config_text(source: str) -> str:
+def _config_path(source: str):
     path = Path(source)
-    if path.is_file():
-        return path.read_text()
-    name = source if source.endswith(".json") else source + ".json"
-    if "/" not in source:
-        bundled = resources.files("fdmimo").joinpath("configs", name)
-        if bundled.is_file():
-            return bundled.read_text()
-    raise ConfigError(f"config file not found: {source}")
+    if not path.is_file():
+        path = _CONFIGS / (source if source.endswith(".json") else source + ".json")
+        if "/" in source or not path.is_file():
+            raise ConfigError(f"config file not found: {source}")
+    return path
 
 
 def format_csv(points: Sequence[CurvePoint]) -> str:

@@ -175,9 +175,6 @@ class LinkBudget:
         return dbm_to_watt(self.rx_saturation_dbm)
 
 
-_SCENARIOS = ("a", "b", "c", "d")
-
-
 @dataclass(frozen=True)
 class _Plan:
     """How one scheme wires the transceiver for a trial.
@@ -225,18 +222,8 @@ _PLANS: Dict[str, Dict[str, _Plan]] = {
 }
 
 
-# Config fields each scenario never reads, so a config may not set them.
-# c and d train over the whole packet, not `pilots.num_pilots`.
-UNREAD_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "a": ("num_ue", "num_paths", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
-          "budget.ul_power_dbm", "arch.phase_bits"),
-    "b": ("num_ue", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
-          "budget.ul_power_dbm"),
-    "c": ("num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "kappa_ue_db",
-          "arch.phase_bits", "pilots.num_pilots"),
-    "d": ("num_ue", "num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "aging",
-          "pilots.num_pilots"),
-}
+# Scenario codes; `configs/scenario_<code>.json` holds each one's values and keys.
+SCENARIOS = tuple(_PLANS)
 
 
 def allowed_schemes(scenario: str) -> Tuple[str, ...]:
@@ -249,7 +236,7 @@ def allowed_schemes(scenario: str) -> Tuple[str, ...]:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation campaign.  A scenario
-    ignores the fields that `UNREAD_FIELDS` names for it."""
+    ignores the fields its bundled config does not set."""
 
     scenario: str
     arch: ArchitectureConfig
@@ -273,8 +260,8 @@ class ScenarioConfig:
     hd_pilot_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.scenario not in _SCENARIOS:
-            raise ValueError(f"scenario must be one of {_SCENARIOS}")
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -346,74 +333,6 @@ class CurvePoint:
     mean_rate_bps_hz: float
     std_err: float
     trials: int
-
-
-def default_scenario(code: str) -> ScenarioConfig:
-    """Reference configuration of a scenario, matching the bundled JSON files."""
-    if code == "a":
-        return ScenarioConfig(
-            scenario="a",
-            arch=ArchitectureConfig(4, 4, 4, 4, num_taps=12),
-            budget=LinkBudget(),
-            pilots=PilotConfig(num_pilots=40, power_dbm=10.0),
-            power_sweep_dbm=tuple(float(p) for p in range(-10, 51, 5)),
-            trials=200,
-            seed=1,
-            schemes=("proposed", "proposed-ideal", "benchmark", "benchmark-ideal", "hd"),
-            dl_ue_antennas=4,
-            ul_ue_antennas=4,
-            ul_streams=1,
-            packet_symbols=1000,
-        )
-    if code == "b":
-        return ScenarioConfig(
-            scenario="b",
-            arch=ArchitectureConfig(64, 32, 4, 2, phase_bits=3, num_taps=4),
-            # Physically separated mmWave panels: much higher passive
-            # isolation than the small co-located array of scenario a.
-            budget=LinkBudget(si_isolation_db=76.0),
-            pilots=PilotConfig(num_pilots=40, power_dbm=10.0),
-            power_sweep_dbm=tuple(float(p) for p in range(5, 46, 5)),
-            trials=100,
-            seed=1,
-            schemes=("proposed", "benchmark", "hd"),
-            num_paths=7,
-            dl_ue_antennas=4,
-            ul_ue_antennas=2,
-            ul_streams=2,
-            packet_symbols=1000,
-        )
-    if code == "c":
-        return ScenarioConfig(
-            scenario="c",
-            arch=ArchitectureConfig(8, 8, 8, 8, num_taps=32),
-            # Isolation keeps the strongest per-chain residual a few dB
-            # under the front-end limit at the top of the power sweep.
-            budget=LinkBudget(si_isolation_db=65.0),
-            aging=AgingParams(doppler_hz=50.0, slot_s=1e-3),
-            power_sweep_dbm=tuple(float(p) for p in range(0, 41, 5)),
-            trials=200,
-            seed=1,
-            schemes=("proposed", "benchmark", "ideal-csi", "hd"),
-            num_ue=4,
-            packet_symbols=400,
-        )
-    if code == "d":
-        return ScenarioConfig(
-            scenario="d",
-            arch=ArchitectureConfig(64, 2, 2, 2, phase_bits=3, num_taps=2),
-            budget=LinkBudget(),
-            power_sweep_dbm=tuple(float(p) for p in range(0, 46, 5)),
-            trials=200,
-            seed=1,
-            schemes=("proposed", "benchmark", "ideal-csi", "hd"),
-            # Pointing a 64-element array from a two-chain angle estimate
-            # presumes a near-pure LOS access link; weaker Rician factors
-            # leave the angle scatter-limited at any SNR.
-            kappa_ue_db=40.0,
-            packet_symbols=400,
-        )
-    raise ValueError(f"unknown scenario {code!r}")
 
 
 def complexity_report(arch: ArchitectureConfig) -> Dict[str, int]:

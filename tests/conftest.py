@@ -1,12 +1,12 @@
-"""Shared fixtures: the JSON keys each scenario's config accepts."""
+"""Shared fixtures: the JSON keys each scenario's config accepts, and
+those it does not read."""
 
 import dataclasses
 import json
 
 import pytest
 
-from fdmimo.cli import ConfigError, parse_config
-from fdmimo.link import default_scenario
+from fdmimo.cli import ConfigError, default_scenario, parse_config
 
 # JSON section -> ScenarioConfig field.
 SECTIONS = {
@@ -15,6 +15,18 @@ SECTIONS = {
     "impairments": "impairments",
     "pilots": "pilots",
     "aging": "aging",
+}
+
+# Every (scenario, key) a scenario does not read.
+UNREAD = {
+    "a": ["num_ue", "num_paths", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
+          "budget.ul_power_dbm", "architecture.phase_bits"],
+    "b": ["num_ue", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
+          "budget.ul_power_dbm"],
+    "c": ["num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "kappa_ue_db",
+          "architecture.phase_bits", "pilots.num_pilots"],
+    "d": ["num_ue", "num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "aging",
+          "pilots.num_pilots"],
 }
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from fdmimo import link
+from fdmimo.cli import default_scenario
 
 SEEDS = (1, 7919)
 TRIALS = 5
@@ -26,7 +27,7 @@ OUT = Path(__file__).resolve().parent / "trial_rates.json"
 
 def trial_rates(code: str, seed: int) -> np.ndarray:
     """(trial, power, scheme) rates of the default config of `code` at `seed`."""
-    cfg = dataclasses.replace(link.default_scenario(code), seed=seed)
+    cfg = dataclasses.replace(default_scenario(code), seed=seed)
     consts = link._run_constants(cfg, cfg.power_sweep_dbm)
     return np.array([link._trial_rates(cfg, consts, t) for t in range(TRIALS)])
 

@@ -22,9 +22,10 @@ from fdmimo.cancellation import (
     train_digital_canceller,
 )
 from fdmimo.channel import doppler_correlation, evolve_gauss_markov
+from fdmimo.cli import default_scenario
 from fdmimo.estimation import estimation_error_variance, mmse_estimate, orthogonal_pilots
 from fdmimo.impairments import dbm_to_watt, iq_imbalance, pa_nonlinearity, watt_to_dbm
-from fdmimo.link import default_scenario, run_scenario
+from fdmimo.link import run_scenario
 
 
 def _report(num, ok, detail):

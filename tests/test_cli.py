@@ -9,14 +9,14 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import EVERY_KEY, config_json
+from conftest import EVERY_KEY, UNREAD, config_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmimo import link
 from fdmimo.beamforming import SingularChannelError
-from fdmimo.cli import CSV_HEADER, ConfigError, format_csv, main, parse_config
-from fdmimo.link import CurvePoint, TrialError, allowed_schemes, default_scenario, run_scenario
+from fdmimo.cli import CSV_HEADER, ConfigError, default_scenario, format_csv, main, parse_config
+from fdmimo.link import CurvePoint, TrialError, allowed_schemes, run_scenario
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -313,6 +313,18 @@ def test_exit_code_one_on_integer_past_the_digit_limit(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"scenario": "\xff"}', b"[" * 100000], ids=["not-utf8", "nested-past-recursion"]
+)
+def test_exit_code_one_on_unreadable_config(tmp_path, capsys, content):
+    # A decode error and a RecursionError used to escape as tracebacks.
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fdmimo: config error: {path}: not valid JSON"), err
+
+
 def test_dropped_pilot_stream_count_is_rejected(tmp_path, capsys):
     src = _write(tmp_path, {"scenario": "a", "pilots": {"num_streams": 4}})
     assert main(["run", "--config", src]) == 1
@@ -438,20 +450,6 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "fdmimo.cli"], capture_output=True, text=True
     )
     assert proc.returncode == 1
-
-
-# Every (scenario, key) a scenario does not read, with a value that is
-# legal where the key is read.
-UNREAD = {
-    "a": ["num_ue", "num_paths", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
-          "budget.ul_power_dbm", "architecture.phase_bits"],
-    "b": ["num_ue", "kappa_ue_db", "dl_data_fraction", "hd_pilot_fraction", "aging",
-          "budget.ul_power_dbm"],
-    "c": ["num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "kappa_ue_db",
-          "architecture.phase_bits", "pilots.num_pilots"],
-    "d": ["num_ue", "num_paths", "dl_ue_antennas", "ul_ue_antennas", "ul_streams", "aging",
-          "pilots.num_pilots"],
-}
 
 
 @pytest.mark.parametrize(

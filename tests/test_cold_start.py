@@ -13,7 +13,8 @@ import scipy.special
 import fdmimo
 from fdmimo import channel
 from fdmimo.channel import doppler_correlation
-from fdmimo.link import default_scenario, run_scenario
+from fdmimo.cli import default_scenario
+from fdmimo.link import run_scenario
 
 _COLD_START = """
 import sys

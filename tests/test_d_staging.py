@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from fdmimo import beamforming, link
 from fdmimo.beamforming import ArchitectureConfig
-from fdmimo.link import allowed_schemes, default_scenario, run_scenario, run_trial
+from fdmimo.cli import default_scenario
+from fdmimo.link import allowed_schemes, run_scenario, run_trial
 
 seeds = st.integers(0, 2**32 - 1)
 

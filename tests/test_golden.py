@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from fdmimo.cli import format_csv
-from fdmimo.link import allowed_schemes, default_scenario, run_scenario
+from fdmimo.cli import default_scenario, format_csv
+from fdmimo.link import allowed_schemes, run_scenario
 
 DATA = Path(__file__).resolve().parent / "data"
 

@@ -4,18 +4,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import SECTIONS, UNREAD
 
 from fdmimo import link
 from fdmimo.beamforming import ArchitectureConfig, SingularChannelError, zf_precoder
 from fdmimo.channel import AgingParams, complex_gaussian
-from fdmimo.cli import format_csv
+from fdmimo.cli import default_scenario, format_csv
 from fdmimo.link import (
     LinkBudget,
     ScenarioConfig,
     TrialError,
     allowed_schemes,
     complexity_report,
-    default_scenario,
     dl_rate,
     run_scenario,
     run_trial,
@@ -273,7 +273,7 @@ def test_trial_order_leaves_the_rates_unchanged(code):
         assert np.array_equal(forward[t], backward[t]), t
 
 
-# A legal changed value for each field some scenario leaves unread.
+# A legal changed value for each key some scenario leaves unread.
 UNREAD_CHANGES = {
     "num_ue": 3,
     "num_paths": 3,
@@ -285,7 +285,7 @@ UNREAD_CHANGES = {
     "hd_pilot_fraction": 0.3,
     "aging": AgingParams(doppler_hz=10.0, slot_s=2e-3),
     "budget.ul_power_dbm": -5.0,
-    "arch.phase_bits": 1,
+    "architecture.phase_bits": 1,
     "pilots.num_pilots": 7,
 }
 
@@ -294,15 +294,16 @@ UNREAD_CHANGES = {
 def test_unread_fields_leave_the_curves_unchanged(code):
     base = dataclasses.replace(default_scenario(code), trials=2)
     expected = format_csv(run_scenario(base))
-    for name in link.UNREAD_FIELDS[code]:
-        section, _, field = name.partition(".")
+    for key in UNREAD[code]:
+        section, _, field = key.partition(".")
         if field:
-            changed = dataclasses.replace(getattr(base, section), **{field: UNREAD_CHANGES[name]})
-            cfg = dataclasses.replace(base, **{section: changed})
+            attr = SECTIONS[section]
+            changed = dataclasses.replace(getattr(base, attr), **{field: UNREAD_CHANGES[key]})
+            cfg = dataclasses.replace(base, **{attr: changed})
         else:
-            cfg = dataclasses.replace(base, **{name: UNREAD_CHANGES[name]})
+            cfg = dataclasses.replace(base, **{key: UNREAD_CHANGES[key]})
         assert cfg != base
-        assert format_csv(run_scenario(cfg)) == expected, name
+        assert format_csv(run_scenario(cfg)) == expected, key
 
 
 def test_run_scenario_seed_changes_output():

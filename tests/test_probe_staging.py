@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmimo import link
+from fdmimo.cli import default_scenario
 from fdmimo.impairments import TxImpairmentConfig, dbm_to_watt
-from fdmimo.link import default_scenario, run_scenario
+from fdmimo.link import run_scenario
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -25,7 +25,8 @@ from fdmimo import cancellation, estimation, link
 from fdmimo.beamforming import ArchitectureConfig, mmse_combiner
 from fdmimo.cancellation import RegressorRankError, apply_digital_canceller, train_digital_canceller
 from fdmimo.channel import AgingParams
-from fdmimo.link import allowed_schemes, default_scenario, dl_rate, run_scenario, run_trial, ul_rate
+from fdmimo.cli import default_scenario
+from fdmimo.link import allowed_schemes, dl_rate, run_scenario, run_trial, ul_rate
 
 dims = st.integers(1, 6)
 batches = st.integers(1, 5)
