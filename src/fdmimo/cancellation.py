@@ -10,19 +10,23 @@ model over the basis {x, conj(x), x |x|^2} per transmit chain.
 
 A receive slot takes the digital stage through `cancel_slot`, which fits
 and applies on one burst and returns only the cleaned rows.  One rule,
-`_gram_root`, routes the burst between two solvers:
+`_projection`, routes the burst of k streams on n chains between two
+solvers:
 
-  projected   every regressor row has power, and the Gram of the
-              regressors, scaled to unit diagonal, has a Cholesky factor
-              L with 3n ||L^-1||_F^2 <= 1e5: the least-squares residual is
-              unique and is computed as the target minus its projection
-              onto the regressors' row space, member by member
-  otherwise   the minimum-norm `lstsq` fit, subtracted on all rows at once
+  projected   m rows that span the regressors' row space, whose Gram,
+              scaled to unit diagonal, has a Cholesky factor L with
+              m ||L^-1||_F^2 <= 1e5 (`_gram_root`): the regressors
+              themselves when k = n, or [W; conj(W); x |x|^2] with W k
+              rows that span the burst's row space when 2 <= k < n.  The least-squares residual is unique and is
+              computed as the target minus its projection onto that row
+              space, member by member
+  otherwise   the minimum-norm `lstsq` fit, subtracted on all rows at
+              once: a silent chain, one stream on two or more chains, a
+              rank in doubt, or rows too ill-conditioned for the
+              projection to keep its accuracy
 
-A dependent burst (fewer streams than chains) has a singular Gram, so its
-scaled Gram has no factor with a bounded inverse and takes the `lstsq`
-fit: the rule covers the two rank tests of `train_digital_canceller`,
-which stays as the checked reference.  Both solvers work on arrays built
+`train_digital_canceller`, whose two rank tests reject every dependent
+burst, stays as the checked reference.  Both solvers work on arrays built
 once per slot, which keeps a slot's heap peak small.
 """
 
@@ -264,8 +268,10 @@ def train_digital_canceller(
         raise ValueError("residual_linear shape must be (rx chains, tx chains)")
     # The burst is the regressors' first block: dependent chains (fewer
     # streams than chains) fail the full check too, so reject them before
-    # building the 3n regressors.
-    rank = np.linalg.matrix_rank(x @ x.conj().T)
+    # building the 3n regressors.  The rank is that of x, not of x x^H:
+    # rounding leaves a dependent chain an eigenvalue of x x^H near
+    # n eps lambda_max, which is the tolerance `matrix_rank` gives the Gram.
+    rank = np.linalg.matrix_rank(x)
     if rank < n_tx:
         raise RegressorRankError(f"transmit burst rank {rank} < {n_tx} chains")
     phi = _regressors(x)
@@ -297,30 +303,22 @@ def apply_digital_canceller(
 _GRAM_CONDITION_LIMIT = 1e5
 
 
-def _gram_root(phi: np.ndarray) -> Optional[np.ndarray]:
+def _gram_root(gram: np.ndarray) -> Optional[np.ndarray]:
     """K = L^-1 D, with L L^H = D G D and D = diag(G)^-1/2, so that
-    G^-1 = K^H K for the Gram G of the regressors `phi`; None when
+    G^-1 = K^H K for the Gram G of m rows, each with power; None when
     `cancel_slot` must not project with it.
 
-    This is the slot canceller's one routing rule.  K is returned only
-    when every row of `phi` has power (a silent chain leaves D undefined),
-    D G D has a Cholesky factor, and 3n ||L^-1||_F^2, which bounds the
-    condition number of D G D from above, is within the limit; the test
-    is written so that a NaN bound fails it.
-
-    The rule needs no rank test of its own.  The rank tests of
-    `train_digital_canceller` reject a dependent burst, such as one with
-    fewer streams than chains.  Its G is singular, and so is D G D, which
-    rounding leaves either without a Cholesky factor or with one whose
-    inverse is of the order of 1/eps, far past the limit.  The scaling
-    matters because the x |x|^2 block grows as the burst amplitude cubed,
-    and G squares the regressors' condition number.
+    K is returned only when D G D has a Cholesky factor and m ||L^-1||_F^2,
+    which bounds the condition number of D G D from above, is within the
+    limit; the test is written so that a NaN bound fails it.  This is a
+    conditioning test, not a rank test: a singular G leaves D G D either
+    without a Cholesky factor or with one whose inverse is of the order of
+    1/eps, far past the limit, but `_projection` decides the rank before it
+    asks, so that a dependent burst's rows are reduced instead of rejected.
+    The scaling matters because the x |x|^2 block grows as the burst
+    amplitude cubed, and G squares the rows' condition number.
     """
-    gram = phi @ phi.conj().T
-    power = gram.diagonal().real
-    if not np.all(power > 0):
-        return None
-    scale = 1.0 / np.sqrt(power)
+    scale = 1.0 / np.sqrt(gram.diagonal().real)
     try:
         chol = np.linalg.cholesky(gram * np.outer(scale, scale))
     except np.linalg.LinAlgError:
@@ -330,6 +328,60 @@ def _gram_root(phi: np.ndarray) -> Optional[np.ndarray]:
     if not bound <= _GRAM_CONDITION_LIMIT:
         return None
     return root
+
+
+def _projection(
+    x: np.ndarray, phi: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Rows that span the row space of burst `x`'s regressors `phi`, and
+    the root K of their Gram (`_gram_root`); None when `cancel_slot` takes
+    the `lstsq` fit instead.
+
+    This is the slot canceller's routing rule.  With n chains, T samples
+    and level = max(n, T) eps, the k streams of `x` are the eigenvalues of
+    its Gram x x^H (the leading block of the Gram of `phi`, not formed
+    twice) above lambda_max level.  With U the eigenvectors, the rows are
+
+      k = n            the rows of `phi` themselves
+      2 <= k < n       [W; conj(W); x |x|^2], with W = U_k^H x the burst
+                       along its k leading eigenvectors, when the burst
+                       along the other n - k is at rounding level,
+                       ||U_{n-k}^H x||_F <= sqrt(lambda_max) level
+      otherwise        None: a silent chain, one stream on two or more
+                       chains, or a rank in doubt
+
+    and None too when `_gram_root` rejects the Gram of the rows.  An
+    eigenvalue is a squared singular value, so the cutoff on eigenvalues
+    alone would read a stream 1e-9 below the others as a dependent chain,
+    whose row the reduced basis then drops.  The second test tells the two
+    apart: for any n - k orthonormal columns Q, ||Q^H x||_F bounds the
+    n - k smallest singular values of x from above, so whatever the
+    rounding in U, it passes only when each of them is at rounding level,
+    sigma <= sigma_max level.  One
+    stream on several chains has a rank-1 cubic block, so its reduced rows
+    would be dependent as well (see `cancel_slot`).
+    """
+    n, samples = x.shape
+    gram = phi @ phi.conj().T
+    if not np.all(gram.diagonal().real > 0):
+        return None
+    level = max(n, samples) * np.finfo(float).eps
+    eig, vec = np.linalg.eigh(gram[:n, :n])
+    streams = np.count_nonzero(eig > eig[-1] * level)
+    basis = phi
+    if streams < n:
+        if streams < 2:
+            return None
+        coords = vec.conj().T @ x
+        if not np.linalg.norm(coords[: n - streams]) <= np.sqrt(eig[-1]) * level:
+            return None
+        basis = np.empty((2 * streams + n, samples), dtype=complex)
+        basis[:streams] = coords[n - streams :]
+        np.conj(coords[n - streams :], out=basis[streams : 2 * streams])
+        basis[2 * streams :] = phi[2 * n :]
+        gram = basis @ basis.conj().T
+    root = _gram_root(gram)
+    return None if root is None else (basis, root)
 
 
 def cancel_slot(
@@ -344,32 +396,42 @@ def cancel_slot(
     matrix for every member, or one per member.  The result has the shape
     of `rx_rows`; no input is written.
 
-    `_gram_root`'s one rule routes the burst; it rejects every burst that
-    the rank tests of `train_digital_canceller` reject.  When it returns
-    K, the least-squares residual is unique: with t = y - r x the seeded
-    target and G = Phi Phi^H the Gram of the regressors Phi, it is
-    z = t - (t Phi^H) G^-1 Phi, with G^-1 = K^H K.  The products run
-    member by member on the stack, so a member's rows come out the same
-    whatever else shares the call.  Otherwise (a silent chain, fewer
-    streams than chains, or a scaled Gram too ill-conditioned for the
-    projection to keep its accuracy) every member's rows take one
-    minimum-norm `lstsq` fit (`_fit`), whose reconstruction is subtracted
-    from them: what `apply_digital_canceller` does with the fit.
+    `_projection`'s one rule routes the burst.  When it returns rows B
+    that span the row space of the regressors Phi, and K for their Gram
+    G = B B^H, the least-squares residual is unique: with t = y - r x the
+    seeded target, it is z = t - (t B^H) G^-1 B, with G^-1 = K^H K.  B is
+    Phi itself for a burst with as many streams as chains, and a reduced
+    basis for one with two or more streams on more chains, whose Phi is
+    dependent.  The products run member by member on the stack, so a
+    member's rows come out the same whatever else shares the call.
+    Otherwise (a silent chain, one stream on two or more chains, a rank
+    in doubt, or rows too ill-conditioned for the projection to keep its
+    accuracy) every member's rows take one minimum-norm `lstsq` fit
+    (`_fit`), whose reconstruction is subtracted from them: what
+    `apply_digital_canceller` does with the fit.
+
+    One stream on two or more chains, every burst of scenario d, stays on
+    the fit although a basis of one x row, its conjugate and one cubic row
+    would serve: that projection moves d's rates in their last bits, and
+    d's DOA step, which scores every angle alike when a single receive
+    chain survives saturation and so picks one by float noise, turns any
+    such change into a different curve.
     """
     x = np.asarray(tx_baseband, dtype=complex)
     y = np.asarray(rx_rows, dtype=complex)
     r = np.asarray(residual_linear, dtype=complex)
     phi = _regressors(x)
-    root = _gram_root(phi)
-    if root is None:
+    projection = _projection(x, phi)
+    if projection is None:
         rows = y.reshape(-1, y.shape[-1])
         seed = np.broadcast_to(r, y.shape[:-1] + r.shape[-1:]).reshape(-1, x.shape[0])
         z = _fit(phi, x, rows, seed) @ phi
         return np.subtract(rows, z, out=z).reshape(y.shape)
+    basis, root = projection
     gram_inv = root.conj().T @ root
     t = y - r @ x
-    np.conj(phi, out=phi)  # conj(Phi).T is Phi^H; conjugated back below, exactly
-    coeffs = (t @ phi.T) @ gram_inv
-    np.conj(phi, out=phi)
-    t -= coeffs @ phi
+    np.conj(basis, out=basis)  # conj(B).T is B^H; conjugated back below, exactly
+    coeffs = (t @ basis.T) @ gram_inv
+    np.conj(basis, out=basis)
+    t -= coeffs @ basis
     return t

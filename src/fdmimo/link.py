@@ -60,10 +60,14 @@ The full-duplex slots of a, b and d are received through one chain,
 Scenario c's probe slot, whose burst only scales with the power, takes the
 same stages split at the amplitude (`_stage_probe`, `_probe_receive`).
 Both run the digital canceller through `cancellation.cancel_slot`, which
-projects a burst whose scaled regressor Gram is well conditioned and gives
-any other burst, such as one with fewer streams than chains, the
-minimum-norm `lstsq` fit.  A scheme's analog taps are the configured count
-laid out row by row, every position, or none (`_trial_taps`).
+projects a burst onto its regressors' row space: onto the regressors
+themselves when it has as many streams as chains (every burst of b, some
+of a), and onto a reduced basis when two or more streams drive more
+chains (every burst of c, the rest of a).  A burst of one stream on two
+or more chains, every burst of d, takes the minimum-norm `lstsq` fit, and
+so does one whose regressors are too ill-conditioned to project.  A
+scheme's analog taps are the configured count laid out row by row, every
+position, or none (`_trial_taps`).
 
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Arrays of
@@ -453,9 +457,9 @@ def _fd_receive(
     A stack of radiated versions of one burst, `x_tx` of shape (members,
     chains, samples), is received in one pass, with one `resid_lin` for
     all members.  `cancel_slot` routes the stack as one burst, by the
-    scaled Gram of the regressors of `x` built once for all: either each
-    member gets the unique residual of its own rows by a projection, or
-    all members' rows take one minimum-norm `lstsq` fit.
+    rank and the conditioning of the regressors of `x` built once for all:
+    either each member gets the unique residual of its own rows by a
+    projection, or all members' rows take one minimum-norm `lstsq` fit.
     """
     r_si = h_si @ x_tx - c @ x
     r = r_si + ul + noise
