@@ -27,6 +27,11 @@ def check_dbm(name: str, p_dbm: float) -> None:
         raise ValueError(f"{name} must be a finite power within [-300, 300] dBm, got {p_dbm!r}")
 
 
+# How far under the intercept `pa_nonlinearity` peaks: the output magnitude
+# r - 4 r^3 / (3 A^2) is largest at r^2 = A^2 / 4, 10 log10(4) dB below A^2.
+PA_TURNOVER_DB = 10.0 * np.log10(4.0)
+
+
 def watt_to_dbm(p_w: float) -> float:
     """Convert a watt power to dBm."""
     if p_w <= 0:
@@ -45,6 +50,11 @@ class TxImpairmentConfig:
     restores the commanded power afterwards, which models output gain
     staging at a fixed PA operating point.  `enabled=False` bypasses both
     impairments entirely; `iip3_dbm=inf` removes the PA nonlinearity.
+
+    With the PA model on, the drive must stay below `PA_TURNOVER_DB` under
+    the intercept: there the cubic's output peaks, and past it the output
+    falls and then grows without bound, so the distortion can leave the
+    float range.
     """
 
     iip3_dbm: float = 20.0
@@ -58,6 +68,12 @@ class TxImpairmentConfig:
         if self.iip3_dbm != np.inf:
             check_dbm("iip3_dbm", self.iip3_dbm)
         check_dbm("drive_dbm", self.drive_dbm)
+        if self.enabled and self.drive_dbm >= self.iip3_dbm - PA_TURNOVER_DB:
+            raise ValueError(
+                f"drive_dbm must lie below iip3_dbm - {PA_TURNOVER_DB:.2f} dB, where the PA "
+                f"model's output turns over; got drive_dbm {self.drive_dbm!r} with iip3_dbm "
+                f"{self.iip3_dbm!r}"
+            )
 
 
 def pa_nonlinearity(x: np.ndarray, iip3_dbm: float) -> np.ndarray:

@@ -37,20 +37,24 @@ The trial loop is staged by what each quantity depends on:
              beam's DL and SI channels, SI estimate and cancellers for
              every pass and power (`_d_beam`).  In every scenario, one rate
              pass scores every (power, scheme) of the trial as one stack
-             per array shape (`_score_ab`, `_rate_dl`)
+             per array shape (`_score_ab`, `_rate_dl`); in a and b it
+             first computes the UL combiners, one stack per number of
+             surviving chains
   per power  in a and b, the channel estimates, one eigen precoder per
              stream count shared by every scheme, and one precoded burst
-             per distinct precoder; schemes sharing a burst are received
-             together, down to their covariances and UL combiners
-             (`_receive_ab`).  In c and d, one stage (`_point_dl`) scales
-             the fixed pointings to the power and asks the scenario for
-             each full-duplex pointing, whose burst it distorts: in c each
-             full-duplex scheme takes its probe slot's residual SI and
-             saturated chains at the power from the moments
-             (`_probe_receive`), then scales its staged correlations into
-             an LMMSE estimate and zero-forces (`_c_fd_point`); in d it
-             projects its precoder, receives the warm-up slot, refines the
-             angle and points the scored slot (`_d_fd_point`).
+             per distinct precoder object, sent through the TX chain at
+             most once; schemes with the same precoder fields and digital
+             stage are received together, down to their covariances and
+             saturation flags (`_receive_ab`).  In c and d, one stage
+             (`_point_dl`) scales the fixed pointings to the power and asks
+             the scenario for each full-duplex pointing, whose burst it
+             distorts: in c each full-duplex scheme takes its probe slot's
+             residual SI and saturated chains at the power from the
+             moments (`_probe_receive`), then scales its staged
+             correlations into an LMMSE estimate and zero-forces
+             (`_c_fd_point`); in d it projects its precoder, receives the
+             warm-up slot, refines the angle and points the scored slot
+             (`_d_fd_point`).
 
 One table, `_DRIVERS`, gives each scenario its draw, prepare, per-power
 stage and the rate pass that finishes the trial.
@@ -636,6 +640,11 @@ def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan
         _, _, vh = np.linalg.svd(h_si_hat)
         ctx["null_v"] = _ro(vh[: arch.n_tx_rf // 2].conj().T)
     ctx["noise_b"] = _ro(np.sqrt(bud.bs_noise_w) * draw["n_burst"])
+    # What an unimpaired burst, a half-duplex slot and an unsaturated
+    # receiver leave: no TX distortion, no residual SI, every chain.
+    ctx["no_dist"] = _ro(np.zeros((cfg.dl_ue_antennas,) * 2, dtype=complex))
+    ctx["no_si"] = _ro(np.zeros((arch.n_rx_rf,) * 2, dtype=complex))
+    ctx["all_alive"] = _ro(np.ones(arch.n_rx_rf, dtype=bool))
     return ctx
 
 
@@ -661,17 +670,18 @@ def _stacked(fn, keys, *args) -> list:
 def _receive_ab(
     cfg: ScenarioConfig, consts: dict, ctx: dict, power_dbm: float, plans: List[_Plan]
 ) -> List[tuple]:
-    """Every plan's slot at one power, up to the rates.
+    """Every plan's slot at one power, up to its covariances.
 
     The channels are sounded at the operating power and the eigen
-    precoders are computed once per stream count.  Schemes with the same
-    precoder and digital stage share a burst and are received together:
-    one `_fd_receive` per burst, whose members' samples shrink at once to
-    covariances and saturation flags, then one `mmse_combiner` per number
-    of surviving chains.  Returns one item per plan for `_score_ab`:
-    (power, precoder, TX distortion at the DL UE, surviving chains or None
-    for a UL outage, their UL channel, combiner, noise + residual SI, and
-    noise alone).
+    precoders are computed once per stream count.  Each distinct precoder
+    is sent as one burst, distorted at most once: proposed and hd share
+    the eigen precoder whenever its projection leaves it as it is.
+    Schemes with the same precoder fields and digital stage are received
+    together: one `_fd_receive` per group, whose members' samples shrink
+    at once to covariances and saturation flags.  Returns one item per
+    plan for `_score_ab`: (power, precoder or None, TX distortion
+    covariance at the DL UE, residual SI covariance at the BS chains,
+    flags of the chains that escaped saturation, UL channel estimate).
     """
     arch = cfg.arch
     bud = cfg.budget
@@ -681,60 +691,65 @@ def _receive_ab(
         ctx["h_dl_eff"], ctx["n_dl"], consts["dl", power_dbm], bud.ue_noise_w,
         bud.dl_gain * arch.tx_subarray,
     )
-    h_ul_hat = _pilot_estimate(
+    h_ul_hat = _ro(_pilot_estimate(
         ctx["h_ul_eff"], ctx["n_ul"], consts["ul", power_dbm], bud.bs_noise_w,
         bud.ul_gain * arch.rx_subarray,
-    )
+    ))
     ul_sym = _ro(ctx["h_ul_eff"] @ (ul_amp * ctx["s_ul"]))
     # One decomposition per stream count, shared by every burst.
     eig = lru_cache(lambda streams: _ro(eigen_precoder(h_dl_hat, streams)))
+    # The fields that fix the precoder (impairments only act after it);
+    # `digital` also sets the projection budget.
+    fields = [(p.taps, p.null_depth, p.duplex, p.digital) for p in plans]
+    precoders = {
+        key: _fd_precoder(cfg, ctx, eig, plans[idx[0]], p_w) for key, idx in _groups(fields).items()
+    }
+    sent: Dict[int, list] = {}  # id(precoder) -> [clean burst, impaired burst, its distortion]
+
+    def burst(i: int) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Plan i's clean and radiated bursts and TX distortion covariance at
+        the DL UE.  Each precoder's burst is built on first use and goes
+        through the TX chain at most once; an unimpaired one distorts
+        nothing."""
+        w, streams = precoders[fields[i]]
+        if id(w) not in sent:
+            if w is None:
+                x = _ro(np.zeros((arch.n_tx_rf, cfg.packet_symbols), dtype=complex))
+            else:
+                x = _ro(np.sqrt(p_w) * (w @ ctx["s_dl"][:streams]))
+            sent[id(w)] = [x, None, None]
+        entry = sent[id(w)]
+        if w is None:
+            return entry[0], entry[0], None
+        if not plans[i].impaired:
+            return entry[0], entry[0], ctx["no_dist"]
+        if entry[1] is None:
+            entry[1] = _ro(_tx_impair(entry[0], cfg.impairments))
+            entry[2] = _measure_cov(ctx["h_dl_eff"] @ (entry[1] - entry[0]))
+        return entry[0], entry[1], entry[2]
+
     n = len(plans)
-    ws: list = [None] * n
-    dist_cov: list = [None] * n  # TX distortion at the DL UE
-    si_cov = [np.zeros((arch.n_rx_rf,) * 2, dtype=complex)] * n  # residual SI at the BS
-    alive = [np.ones(arch.n_rx_rf, dtype=bool)] * n  # chains that escaped saturation
+    si_cov = [ctx["no_si"]] * n  # residual SI at the BS
+    alive = [ctx["all_alive"]] * n  # chains that escaped saturation
     # BLAS takes vector kernels for a lone receive row, which round unlike
     # a stack of rows; a one-chain receiver receives each scheme on its own.
     solo = arch.n_rx_rf == 1
-    # The fields that fix the precoder (impairments only act after it) and
-    # the digital stage; `digital` also sets the projection budget.
-    bursts = _groups(
-        (p.taps, p.null_depth, p.duplex, p.digital, solo and i) for i, p in enumerate(plans)
-    )
-    for (_, _, _, digital, _), members in bursts.items():
-        lead = plans[members[0]]
-        w, streams = _fd_precoder(cfg, ctx, eig, lead, p_w)
-        if w is None:
-            x = _ro(np.zeros((arch.n_tx_rf, cfg.packet_symbols), dtype=complex))
-        else:
-            x = _ro(np.sqrt(p_w) * (w @ ctx["s_dl"][:streams]))
-        for i in members:
-            ws[i] = w
-        impair = [plans[i].impaired and w is not None for i in members]
-        x_tx = np.stack([_tx_impair(x, cfg.impairments) if on else x for on in impair])
-        if w is not None:
-            for i, cov in zip(members, _measure_cov(ctx["h_dl_eff"] @ (x_tx - x))):
-                dist_cov[i] = cov
-        if lead.duplex == "fd":
-            taps = ctx["taps"][lead.taps]
-            z_si, _, saturated = _fd_receive(
-                ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx, ul_sym, ctx["noise_b"],
-                digital and w is not None, bud.rx_saturation_w,
-            )
-            for i, cov, flags in zip(members, _measure_cov(z_si), saturated):
-                si_cov[i], alive[i] = cov, ~flags
-
-    # Surviving chains see thermal noise plus residual SI; the bound, noise alone.
-    sizes = [int(m.sum()) for m in alive]
-    thermal = {k: bud.bs_noise_w * np.eye(k, dtype=complex) for k in set(sizes)}
-    cov = [thermal[k] + c[m][:, m] for k, c, m in zip(sizes, si_cov, alive)]
-    # Fewer surviving chains than UL streams cannot separate the streams:
-    # the UL is an outage, as when every chain saturates.
-    chains = [k if k >= cfg.ul_streams else None for k in sizes]
-    combiners = _stacked(mmse_combiner, chains, [ul_amp * h_ul_hat[m] for m in alive], cov)
+    for key, members in _groups(f + (solo and i,) for i, f in enumerate(fields)).items():
+        taps, _, duplex, digital, _ = key
+        if duplex == "hd":
+            continue
+        w = precoders[key[:4]][0]
+        tap = ctx["taps"][taps]
+        z_si, _, saturated = _fd_receive(
+            ctx["h_si_eff"], tap.matrix, tap.resid_lin, burst(members[0])[0],
+            np.stack([burst(i)[1] for i in members]), ul_sym, ctx["noise_b"],
+            digital and w is not None, bud.rx_saturation_w,
+        )
+        for i, cov, flags in zip(members, _measure_cov(z_si), saturated):
+            si_cov[i], alive[i] = cov, ~flags
     return [
-        (p_w, w, d, k, ctx["h_ul_eff"][m], u, c, thermal[n])
-        for w, d, k, n, m, u, c in zip(ws, dist_cov, chains, sizes, alive, combiners, cov)
+        (p_w, precoders[key][0], burst(i)[2], c, m, h_ul_hat)
+        for i, (key, c, m) in enumerate(zip(fields, si_cov, alive))
     ]
 
 
@@ -744,12 +759,24 @@ def _score_ab(
     """(DL, UL) rates of every plan, one row per power of `received`.
 
     Every (power, plan) item of the trial is scored in one stack: one
-    `dl_rate` and one `ul_rate` (which also holds the interference-free
-    bounds) per array shape, each item at its own power.
+    `mmse_combiner` per number of surviving chains, then one `dl_rate` and
+    one `ul_rate` (which also holds the interference-free bounds) per
+    array shape, each item at its own power.
     """
     bud = cfg.budget
-    p_w, ws, dist_cov, chains, h_ul, combiners, cov, thermal = zip(
+    p_w, ws, dist_cov, si_cov, alive, h_ul_hat = zip(
         *(item for row in received for item in row)
+    )
+    # Surviving chains see thermal noise plus residual SI; the bound, noise alone.
+    sizes = [int(m.sum()) for m in alive]
+    thermal = {k: bud.bs_noise_w * np.eye(k, dtype=complex) for k in set(sizes)}
+    cov = [thermal[k] + c[m][:, m] for k, c, m in zip(sizes, si_cov, alive)]
+    # Fewer surviving chains than UL streams cannot separate the streams:
+    # the UL is an outage, as when every chain saturates.
+    chains = [k if k >= cfg.ul_streams else None for k in sizes]
+    combiners = _stacked(
+        mmse_combiner, chains,
+        [np.sqrt(p / cfg.ul_streams) * h[m] for p, h, m in zip(p_w, h_ul_hat, alive)], cov,
     )
     dl = _stacked(
         lambda w, c, p: dl_rate(ctx["h_dl_eff"], w, p, bud.ue_noise_w, c),
@@ -757,7 +784,8 @@ def _score_ab(
     )
     ul = _stacked(
         lambda h, u, c, t, p: ul_rate(h[:, None], u[:, None], p[:, None], np.stack([c, t], 1)),
-        chains, h_ul, combiners, cov, thermal, p_w,
+        chains, [ctx["h_ul_eff"][m] for m in alive], combiners, cov, [thermal[k] for k in sizes],
+        p_w,
     )
     out = []
     for k, (rate, pair) in enumerate(zip(dl, ul)):
@@ -1374,10 +1402,12 @@ def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     TX distortion of their unit-power bursts, in c each full-duplex probe
     slot received at unit amplitude and kept as second moments, and its
     pilot correlations, in d each used codeword's channels and
-    cancellers), per power the rest.  In a and b each power's schemes
-    sharing a burst are received together.  In every scenario one rate
-    pass per trial scores every (power, scheme) as one stack per array
-    shape.
+    cancellers), per power the rest.  In a and b each distinct precoder of
+    a power is sent as one burst, and schemes sharing a burst and digital
+    stage are received together.  In every scenario one rate pass per
+    trial scores every (power, scheme) as one stack per array shape; in a
+    and b it also computes the UL combiners, one stack per number of
+    surviving chains.
 
     Each trial draws from its own child seed, so results do not depend on
     the order trials run in.  With trials=1 each point equals `run_trial`

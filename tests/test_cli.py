@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fdmimo import link
 from fdmimo.beamforming import SingularChannelError
 from fdmimo.cli import CSV_HEADER, ConfigError, default_scenario, format_csv, main, parse_config
+from fdmimo.impairments import PA_TURNOVER_DB
 from fdmimo.link import CurvePoint, TrialError, allowed_schemes, run_scenario
 
 
@@ -502,6 +503,8 @@ def small_overrides(draw):
     names = st.sampled_from(allowed_schemes(cfg.scenario))
     schemes = draw(st.lists(names, min_size=1, unique=True))
     dbm = st.floats(-100.0, 100.0, allow_nan=False)
+    # The PA model accepts no drive at or past its turnover under the IIP3.
+    drive = st.floats(-100.0, imp.iip3_dbm - PA_TURNOVER_DB, exclude_max=True)
     return dataclasses.replace(
         cfg,
         seed=draw(st.integers(0, 2**70)),
@@ -510,7 +513,7 @@ def small_overrides(draw):
         power_sweep_dbm=tuple(draw(st.lists(dbm, min_size=1, max_size=4, unique=True))),
         arch=dataclasses.replace(arch, num_taps=draw(st.integers(0, arch.n_tx_rf * arch.n_rx_rf))),
         budget=dataclasses.replace(bud, si_isolation_db=draw(st.floats(0.0, 200.0))),
-        impairments=dataclasses.replace(imp, enabled=draw(st.booleans()), drive_dbm=draw(dbm)),
+        impairments=dataclasses.replace(imp, enabled=draw(st.booleans()), drive_dbm=draw(drive)),
         kappa_si_db=draw(st.floats(-50.0, 50.0)),
         packet_symbols=draw(st.integers(400, 5000)),
     )
@@ -568,6 +571,17 @@ def test_too_few_pilots_for_the_ul_streams_exits_one(tmp_path, capsys):
         assert main([command, "--config", src]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "pilots.num_pilots" in err
+
+
+def test_pa_drive_past_the_turnover_exits_one(tmp_path, capsys):
+    # Driven 46 dB over an IIP3 of -33 dBm, the cubic PA's output grows
+    # without bound; this ran and could exit 0 with inf in the CSV.
+    payload = {"scenario": "b", "schemes": ["hd"], "impairments": {"drive_dbm": 13, "iip3_dbm": -33}}
+    src = _write(tmp_path, payload)
+    for command in ("validate", "run"):
+        assert main([command, "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "drive_dbm" in err and "turns over" in err
 
 
 def test_repeated_schemes_exit_one(capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmimo.impairments import (
+    PA_TURNOVER_DB,
     TxImpairmentConfig,
     apply_tx_chain,
     dbm_to_watt,
@@ -119,6 +120,21 @@ def test_impairment_config_validation():
         with pytest.raises(ValueError, match="drive_dbm"):
             TxImpairmentConfig(drive_dbm=bad)
     TxImpairmentConfig(iip3_dbm=300.0, drive_dbm=-300.0)  # the bounds themselves are fine
+
+
+def test_drive_at_the_pa_turnover_is_rejected():
+    # The cubic's output peaks 10 log10(4) dB under the intercept.
+    r2 = np.linspace(0.0, 1.0, 100_001)  # |x|^2 over A^2
+    r = np.sqrt(r2)
+    peak = r2[np.argmax(r - 4.0 * r**3 / 3.0)]
+    assert 10.0 * np.log10(1.0 / peak) == pytest.approx(PA_TURNOVER_DB, abs=1e-4)
+    for iip3 in (-33.0, 20.0):
+        with pytest.raises(ValueError, match="drive_dbm.*turns over"):
+            TxImpairmentConfig(iip3_dbm=iip3, drive_dbm=iip3 - PA_TURNOVER_DB)
+        TxImpairmentConfig(iip3_dbm=iip3, drive_dbm=iip3 - PA_TURNOVER_DB - 1e-9)
+        # Without the PA model the drive only scales the chains.
+        TxImpairmentConfig(iip3_dbm=iip3, drive_dbm=iip3 + 50.0, enabled=False)
+    TxImpairmentConfig(iip3_dbm=np.inf, drive_dbm=300.0)
 
 
 @settings(max_examples=40, deadline=None)

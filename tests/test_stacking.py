@@ -11,7 +11,9 @@ finite and non-negative, and on c ideal-CSI rates monotone in power.  c
 and d rate every (power, scheme) of a trial in one pass too, which must
 equal rating each item alone.  The staging itself is guarded too: sounding
 pilots are built once per run and power, eigen precoders once per (trial,
-power, streams), and a's and b's codebooks once per run.
+power, streams), a's and b's codebooks once per run, a's UL combiners in
+one call per trial and surviving-chain count, and each distinct precoder's
+burst through the TX chain at most once.
 """
 
 import dataclasses
@@ -317,3 +319,47 @@ def test_sweep_a_builds_pilots_per_power_and_eigen_precoders_once(monkeypatch):
     # a repeated decomposition.
     assert len(precoded) >= cfg.trials * powers
     assert len(set(precoded)) == len(precoded)
+
+
+def _counting(monkeypatch, name):
+    """Replace `link.<name>` by a wrapper that records each call."""
+    calls = []
+    original = getattr(link, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(link, name, counted)
+    return calls
+
+
+def test_sweep_a_computes_its_combiners_once_per_trial(monkeypatch):
+    # The rate pass makes one combiner call per surviving-chain count for
+    # the whole trial; one call per power point made at least one per
+    # (trial, power).
+    cfg = dataclasses.replace(default_scenario("a"), trials=3)
+    calls = _counting(monkeypatch, "mmse_combiner")
+    run_scenario(cfg)
+    assert 0 < len(calls) < cfg.trials * len(cfg.power_sweep_dbm)
+
+
+def test_proposed_and_hd_share_an_unprojected_burst(monkeypatch):
+    # At -10 dBm every trial's proposed precoder meets its SI budget as it
+    # is, so it is hd's eigen precoder too: one burst, distorted once.
+    cfg = dataclasses.replace(
+        default_scenario("a"), trials=3, power_sweep_dbm=(-10.0,), schemes=("proposed", "hd")
+    )
+    projected = []
+    project = link.si_aware_precoder_projection
+
+    def counted_projection(w, *args):
+        out = project(w, *args)
+        projected.append(out is not w)
+        return out
+
+    monkeypatch.setattr(link, "si_aware_precoder_projection", counted_projection)
+    calls = _counting(monkeypatch, "apply_tx_chain")
+    run_scenario(cfg)
+    assert len(projected) == cfg.trials and not any(projected)
+    assert len(calls) == cfg.trials
