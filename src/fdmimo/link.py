@@ -59,6 +59,15 @@ The trial loop is staged by what each quantity depends on:
 One table, `_DRIVERS`, gives each scenario its draw, prepare, per-power
 stage and the rate pass that finishes the trial.
 
+The trials of a run are shared among worker processes forked after the
+per-run stage (`_pooled_rates`), one contiguous chunk of trial indices
+each, so the per-run constants reach every worker through the fork and
+stay read-only.  Each chunk's rows are written back by trial index, and
+every trial draws from its own child seed, so the curves do not depend on
+the number of workers; with one, and wherever `_forks` says no, the trials
+run in the calling process.  Each worker runs numpy's bundled OpenBLAS on
+one thread, since the workers already fill the cores.
+
 The full-duplex slots of a, b and d are received through one chain,
 `_fd_receive`: analog taps, saturation check, then the digital canceller.
 Scenario c's probe slot, whose burst only scales with the power, takes the
@@ -86,6 +95,8 @@ already weighted, so DL + UL is always the headline sum rate.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -1236,7 +1247,9 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
     keys ("dl", power) and ("ul", power).  The transmit codebook of a, b
     and d and the receive codebook of a and b.  Scenario d adds its beam
     grid: the codeword angles, the DOA sweep over them and the analog
-    beamformer of each codeword.
+    beamformer of each codeword.  Scenario c's aging correlation rho is
+    computed here and kept on its `AgingParams`, so trial workers forked
+    after this call inherit it.
     """
     arch = cfg.arch
     # c and d train over the whole packet.
@@ -1250,6 +1263,7 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
             consts["dl", p] = np.sqrt(dbm_to_watt(p) / arch.n_tx_rf) * dl
             consts["ul", p] = np.sqrt(dbm_to_watt(p) / cfg.ul_streams) * ul
     elif cfg.scenario == "c":
+        cfg.aging.rho  # noqa: B018  kept on the config, so forked workers inherit it
         amp = np.sqrt(dbm_to_watt(cfg.budget.ul_power_dbm))
         consts["ul_joint"] = amp * orthogonal_pilots(cfg.num_ue, lp)
         consts["ul_single"] = amp * orthogonal_pilots(1, lp)
@@ -1392,7 +1406,131 @@ def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
     return out
 
 
-def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
+# Fewest trials a worker process is given by default: below it, forking
+# the pool costs more than the trials it shares out.
+_MIN_TRIALS_PER_WORKER = 3
+
+# The run a trial worker serves: set by `_serve` in each forked worker as
+# it starts, never in the calling process.
+_SERVED: Optional[Tuple[ScenarioConfig, dict]] = None
+
+
+# Thread-count setters of the OpenBLAS that numpy's wheels bundle, newest
+# releases first.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _openblas() -> Optional[object]:
+    """The OpenBLAS library that numpy's wheel bundles (`numpy.libs` on
+    Linux, `numpy/.dylibs` on macOS), or None: another BLAS, or numpy
+    built some other way."""
+    import ctypes
+
+    root = os.path.dirname(np.__file__)
+    for folder in (root + ".libs", os.path.join(root, ".dylibs")):
+        try:
+            names = sorted(os.listdir(folder))
+        except OSError:
+            continue
+        for name in names:
+            if "openblas" in name:
+                return ctypes.CDLL(os.path.join(folder, name))
+    return None
+
+
+def _serve(cfg: ScenarioConfig, consts: dict) -> None:
+    """Start a trial worker: keep the run, and cut BLAS to one thread.
+    The pool runs one worker per core, so BLAS threads on top of it
+    oversubscribe the cores: on 2 cores at OpenBLAS's default of a
+    thread per core, scenario c's default run took 1.9-2.6 s on 2
+    workers against 1.3-1.7 s serially."""
+    global _SERVED
+    _SERVED = cfg, consts
+    lib = _openblas()
+    name = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
+    if name is not None:
+        getattr(lib, name)(1)
+
+
+def _chunk_rates(start: int, stop: int) -> np.ndarray:
+    cfg, consts = _SERVED
+    return np.stack([_trial_rates(cfg, consts, t) for t in range(start, stop)])
+
+
+def _forks() -> bool:
+    """Whether trials may run on forked workers.  Not where the platform
+    cannot fork, and not on Python 3.12 or later: there `os.fork` warns
+    (DeprecationWarning) in a process that has threads, as numpy's BLAS
+    pool does, and the fork-after-threads hazard behind that warning has
+    not been checked on those versions."""
+    if sys.version_info >= (3, 12):
+        return False
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _workers(trials: int, jobs: Optional[int]) -> int:
+    """Worker processes for a run of `trials`; 1 runs the trials in this
+    process.  By default one per available core, each with at least
+    `_MIN_TRIALS_PER_WORKER` trials; never more than one per trial, and
+    none where trials may not fork (`_forks`)."""
+    if jobs is None:
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:  # no CPU affinity on this platform
+            cores = os.cpu_count() or 1
+        jobs = max(1, min(cores, trials // _MIN_TRIALS_PER_WORKER))
+    elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    jobs = min(jobs, trials)
+    if jobs > 1 and not _forks():
+        return 1
+    return jobs
+
+
+def _pooled_rates(cfg: ScenarioConfig, consts: dict, jobs: int, rates: np.ndarray) -> None:
+    """Fill `rates` on `jobs` forked workers, each given one contiguous
+    chunk of trials, and write each chunk back by trial index.
+
+    The workers inherit `cfg` and `consts` from the fork, not as pickled
+    copies, so the shared arrays stay read-only.  A chunk that fails is
+    replayed here: trials are deterministic, so the replay raises the same
+    first TrialError as the serial loop, with its own cause rather than
+    the pool's stand-in for the worker's traceback.  A worker that dies
+    breaks every unfinished chunk, so the TrialError it raises names the
+    trials from the first unfinished chunk to the last trial, and the
+    serial loop (`jobs=1`) finds the one that failed.  Every worker has
+    exited when this returns or raises.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    edges = [cfg.trials * k // jobs for k in range(jobs + 1)]
+    chunks = list(zip(edges[:-1], edges[1:]))
+    with ProcessPoolExecutor(
+        jobs, mp_context=multiprocessing.get_context("fork"),
+        initializer=_serve, initargs=(cfg, consts),
+    ) as pool:
+        futures = [pool.submit(_chunk_rates, start, stop) for start, stop in chunks]
+        for (start, stop), future in zip(chunks, futures):
+            try:
+                rates[start:stop] = future.result()
+            except BrokenProcessPool as exc:
+                raise TrialError(
+                    f"scenario {cfg.scenario}, seed {cfg.seed}, trials {start}-{cfg.trials - 1}: "
+                    f"a worker process died in one of them ({exc}); "
+                    f"run them with jobs=1 to find the trial"
+                ) from exc
+            except Exception:  # noqa: BLE001  any fault is replayed as the serial loop meets it
+                for t in range(start, stop):
+                    rates[t] = _trial_rates(cfg, consts, t)
+
+
+def run_scenario(cfg: ScenarioConfig, jobs: Optional[int] = None) -> List[CurvePoint]:
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
 
     Work is staged by what it depends on: per run the pilot matrices
@@ -1409,15 +1547,29 @@ def run_scenario(cfg: ScenarioConfig) -> List[CurvePoint]:
     and b it also computes the UL combiners, one stack per number of
     surviving chains.
 
-    Each trial draws from its own child seed, so results do not depend on
-    the order trials run in.  With trials=1 each point equals `run_trial`
-    seeded with SeedSequence(entropy=seed, spawn_key=(0,)).  A failing
-    trial, or one that scores a non-finite rate, raises TrialError.
+    Trials run on `jobs` worker processes forked from this one, each
+    given one contiguous chunk of trial indices.  `jobs=1` runs them in
+    this process, as does every run where trials may not fork (`_forks`:
+    Python 3.12 or later, or no `fork`).  The default is one worker per
+    available core, with at least `_MIN_TRIALS_PER_WORKER` trials each.
+    Each trial draws from its own child seed and fills its own row, so
+    the curves do not depend on `jobs`.  Functions patched in this
+    process reach the workers, but what the workers record (call counts,
+    traces, profiles) stays in theirs; count or profile with `jobs=1`.
+    With trials=1 each point equals `run_trial` seeded with
+    SeedSequence(entropy=seed, spawn_key=(0,)).  A failing trial, or one
+    that scores a non-finite rate, raises TrialError, the same one
+    whatever `jobs` is; so does a worker that dies.  No worker outlives
+    the call.
     """
     consts = _run_constants(cfg, cfg.power_sweep_dbm)
     rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
-    for t in range(cfg.trials):
-        rates[t] = _trial_rates(cfg, consts, t)
+    jobs = _workers(cfg.trials, jobs)
+    if jobs > 1:
+        _pooled_rates(cfg, consts, jobs, rates)
+    else:
+        for t in range(cfg.trials):
+            rates[t] = _trial_rates(cfg, consts, t)
     points = []
     for isch, scheme in enumerate(cfg.schemes):
         for ip, p in enumerate(cfg.power_sweep_dbm):

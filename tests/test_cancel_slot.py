@@ -188,6 +188,6 @@ def test_default_configs_fit_only_one_stream_bursts(code, monkeypatch):
 
     counted(cancellation, "_fit")
     counted(link, "cancel_slot")
-    run_scenario(dataclasses.replace(default_scenario(code), trials=2))
+    run_scenario(dataclasses.replace(default_scenario(code), trials=2), jobs=1)
     assert calls["cancel_slot"] > 0
     assert calls["_fit"] == (calls["cancel_slot"] if code == "d" else 0)

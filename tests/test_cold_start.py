@@ -21,7 +21,7 @@ import sys
 import fdmimo.cli
 for code in "abcd":
     fdmimo.cli.parse_config(f"scenario_{code}")
-print(sorted(m for m in ("scipy.special", "concurrent.futures") if m in sys.modules))
+print(sorted(m for m in ("scipy.special", "concurrent.futures", "multiprocessing") if m in sys.modules))
 """
 
 _SCENARIO_C_RUN = """
@@ -64,7 +64,7 @@ def test_scenario_c_computes_rho_once_per_run(monkeypatch):
 
     monkeypatch.setattr(channel, "doppler_correlation", counted)
     cfg = dataclasses.replace(default_scenario("c"), trials=3, power_sweep_dbm=(0.0, 30.0))
-    run_scenario(cfg)
+    run_scenario(cfg, jobs=1)
     assert calls == [(50.0, 1e-3)]
 
 

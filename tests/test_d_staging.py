@@ -39,7 +39,7 @@ def test_scenario_d_builds_its_beam_grid_once_per_run(monkeypatch):
     count(link, "steering_vector")
     count(link, "dft_codebook")
     count(beamforming, "dft_codebook")  # inside assemble_analog_bf
-    run_scenario(cfg)
+    run_scenario(cfg, jobs=1)
     beams = cfg.arch.tx_subarray
     # Ceilings, not counts.  One DOA sweep per run, and one codebook plus
     # one per codeword's beamformer; rebuilding them for every (power,

@@ -18,10 +18,14 @@ from fdmimo.link import allowed_schemes, run_scenario
 DATA = Path(__file__).resolve().parent / "data"
 
 
-@pytest.mark.parametrize("code", "abcd")
-def test_golden_csv(code):
+@pytest.mark.parametrize(
+    "code, jobs",
+    [pytest.param(code, 1, id=code) for code in "abcd"]
+    + [pytest.param(code, 2, id=f"{code}-2-workers") for code in "abcd"],
+)
+def test_golden_csv(code, jobs):
     cfg = dataclasses.replace(default_scenario(code), trials=6)
     assert cfg.seed == 1
     assert cfg.schemes == allowed_schemes(code)
     expected = (DATA / f"golden_{code}.csv").read_text()
-    assert format_csv(run_scenario(cfg)) == expected
+    assert format_csv(run_scenario(cfg, jobs=jobs)) == expected

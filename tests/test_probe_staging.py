@@ -135,7 +135,7 @@ def test_scenario_c_fits_the_canceller_once_per_trial_and_probe(monkeypatch):
         return cancel(*args)
 
     monkeypatch.setattr(link, "cancel_slot", counted)
-    run_scenario(cfg)
+    run_scenario(cfg, jobs=1)
     # A ceiling, not a count: staging that fits less often still passes.
     # The floor keeps the ceiling from passing on a path that counts nothing.
     assert 0 < len(fits) <= cfg.trials * probes
@@ -153,6 +153,6 @@ def test_scenario_c_runs_the_tx_chain_once_per_burst_it_scores(monkeypatch):
         return impair(*args)
 
     monkeypatch.setattr(link, "_tx_impair", counted)
-    run_scenario(cfg)
+    run_scenario(cfg, jobs=1)
     fd, hd = 2, 1  # proposed and benchmark; ideal-csi is unimpaired
     assert 0 < len(calls) <= cfg.trials * (fd + fd * len(cfg.power_sweep_dbm) + hd)

@@ -219,7 +219,7 @@ def test_sweep_ab_builds_its_codebooks_once_per_run(monkeypatch, code):
         return book(*args)
 
     monkeypatch.setattr(link, "dft_codebook", counted)
-    run_scenario(cfg)
+    run_scenario(cfg, jobs=1)
     # A ceiling: the transmit and receive codebooks, once per run; building
     # them in each trial made 2 calls per trial.
     assert 0 < len(calls) <= 2
@@ -312,7 +312,7 @@ def test_sweep_a_builds_pilots_per_power_and_eigen_precoders_once(monkeypatch):
 
     monkeypatch.setattr(estimation.Pilots, "__post_init__", counted_check)
     monkeypatch.setattr(link, "eigen_precoder", counted_eigen)
-    run_scenario(cfg)
+    run_scenario(cfg, jobs=1)
     powers = len(cfg.power_sweep_dbm)
     assert 2 * powers < len(built) <= 3 + 2 * powers
     # Each (trial, power) has its own channel estimate: a repeated input is
@@ -340,7 +340,7 @@ def test_sweep_a_computes_its_combiners_once_per_trial(monkeypatch):
     # (trial, power).
     cfg = dataclasses.replace(default_scenario("a"), trials=3)
     calls = _counting(monkeypatch, "mmse_combiner")
-    run_scenario(cfg)
+    run_scenario(cfg, jobs=1)
     assert 0 < len(calls) < cfg.trials * len(cfg.power_sweep_dbm)
 
 
@@ -360,6 +360,6 @@ def test_proposed_and_hd_share_an_unprojected_burst(monkeypatch):
 
     monkeypatch.setattr(link, "si_aware_precoder_projection", counted_projection)
     calls = _counting(monkeypatch, "apply_tx_chain")
-    run_scenario(cfg)
+    run_scenario(cfg, jobs=1)
     assert len(projected) == cfg.trials and not any(projected)
     assert len(calls) == cfg.trials
