@@ -88,30 +88,21 @@ def dft_beam_angles(n: int) -> np.ndarray:
     return np.arcsin(s)
 
 
-def assemble_analog_bf(
-    beam_indices: Sequence[int], cfg: ArchitectureConfig, side: str
-) -> np.ndarray:
+def assemble_analog_bf(beam_indices: Sequence[int], codebook: np.ndarray) -> np.ndarray:
     """Build the block-diagonal analog matrix from per-sub-array codewords.
 
-    Every nonzero entry has modulus 1/sqrt(sub-array size), so each
-    column is unit norm.  With one antenna per chain the codebook is the
-    single codeword [1], and the matrix is the identity.
+    Chain j drives the j-th sub-array with row `beam_indices[j]` of
+    `codebook`, the codebook the beams were chosen from.  Every nonzero
+    entry has modulus 1/sqrt(sub-array size), so each column is unit
+    norm.  With one antenna per chain the codebook is the single codeword
+    [1], and the matrix is the identity.
     """
-    if side == "tx":
-        n_ant, n_rf = cfg.n_tx, cfg.n_tx_rf
-    elif side == "rx":
-        n_ant, n_rf = cfg.n_rx, cfg.n_rx_rf
-    else:
-        raise ValueError("side must be 'tx' or 'rx'")
-    sub = n_ant // n_rf
-    if len(beam_indices) != n_rf:
-        raise ValueError("need one beam index per RF chain")
-    book = dft_codebook(sub, cfg.phase_bits)
-    f = np.zeros((n_ant, n_rf), dtype=complex)
+    n_rf, sub = len(beam_indices), codebook.shape[1]
+    f = np.zeros((n_rf * sub, n_rf), dtype=complex)
     for j, idx in enumerate(beam_indices):
-        if not 0 <= idx < sub:
+        if not 0 <= idx < len(codebook):
             raise ValueError("beam index outside codebook")
-        f[j * sub : (j + 1) * sub, j] = book[idx]
+        f[j * sub : (j + 1) * sub, j] = codebook[idx]
     return f
 
 

@@ -112,8 +112,7 @@ def select_taps_by_row(h_eff: np.ndarray, num_taps: int) -> List[Tuple[int, int]
     if leftover:
         rest = np.zeros_like(h_eff, dtype=float)
         rest[row_order[full_rows:], :] = np.abs(h_eff[row_order[full_rows:], :])
-        order = np.lexsort((np.arange(h_eff.size), -rest.ravel()))
-        support += [(int(i) // cols, int(i) % cols) for i in order[:leftover]]
+        support += select_taps(rest, leftover)
     return support
 
 

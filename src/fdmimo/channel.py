@@ -7,8 +7,7 @@ link gains (pathloss, antenna isolation) are applied by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -60,14 +59,10 @@ class AgingParams:
 
     doppler_hz: float
     slot_s: float
+    rho: float = field(init=False)  # one Bessel evaluation per config
 
     def __post_init__(self):
-        _doppler_argument(self.doppler_hz, self.slot_s)
-
-    @cached_property
-    def rho(self) -> float:
-        """Computed on first use, then kept: one Bessel evaluation per config."""
-        return doppler_correlation(self.doppler_hz, self.slot_s)
+        object.__setattr__(self, "rho", doppler_correlation(self.doppler_hz, self.slot_s))
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -158,7 +158,8 @@ def _scenario_config(raw: dict) -> ScenarioConfig:
     _check_keys(raw, ["scenario", "schemes", "power_sweep_dbm", *_SCALARS, *_SECTIONS], "config")
     for key, (_, cls) in _SECTIONS.items():
         if isinstance(raw.get(key), dict):
-            _check_keys(raw[key], [f.name for f in dataclasses.fields(cls)], f"section {key!r}")
+            keys = [f.name for f in dataclasses.fields(cls) if f.init]  # a derived field is no key
+            _check_keys(raw[key], keys, f"section {key!r}")
     bundled = json.loads((_CONFIGS / f"scenario_{scenario}.json").read_text(encoding="utf-8"))
     _check_read(raw, bundled, scenario)
 

@@ -1,8 +1,8 @@
 """Transmit RF chain impairment models: IQ imbalance and PA nonlinearity.
 
 Signals are baseband complex samples whose instantaneous power |x|^2 is in
-watts; any scenario-level scaling (drive level, back-off) happens before
-these functions are applied.
+watts.  `iq_imbalance` and `pa_nonlinearity` act on the samples as given;
+`apply_tx_chain` runs both at the configured drive level.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class TxImpairmentConfig:
 
     `iip3_dbm` is the input-referred third-order intercept of the PA model
     and `irr_db` the image rejection ratio of the IQ mixer.  `drive_dbm` is
-    the per-chain power at which the RF hardware is driven: the simulator
+    the per-chain power at which the RF hardware is driven: `apply_tx_chain`
     normalizes each chain to this level before applying the impairments and
     restores the commanded power afterwards, which models output gain
     staging at a fixed PA operating point.  `enabled=False` bypasses both
@@ -112,13 +112,26 @@ def iq_imbalance(x: np.ndarray, irr_db: float) -> np.ndarray:
 
 
 def apply_tx_chain(x: np.ndarray, cfg: TxImpairmentConfig) -> np.ndarray:
-    """Run per-chain samples through the IQ stage then the PA stage.
+    """Run per-chain samples through the IQ stage then the PA stage, at
+    the fixed drive level.
 
     `x` holds one chain per row (or a single vector); the same hardware
-    model applies to every chain.  Each stage computes in arrays it
-    allocates itself and never writes into its input.
+    model applies to every chain.  Each chain with power is scaled to
+    `cfg.drive_dbm`, distorted and scaled back, so the distortion-to-signal
+    ratio is set by the hardware operating point rather than by the
+    commanded output power, and the output is homogeneous in the amplitude
+    of `x`.  Each stage computes in arrays it allocates itself and never
+    writes into its input.
     """
     x = np.asarray(x, dtype=complex)
     if not cfg.enabled:
         return x
-    return pa_nonlinearity(iq_imbalance(x, cfg.irr_db), cfg.iip3_dbm)
+    p = np.abs(x)
+    p **= 2
+    p = np.mean(p, axis=-1, keepdims=True)
+    scale = np.ones_like(p)
+    live = p > 0
+    scale[live] = np.sqrt(dbm_to_watt(cfg.drive_dbm) / p[live])
+    y = pa_nonlinearity(iq_imbalance(x * scale, cfg.irr_db), cfg.iip3_dbm)
+    y /= scale
+    return y

@@ -19,8 +19,8 @@ The trial loop is staged by what each quantity depends on:
              receive codebook of a and b.  Scenario d's beam grid: the
              codeword angles, the DOA sweep over them and each codeword's
              analog beamformer (`_run_constants`).  Scenario c's
-             slot-to-slot correlation rho = J0(2 pi fD Ts) is computed on
-             first use and kept on its `AgingParams`
+             slot-to-slot correlation rho = J0(2 pi fD Ts) is computed
+             once per config, with its `AgingParams`
   per trial  the draw plus everything independent of the transmit power:
              beams and effective channels, the SI calibration estimate and
              one analog canceller per tap choice (`_trial_taps`).  In c and
@@ -47,12 +47,12 @@ The trial loop is staged by what each quantity depends on:
              stage are received together, down to their covariances and
              saturation flags (`_receive_ab`).  In c and d, one stage
              (`_point_dl`) scales the fixed pointings to the power and asks
-             the scenario for each full-duplex pointing, whose burst it
-             distorts: in c each full-duplex scheme takes its probe slot's
-             residual SI and saturated chains at the power from the
-             moments (`_probe_receive`), then scales its staged
-             correlations into an LMMSE estimate and zero-forces
-             (`_c_fd_point`); in d it projects its precoder, receives the
+             the scenario for each full-duplex pointing (rows, precoder),
+             whose burst it forms and distorts: in c each full-duplex
+             scheme takes its probe slot's residual SI and saturated
+             chains at the power from the moments (`_probe_receive`),
+             then scales its staged correlations into an LMMSE estimate
+             and zero-forces (`_c_fd_point`); in d it projects its precoder, receives the
              warm-up slot, refines the angle and points the scored slot
              (`_d_fd_point`).
 
@@ -68,17 +68,23 @@ the number of workers; with one, and wherever `_forks` says no, the trials
 run in the calling process.  Each worker runs numpy's bundled OpenBLAS on
 one thread, since the workers already fill the cores.
 
-The full-duplex slots of a, b and d are received through one chain,
-`_fd_receive`: analog taps, saturation check, then the digital canceller.
-Scenario c's probe slot, whose burst only scales with the power, takes the
-same stages split at the amplitude (`_stage_probe`, `_probe_receive`).
-Both run the digital canceller through `cancellation.cancel_slot`, which
-projects a burst onto its regressors' row space: onto the regressors
-themselves when it has as many streams as chains (every burst of b, some
-of a), and onto a reduced basis when two or more streams drive more
-chains (every burst of c, the rest of a).  A burst of one stream on two
-or more chains, every burst of d, takes the minimum-norm `lstsq` fit, and
-so does one whose regressors are too ill-conditioned to project.  A
+Each hardware block has one owner.  Every burst goes through the TX
+chain, drive level included, in `impairments.apply_tx_chain`; each
+analog beamformer is assembled from the run's codebook its beams were
+chosen from (`assemble_analog_bf`); and each analog canceller, `_Taps`,
+holds the SI channel it cancels and leaves the analog residual
+(`_Taps.leak`).  The full-duplex slots of a, b and d are received through
+one chain, `_fd_receive`: analog taps, saturation check, then the digital
+canceller.  Scenario c's probe slot, whose burst only scales with the
+power, takes the same stages split at the amplitude (`_stage_probe`,
+`_probe_receive`).  Both run the digital canceller through
+`cancellation.cancel_slot`, which projects a burst onto its regressors'
+row space: onto the regressors themselves when it has as many streams as
+chains (every burst of b, some of a), and onto a reduced basis when two
+or more streams drive more chains (every burst of c, the rest of a).  A
+burst of one stream on two or more chains, every burst of d, takes the
+minimum-norm `lstsq` fit, and so does one whose regressors are too
+ill-conditioned to project.  A
 scheme's analog taps are the configured count laid out row by row, every
 position, or none (`_trial_taps`).
 
@@ -434,54 +440,34 @@ def _logdet_gap(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(gap) if np.ndim(gap) == 0 else gap
 
 
-def _tx_impair(x: np.ndarray, cfg: TxImpairmentConfig) -> np.ndarray:
-    """Per-chain impairments at the fixed drive level.
-
-    Each chain is scaled to `cfg.drive_dbm`, distorted, and scaled back,
-    so the distortion-to-signal ratio is set by the hardware operating
-    point rather than by the commanded output power.
-    """
-    if not cfg.enabled:
-        return x
-    p = np.abs(x)
-    p **= 2
-    p = np.mean(p, axis=1, keepdims=True)
-    scale = np.ones_like(p)
-    live = p[:, 0] > 0
-    scale[live] = np.sqrt(dbm_to_watt(cfg.drive_dbm) / p[live])
-    y = apply_tx_chain(x * scale, cfg)
-    y /= scale
-    return y
-
-
 def _fd_receive(
-    h_si: np.ndarray, c: np.ndarray, resid_lin: np.ndarray, x: np.ndarray, x_tx: np.ndarray,
-    ul: np.ndarray, noise: np.ndarray, digital: bool, sat_w: float,
+    taps: _Taps, x: np.ndarray, x_tx: np.ndarray, ul: np.ndarray, noise: np.ndarray,
+    digital: bool, sat_w: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One full-duplex slot of scenario a, b or d at the BS receive chains.
 
-    The radiated burst `x_tx` leaks through `h_si`, the analog taps `c`
-    subtract their copy of the clean burst `x`, UL signal and noise add,
-    and a chain whose mean input power exceeds `sat_w` watts is flagged
-    as saturated.  With `digital` the canceller, seeded with `resid_lin`,
-    is fit on the slot and applied (`cancel_slot`).  Returns the SI left
-    after the last stage (the analog residual h_si x_tx - c x without
+    The radiated burst `x_tx` leaks past the analog `taps`, which
+    subtract their copy of the clean burst `x` (`_Taps.leak`), UL signal
+    and noise add, and a chain whose mean input power exceeds `sat_w`
+    watts is flagged as saturated.  With `digital` the canceller, seeded
+    with `taps.resid_lin`, is fit on the slot and applied (`cancel_slot`).
+    Returns the SI left after the last stage (the analog residual without
     `digital`), the samples after the last stage, and the flags of
     saturated chains.
 
     A stack of radiated versions of one burst, `x_tx` of shape (members,
-    chains, samples), is received in one pass, with one `resid_lin` for
-    all members.  `cancel_slot` routes the stack as one burst, by the
+    chains, samples), is received in one pass, with one seed for all
+    members.  `cancel_slot` routes the stack as one burst, by the
     rank and the conditioning of the regressors of `x` built once for all:
     either each member gets the unique residual of its own rows by a
     projection, or all members' rows take one minimum-norm `lstsq` fit.
     """
-    r_si = h_si @ x_tx - c @ x
+    r_si = taps.leak(x, x_tx)
     r = r_si + ul + noise
     saturated = check_saturation(np.mean(np.abs(r) ** 2, axis=-1), sat_w)
     if digital:
         del r_si  # not returned; freed before the fit's temporaries
-        z = cancel_slot(x, r, resid_lin)
+        z = cancel_slot(x, r, taps.resid_lin)
         return z - ul - noise, z, saturated
     return r_si, r, saturated
 
@@ -506,10 +492,16 @@ def _pilot_estimate(
 
 @dataclass(frozen=True)
 class _Taps:
-    """Analog canceller of one tap choice, fixed for a trial."""
+    """Analog canceller of one tap choice on an SI channel, fixed for a trial."""
 
+    h_si: np.ndarray  # the SI channel between the chains, which the taps cancel
     matrix: np.ndarray  # dense tap matrix C
     resid_lin: np.ndarray  # R = h_si_hat - C: the digital fit's seed, the projection's residual
+
+    def leak(self, x: np.ndarray, x_tx: np.ndarray) -> np.ndarray:
+        """SI left after the analog stage: the radiated burst `x_tx`
+        through the SI channel, less the taps' copy of the clean burst `x`."""
+        return self.h_si @ x_tx - self.matrix @ x
 
     @cached_property
     def resid_svd(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -544,7 +536,7 @@ def _trial_taps(
             c = _ro(np.zeros(h_si_hat.shape, dtype=complex))
         else:
             c = _ro(set_tap_gains(h_si_hat, select_taps_by_row(h_si_hat, configured)).matrix())
-        taps[plan.taps] = _Taps(c, _ro(h_si_hat - c))
+        taps[plan.taps] = _Taps(h_si_eff, c, _ro(h_si_hat - c))
     return h_si_hat, taps
 
 
@@ -633,18 +625,14 @@ def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan
     """Per-trial context: beams, effective channels, SI estimate, taps."""
     arch = cfg.arch
     bud = cfg.budget
-    f_tx = assemble_analog_bf(
-        select_subarray_beams(draw["h_dl"], consts["tx_book"], arch.n_tx_rf, "tx"), arch, "tx"
-    )
-    f_rx = assemble_analog_bf(
-        select_subarray_beams(draw["h_ul"], consts["rx_book"], arch.n_rx_rf, "rx"), arch, "rx"
-    )
+    tx, rx = consts["tx_book"], consts["rx_book"]
+    f_tx = assemble_analog_bf(select_subarray_beams(draw["h_dl"], tx, arch.n_tx_rf, "tx"), tx)
+    f_rx = assemble_analog_bf(select_subarray_beams(draw["h_ul"], rx, arch.n_rx_rf, "rx"), rx)
     ctx = dict(draw)
     ctx["h_dl_eff"] = _ro(np.sqrt(bud.dl_gain) * (draw["h_dl"] @ f_tx))
     h_ul = draw["h_ul"][:, : cfg.ul_streams]
     ctx["h_ul_eff"] = _ro(np.sqrt(bud.ul_gain) * (f_rx.conj().T @ h_ul))
     h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(draw["h_si"], f_tx, f_rx))
-    ctx["h_si_eff"] = h_si_eff
     fd = [plan for plan in plans if plan.duplex == "fd"]
     h_si_hat, ctx["taps"] = _trial_taps(cfg, consts, h_si_eff, draw["n_cal"], fd)
     if any(plan.null_depth for plan in fd):
@@ -735,7 +723,7 @@ def _receive_ab(
         if not plans[i].impaired:
             return entry[0], entry[0], ctx["no_dist"]
         if entry[1] is None:
-            entry[1] = _ro(_tx_impair(entry[0], cfg.impairments))
+            entry[1] = _ro(apply_tx_chain(entry[0], cfg.impairments))
             entry[2] = _measure_cov(ctx["h_dl_eff"] @ (entry[1] - entry[0]))
         return entry[0], entry[1], entry[2]
 
@@ -750,11 +738,9 @@ def _receive_ab(
         if duplex == "hd":
             continue
         w = precoders[key[:4]][0]
-        tap = ctx["taps"][taps]
         z_si, _, saturated = _fd_receive(
-            ctx["h_si_eff"], tap.matrix, tap.resid_lin, burst(members[0])[0],
-            np.stack([burst(i)[1] for i in members]), ul_sym, ctx["noise_b"],
-            digital and w is not None, bud.rx_saturation_w,
+            ctx["taps"][taps], burst(members[0])[0], np.stack([burst(i)[1] for i in members]),
+            ul_sym, ctx["noise_b"], digital and w is not None, bud.rx_saturation_w,
         )
         for i, cov, flags in zip(members, _measure_cov(z_si), saturated):
             si_cov[i], alive[i] = cov, ~flags
@@ -860,7 +846,6 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
         # Calibrate taps once at the fixed calibration power; the probe
         # precoder measures the steady-state residual from stale truth.
         h_si_eff = _ro(np.sqrt(bud.si_gain) * draw["h_si"])
-        ctx["h_si_eff"] = h_si_eff
         _, ctx["taps"] = _trial_taps(cfg, consts, h_si_eff, draw["n_cal"], fd)
         # The probe slot's UL pilot plus noise, the same at every power.
         pil_rx = np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_joint"].matrix)
@@ -927,17 +912,17 @@ def _stage_probe(
     those of (s, u), the slot's input, and of (z_s, z_u - u), the SI left
     after the digital stage.
 
-    `_tx_impair` drives every chain at a fixed level, so the impaired burst
-    scales with its amplitude a: at a = sqrt(p) the slot is a s + u, with
-    s = h_si tx(b) - C b the SI of the unit burst b and u the UL pilot plus
-    noise.  The regressors of a b span the rows those of b span, so the
+    `apply_tx_chain` drives every chain at a fixed level, so the impaired
+    burst scales with its amplitude a: at a = sqrt(p) the slot is a s + u,
+    with s = h_si tx(b) - C b the SI of the unit burst b and u the UL pilot
+    plus noise.  The regressors of a b span the rows those of b span, so the
     digital stage is linear in the slot too, and its output is a z_s + z_u:
     one fit on b over the two slots (s, u), seeded with h_si_hat - C and
     0, serves every power.  Without the digital stage z_s = s and z_u = u.
     """
     taps = ctx["taps"][plan.taps]
-    x_tx = _tx_impair(burst, cfg.impairments) if plan.impaired else burst
-    s = ctx["h_si_eff"] @ x_tx - taps.matrix @ burst
+    x_tx = apply_tx_chain(burst, cfg.impairments) if plan.impaired else burst
+    s = taps.leak(burst, x_tx)
     u = ctx["ul_noise"]
     z_s, z_u = s, u
     if plan.digital:
@@ -962,8 +947,8 @@ def _c_fd_point(
 ) -> Optional[tuple]:
     """Full duplex: measure the steady-state residual with the stale-truth
     probe burst, then estimate under that interference level and zero-force.
-    Returns the pointing (rows, w, unit-power burst or None) for
-    `_point_dl`, or None without a precoder."""
+    Returns the pointing (rows, w) for `_point_dl`, or None without a
+    precoder."""
     bud = cfg.budget
     if plan not in ctx["probe_rx"]:
         return None  # no probe precoder
@@ -976,11 +961,9 @@ def _c_fd_point(
     g_hat = g_hat / np.sqrt(bud.ul_gain) * np.sqrt(bud.dl_gain)  # reciprocity
     g_hat[saturated, :] = 0.0  # clipped chains yield no usable estimate
     w = _zf_or_none(g_hat.T)
-    if w is None:
-        return None
-    # The scored slot only needs the TX distortion the UEs see; its
-    # receive side was already measured with the probe.
-    return ctx["rows"], w, (w @ ctx["s_dl"] if plan.impaired else None)
+    # The scored slot only needs the TX distortion the UEs see, which
+    # `_point_dl` takes; its receive side was already measured with the probe.
+    return None if w is None else (ctx["rows"], w)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,8 +1013,7 @@ class _Beam:
 
     f_tx: np.ndarray  # analog beamformer of the codeword, shared by the run
     h_dl_eff: np.ndarray  # DL channel through the beam
-    h_si_eff: Optional[np.ndarray]  # SI channel between the chains; None with no FD plan
-    taps: Dict[str, _Taps]  # one canceller per tap choice of the FD plans
+    taps: Dict[str, _Taps]  # one canceller per tap choice of the FD plans, on the beam's SI
 
 
 def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
@@ -1044,7 +1026,6 @@ def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
     if idx not in beams:
         bud = cfg.budget
         f_tx = consts["d_f_tx"][idx]
-        h_si_eff = None
         taps: Dict[str, _Taps] = {}
         if ctx["fd"]:
             h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(
@@ -1052,7 +1033,7 @@ def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
             ))
             _, taps = _trial_taps(cfg, consts, h_si_eff, ctx["n_cal"], ctx["fd"])
         h_dl_eff = _ro(np.sqrt(bud.dl_gain) * (ctx["h_dl"] @ f_tx))
-        beams[idx] = _Beam(f_tx, h_dl_eff, h_si_eff, taps)
+        beams[idx] = _Beam(f_tx, h_dl_eff, taps)
     return beams[idx]
 
 
@@ -1113,8 +1094,8 @@ def _d_fd_point(
     """Full duplex: the pointing angle in use came from last slot's training
     under the same interference conditions.  One warm-up pass from the true
     angle stands in for that history; the second pass is the scored slot.
-    Returns the pointing for `_point_dl`, or None when a projection is
-    infeasible."""
+    Returns the pointing (rows, w) for `_point_dl`, or None when a
+    projection is infeasible."""
     bud = cfg.budget
     beam, w = ctx["true"]
     taps = beam.taps[plan.taps]
@@ -1122,10 +1103,9 @@ def _d_fd_point(
     if w is None:
         return None
     x = np.sqrt(p_w) * (w @ ctx["s_dl"])
-    x_tx = _tx_impair(x, cfg.impairments) if plan.impaired else x
+    x_tx = apply_tx_chain(x, cfg.impairments) if plan.impaired else x
     _, z, saturated = _fd_receive(
-        beam.h_si_eff, taps.matrix, taps.resid_lin, x, x_tx, ctx["ul"], ctx["noise"],
-        plan.digital, bud.rx_saturation_w,
+        taps, x, x_tx, ctx["ul"], ctx["noise"], plan.digital, bud.rx_saturation_w
     )
     alive = ~saturated
     if np.any(alive):
@@ -1135,9 +1115,7 @@ def _d_fd_point(
         theta = float(consts["d_angles"][0])  # training slot lost to clipping
     beam, w = _d_point(cfg, consts, ctx, theta)
     w = _project(bud, plan, beam.taps[plan.taps], w, p_w)
-    if w is None:
-        return None
-    return beam.h_dl_eff, w, (w @ ctx["s_dl"] if plan.impaired else None)
+    return None if w is None else (beam.h_dl_eff, w)
 
 
 # ---------------------------------------------------------------------------
@@ -1149,7 +1127,7 @@ def _ue_distortion(cfg: ScenarioConfig, rows: np.ndarray, x: Optional[np.ndarray
     `rows`; zero for an unimpaired transmitter (`x` None)."""
     if x is None:
         return np.zeros(len(rows))
-    dist = _tx_impair(x, cfg.impairments) - x
+    dist = apply_tx_chain(x, cfg.impairments) - x
     return np.mean(np.abs(rows @ dist) ** 2, axis=1)
 
 
@@ -1157,8 +1135,8 @@ def _fixed_pointing(
     cfg: ScenarioConfig, rows: np.ndarray, w: np.ndarray, s_dl: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A pointing fixed for the trial: (rows, w, per-UE TX distortion power
-    of the unit-power burst w s_dl).  `_tx_impair` is homogeneous in the
-    amplitude, so at power p the distortion power is p times this."""
+    of the unit-power burst w s_dl).  `apply_tx_chain` is homogeneous in
+    the amplitude, so at power p the distortion power is p times this."""
     return rows, w, _ro(_ue_distortion(cfg, rows, w @ s_dl))
 
 
@@ -1173,8 +1151,8 @@ def _point_dl(
     precoder, per-UE TX distortion power).  Ideal CSI and half duplex
     point once per trial, so the power only scales their distortion; each
     full-duplex plan trains and points again through the scenario's
-    `fd_point`, and its burst is distorted here at the power, one burst at
-    a time.
+    `fd_point`, and its burst sqrt(p) w s_dl is formed and distorted here,
+    one burst at a time.
     """
     p_w = dbm_to_watt(power_dbm)
     out: List[Optional[tuple]] = []
@@ -1187,8 +1165,8 @@ def _point_dl(
         else:
             pointing = fd_point(cfg, consts, ctx, p_w, plan)
             if pointing is not None:
-                rows, w, burst = pointing
-                x = None if burst is None else np.sqrt(p_w) * burst
+                rows, w = pointing
+                x = np.sqrt(p_w) * (w @ ctx["s_dl"]) if plan.impaired else None
                 pointing = (p_w, rows, w, _ue_distortion(cfg, rows, x))
         out.append(pointing)
     return out
@@ -1247,9 +1225,7 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
     keys ("dl", power) and ("ul", power).  The transmit codebook of a, b
     and d and the receive codebook of a and b.  Scenario d adds its beam
     grid: the codeword angles, the DOA sweep over them and the analog
-    beamformer of each codeword.  Scenario c's aging correlation rho is
-    computed here and kept on its `AgingParams`, so trial workers forked
-    after this call inherit it.
+    beamformer of each codeword, built from the transmit codebook.
     """
     arch = cfg.arch
     # c and d train over the whole packet.
@@ -1263,7 +1239,6 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
             consts["dl", p] = np.sqrt(dbm_to_watt(p) / arch.n_tx_rf) * dl
             consts["ul", p] = np.sqrt(dbm_to_watt(p) / cfg.ul_streams) * ul
     elif cfg.scenario == "c":
-        cfg.aging.rho  # noqa: B018  kept on the config, so forked workers inherit it
         amp = np.sqrt(dbm_to_watt(cfg.budget.ul_power_dbm))
         consts["ul_joint"] = amp * orthogonal_pilots(cfg.num_ue, lp)
         consts["ul_single"] = amp * orthogonal_pilots(1, lp)
@@ -1278,7 +1253,7 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
         out["d_angles"] = _ro(angles)
         out["d_sweep"] = _ro(np.vstack([steering_vector(arch.n_rx_rf, a) for a in angles]))
         out["d_f_tx"] = tuple(
-            _ro(assemble_analog_bf([idx] * arch.n_tx_rf, arch, "tx"))
+            _ro(assemble_analog_bf([idx] * arch.n_tx_rf, out["tx_book"]))
             for idx in range(arch.tx_subarray)
         )
     return out
@@ -1534,10 +1509,10 @@ def run_scenario(cfg: ScenarioConfig, jobs: Optional[int] = None) -> List[CurveP
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
 
     Work is staged by what it depends on: per run the pilot matrices
-    (in a and b scaled to every swept power), the codebooks, c's aging
-    rho and d's beam grid, per trial the draw and everything power-free
-    (SI estimate, taps, in c and d the ideal-CSI and HD pointings with the
-    TX distortion of their unit-power bursts, in c each full-duplex probe
+    (in a and b scaled to every swept power), the codebooks and d's beam
+    grid, per trial the draw and everything power-free (SI estimate,
+    taps, in c and d the ideal-CSI and HD pointings with the TX
+    distortion of their unit-power bursts, in c each full-duplex probe
     slot received at unit amplitude and kept as second moments, and its
     pilot correlations, in d each used codeword's channels and
     cancellers), per power the rest.  In a and b each distinct precoder of

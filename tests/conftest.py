@@ -31,7 +31,8 @@ UNREAD = {
 
 
 def _every_key():
-    """Every JSON key of any scenario, a section's fields as 'section.field'."""
+    """Every JSON key of any scenario, a section's fields as 'section.field'.
+    A field computed from the others, such as `AgingParams.rho`, is no key."""
     full = default_scenario("c")  # the only scenario with every section set
     keys = []
     for field in dataclasses.fields(full):
@@ -39,7 +40,8 @@ def _every_key():
         if section is None:
             keys.append(field.name)
         else:
-            keys += [f"{section}.{f.name}" for f in dataclasses.fields(getattr(full, field.name))]
+            fields = dataclasses.fields(getattr(full, field.name))
+            keys += [f"{section}.{f.name}" for f in fields if f.init]
     return keys
 
 

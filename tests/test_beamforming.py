@@ -94,28 +94,25 @@ def test_beam_select_doa_inverts_angle_grid():
 
 
 def test_assemble_analog_bf_blocks():
-    cfg = ArchitectureConfig(n_tx=8, n_rx=8, n_tx_rf=2, n_rx_rf=2, phase_bits=3)
     book = dft_codebook(4, 3)
-    f = assemble_analog_bf([1, 3], cfg, "tx")
+    f = assemble_analog_bf([1, 3], book)
     assert f.shape == (8, 2)
     assert np.allclose(f[0:4, 0], book[1]) and np.allclose(f[4:8, 1], book[3])
     assert np.allclose(f[4:8, 0], 0.0) and np.allclose(f[0:4, 1], 0.0)
     assert np.allclose(np.linalg.norm(f, axis=0), 1.0)
     with pytest.raises(ValueError):
-        assemble_analog_bf([1], cfg, "tx")
+        assemble_analog_bf([1, 7], book)  # codebook has 4 entries
     with pytest.raises(ValueError):
-        assemble_analog_bf([1, 7], cfg, "tx")  # codebook has 4 entries
-    with pytest.raises(ValueError):
-        assemble_analog_bf([0, 0], cfg, "up")
+        assemble_analog_bf([-1, 0], book)
 
 
 def test_assemble_analog_bf_digital_identity():
     # One antenna per chain: the one-entry codebook is [1], so the analog
     # stage of a fully digital array is exactly the identity.
     for phase_bits in (1, 2, 3, 4):
-        cfg = ArchitectureConfig(n_tx=4, n_rx=3, n_tx_rf=4, n_rx_rf=3, phase_bits=phase_bits)
-        for side, n in (("tx", 4), ("rx", 3)):
-            assert np.array_equal(assemble_analog_bf([0] * n, cfg, side), np.eye(n))
+        book = dft_codebook(1, phase_bits)
+        for n in (4, 3):
+            assert np.array_equal(assemble_analog_bf([0] * n, book), np.eye(n))
 
 
 def test_select_subarray_beams_planted():

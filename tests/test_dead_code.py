@@ -6,10 +6,16 @@ few helpers as oracles.  Unit tests alone do not keep code alive.  A
 private module-level function must be named somewhere in `src/fdmimo`
 itself, so a helper that a rewrite replaced cannot linger beside it.  A
 module-level name bound by assignment, such as a table, must be read in
-`src/fdmimo` or in the acceptance tests; dunder names are exempt.
+`src/fdmimo` or in the acceptance tests; dunder names are exempt.  And a
+private name that a docstring or comment of `src/fdmimo` quotes in
+backticks must still be defined there, so prose cannot point at a helper
+that a rewrite removed.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,6 +105,47 @@ def unread_module_names():
     ]
 
 
+def _defined(tree):
+    """Every name a module defines: defs, classes, arguments and the
+    targets of assignments, at any level."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def _prose(tree, source):
+    """The docstrings and comments of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.string
+
+
+def stale_private_mentions():
+    """Backticked private names in the prose of `src/fdmimo` that no
+    module there defines; a name counts wherever it appears in the quote,
+    as in `_Taps.leak` or `cancellation._fit`."""
+    sources = {path: path.read_text() for path in SOURCES}
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    defined = {name for tree in trees.values() for name in _defined(tree)}
+    stale = []
+    for path, tree in trees.items():
+        for text in _prose(tree, sources[path]):
+            for quote in re.findall(r"`([^`\n]+)`", text):
+                for name in re.findall(r"(?<!\w)_\w+", quote):
+                    if not name.startswith("__") and name not in defined:
+                        stale.append(f"{path.stem}: `{quote}`")
+    return stale
+
+
 def test_every_public_definition_is_used():
     assert unused_public_names() == []
 
@@ -109,3 +156,7 @@ def test_every_private_function_is_used():
 
 def test_every_module_level_name_is_read():
     assert unread_module_names() == []
+
+
+def test_every_backticked_private_name_is_defined():
+    assert stale_private_mentions() == []

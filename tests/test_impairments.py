@@ -103,7 +103,12 @@ def test_chain_applies_iq_before_pa():
     cfg = TxImpairmentConfig()
     expected = pa_nonlinearity(iq_imbalance(x, cfg.irr_db), cfg.iip3_dbm)
     swapped = iq_imbalance(pa_nonlinearity(x, cfg.iip3_dbm), cfg.irr_db)
-    out = apply_tx_chain(x, cfg)
+    assert not np.allclose(expected, swapped)
+    # The chain runs the stages with the burst scaled to the drive level.
+    scale = np.sqrt(dbm_to_watt(cfg.drive_dbm) / np.mean(np.abs(x) ** 2))
+    expected = pa_nonlinearity(iq_imbalance(scale * x, cfg.irr_db), cfg.iip3_dbm)
+    swapped = iq_imbalance(pa_nonlinearity(scale * x, cfg.iip3_dbm), cfg.irr_db)
+    out = scale * apply_tx_chain(x, cfg)
     assert np.allclose(out, expected)
     assert not np.allclose(out, swapped)
 
@@ -153,11 +158,17 @@ def test_chain_is_the_textbook_arithmetic(rows, samples, scale_db, iip3, irr, se
     amp = np.sqrt(dbm_to_watt(scale_db))
     x = amp * (rng.standard_normal((rows, samples)) + 1j * rng.standard_normal((rows, samples)))
     x.setflags(write=False)
-    want = x if np.isinf(irr) else x + 10.0 ** (-irr / 20.0) * np.conj(x)
-    assert np.array_equal(iq_imbalance(x, irr), want)
-    if not np.isinf(iip3):
-        want = want - (4.0 / (3.0 * dbm_to_watt(iip3))) * want * np.abs(want) ** 2
-        pa = x - (4.0 / (3.0 * dbm_to_watt(iip3))) * x * np.abs(x) ** 2
-        assert np.array_equal(pa_nonlinearity(x, iip3), pa)
+
+    def iq(v):
+        return v if np.isinf(irr) else v + 10.0 ** (-irr / 20.0) * np.conj(v)
+
+    def pa(v):
+        return v if np.isinf(iip3) else v - (4.0 / (3.0 * dbm_to_watt(iip3))) * v * np.abs(v) ** 2
+
+    assert np.array_equal(iq_imbalance(x, irr), iq(x))
+    assert np.array_equal(pa_nonlinearity(x, iip3), pa(x))
+    # The chain scales each row to the drive level, runs IQ then PA, and
+    # scales back.
     cfg = TxImpairmentConfig(iip3_dbm=iip3, irr_db=irr)
-    assert np.array_equal(apply_tx_chain(x, cfg), want)
+    scale = np.sqrt(dbm_to_watt(cfg.drive_dbm) / np.mean(np.abs(x) ** 2, axis=1, keepdims=True))
+    assert np.array_equal(apply_tx_chain(x, cfg), pa(iq(x * scale)) / scale)

@@ -106,7 +106,7 @@ def test_projection_budget_follows_the_digital_stage():
     rng = np.random.default_rng(11)
     u, _, vh = np.linalg.svd(complex_gaussian(rng, 4, 4))
     r = u @ np.diag([1.0, 1.0, 1e-4, 1e-4]) @ vh
-    taps = link._Taps(np.zeros((4, 4), dtype=complex), r)
+    taps = link._Taps(r, np.zeros((4, 4), dtype=complex), r)  # no taps on the SI channel r
     w = complex_gaussian(rng, 4, 1)
     w /= np.linalg.norm(w)
     p_w = 1e-3

@@ -1,8 +1,8 @@
 """Scenario c receives each full-duplex probe slot once per trial.
 
 The probe burst at power p is sqrt(p) times a burst fixed per trial, and
-the receive chain is linear in that amplitude: `_tx_impair` drives every
-chain at a fixed level, and the digital canceller projects onto the row
+the receive chain is linear in that amplitude: `apply_tx_chain` drives
+every chain at a fixed level, and the digital canceller projects onto the row
 space of the burst's regressors, which the amplitude does not change.
 These tests check that identity at its two steps, the second moments
 that carry the staged slot to each power, and that the staging holds: the
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fdmimo import link
 from fdmimo.cli import default_scenario
-from fdmimo.impairments import TxImpairmentConfig, dbm_to_watt
+from fdmimo.impairments import TxImpairmentConfig, apply_tx_chain, dbm_to_watt
 from fdmimo.link import run_scenario
 
 seeds = st.integers(0, 2**32 - 1)
@@ -45,13 +45,13 @@ def impairment_configs(draw):
     amp_db=st.floats(-60.0, 60.0),
     seed=seeds,
 )
-def test_tx_impair_is_homogeneous_in_the_amplitude(cfg, chains, samples, silent, amp_db, seed):
+def test_tx_chain_is_homogeneous_in_the_amplitude(cfg, chains, samples, silent, amp_db, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((chains, samples)) + 1j * rng.standard_normal((chains, samples))
     x[np.array(silent[:chains])] = 0.0  # zero-power chains stay zero
     a = 10.0 ** (amp_db / 20.0)
     np.testing.assert_allclose(
-        link._tx_impair(a * x, cfg), a * link._tx_impair(x, cfg), rtol=1e-12, atol=0.0
+        apply_tx_chain(a * x, cfg), a * apply_tx_chain(x, cfg), rtol=1e-12, atol=0.0
     )
 
 
@@ -110,10 +110,9 @@ def test_staged_probe_matches_the_per_power_receive():
             for power_dbm in cfg.power_sweep_dbm:
                 p_w = dbm_to_watt(power_dbm)
                 x = np.sqrt(p_w) * burst
-                x_tx = link._tx_impair(x, cfg.impairments) if plan.impaired else x
+                x_tx = apply_tx_chain(x, cfg.impairments) if plan.impaired else x
                 ref_si, _, ref_sat = link._fd_receive(
-                    ctx["h_si_eff"], taps.matrix, taps.resid_lin, x, x_tx, pil_rx, noise_b,
-                    plan.digital, bud.rx_saturation_w,
+                    taps, x, x_tx, pil_rx, noise_b, plan.digital, bud.rx_saturation_w
                 )
                 got, saturated = link._probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
                 ref = np.mean(np.abs(ref_si) ** 2, axis=1)
@@ -146,13 +145,13 @@ def test_scenario_c_runs_the_tx_chain_once_per_burst_it_scores(monkeypatch):
     # full-duplex scheme and power, and one HD burst, scaled to each power.
     cfg = dataclasses.replace(default_scenario("c"), trials=2)
     calls = []
-    impair = link._tx_impair
+    impair = link.apply_tx_chain
 
     def counted(*args):
         calls.append(None)
         return impair(*args)
 
-    monkeypatch.setattr(link, "_tx_impair", counted)
+    monkeypatch.setattr(link, "apply_tx_chain", counted)
     run_scenario(cfg, jobs=1)
     fd, hd = 2, 1  # proposed and benchmark; ideal-csi is unimpaired
     assert 0 < len(calls) <= cfg.trials * (fd + fd * len(cfg.power_sweep_dbm) + hd)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdmimo import cancellation, estimation, link
+from fdmimo import beamforming, cancellation, estimation, link
 from fdmimo.beamforming import ArchitectureConfig, mmse_combiner
 from fdmimo.cancellation import RegressorRankError, apply_digital_canceller, train_digital_canceller
 from fdmimo.channel import AgingParams
@@ -212,16 +212,18 @@ def _per_ue_loop(noise_w, p_w, rows, w, dist):
 def test_sweep_ab_builds_its_codebooks_once_per_run(monkeypatch, code):
     cfg = dataclasses.replace(default_scenario(code), trials=2)
     calls = []
-    book = link.dft_codebook
+    book = beamforming.dft_codebook
 
     def counted(*args):
         calls.append(args)
         return book(*args)
 
     monkeypatch.setattr(link, "dft_codebook", counted)
+    monkeypatch.setattr(beamforming, "dft_codebook", counted)  # as assemble_analog_bf sees it
     run_scenario(cfg, jobs=1)
     # A ceiling: the transmit and receive codebooks, once per run; building
-    # them in each trial made 2 calls per trial.
+    # them in each trial made 2 calls per trial, and rebuilding them in each
+    # analog beamformer 2 more.
     assert 0 < len(calls) <= 2
 
 
