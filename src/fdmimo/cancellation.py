@@ -97,9 +97,10 @@ def select_taps_by_row(h_eff: np.ndarray, num_taps: int) -> List[Tuple[int, int]
     """Tap layout that concentrates the budget on whole receive-chain rows.
 
     Rows are covered in decreasing row-norm order; any leftover budget
-    taps the largest remaining entries.  Covering complete rows keeps the
-    un-tapped residual low rank, which is what a transmit-side null-space
-    projection needs to shed as few streams as possible.
+    taps the largest entries of the rows left uncovered.  Covering
+    complete rows keeps the un-tapped residual low rank, which is what a
+    transmit-side null-space projection needs to shed as few streams as
+    possible.
     """
     h_eff = np.asarray(h_eff)
     rows, cols = h_eff.shape
@@ -110,9 +111,9 @@ def select_taps_by_row(h_eff: np.ndarray, num_taps: int) -> List[Tuple[int, int]
     support = [(int(m), n) for m in row_order[:full_rows] for n in range(cols)]
     leftover = num_taps - full_rows * cols
     if leftover:
-        rest = np.zeros_like(h_eff, dtype=float)
-        rest[row_order[full_rows:], :] = np.abs(h_eff[row_order[full_rows:], :])
-        support += select_taps(rest, leftover)
+        # In row order, so that ties resolve row-major as in `select_taps`.
+        rest = np.sort(row_order[full_rows:])
+        support += [(int(rest[m]), n) for m, n in select_taps(h_eff[rest], leftover)]
     return support
 
 

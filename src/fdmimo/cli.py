@@ -215,12 +215,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, overrides: bool = True) -> None:
     sub.add_argument(
         "--config",
         required=True,
         help="path to a JSON config, or the name of a bundled one (scenario_a..d)",
     )
+    if not overrides:  # a command that reads none of the fields they set
+        return
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--trials", type=int, default=None, help="override the trial count")
     sub.add_argument(
@@ -261,11 +263,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_common(p_val)
 
     p_cx = subs.add_parser("complexity", help="print analog hardware counts as JSON")
-    _add_common(p_cx)
+    _add_common(p_cx, overrides=False)
 
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(parse_config(args.config), args)
+        cfg = parse_config(args.config)
+        if args.command != "complexity":
+            cfg = _apply_overrides(cfg, args)
     except (ConfigError, OSError) as exc:
         print(f"fdmimo: config error: {exc}", file=sys.stderr)
         return 1

@@ -13,51 +13,70 @@ paired across schemes and runs are reproducible for a given seed.
 
 The trial loop is staged by what each quantity depends on:
 
-  per run    pilot matrices, fixed by the config and, for the DL and UL
-             sounding of a and b, scaled to each scored power; each is
-             checked once.  The transmit codebook of a, b and d and the
-             receive codebook of a and b.  Scenario d's beam grid: the
-             codeword angles, the DOA sweep over them and each codeword's
-             analog beamformer (`_run_constants`).  Scenario c's
-             slot-to-slot correlation rho = J0(2 pi fD Ts) is computed
-             once per config, with its `AgingParams`
+  per run    from the config alone (`_run_constants`): pilot matrices, for
+             the DL and UL sounding of a and b scaled to each swept power,
+             each checked once; the transmit codebook of a, b and d and the
+             receive codebook of a and b; d's beam grid: the codeword
+             angles, the DOA sweep over them and each codeword's analog
+             beamformer.  c's slot-to-slot correlation rho = J0(2 pi fD Ts)
+             comes with its `AgingParams`
   per trial  the draw plus everything independent of the transmit power:
              beams and effective channels, the SI calibration estimate and
-             one analog canceller per tap choice (`_trial_taps`).  In c and
-             d, the ideal-CSI and half-duplex pointings: UE rows, precoder
-             and the per-UE TX distortion power of the unit-power burst,
-             which the power only scales (`_fixed_pointing`).  In c also
-             the probe precoders, each full-duplex scheme's probe slot,
-             received once at unit amplitude with one canceller fit and
-             kept as per-chain second moments (`_prepare_c`,
-             `_stage_probe`), and its sounded pilots correlated with the
-             pilot matrix; in d the HD angle estimate (trained at the fixed
-             UL power) and the UL pilot and noise of the full-duplex slot
-             (`_prepare_d`), with a memo keyed by codeword that holds each
-             beam's DL and SI channels, SI estimate and cancellers for
-             every pass and power (`_d_beam`).  In every scenario, one rate
-             pass scores every (power, scheme) of the trial as one stack
-             per array shape (`_score_ab`, `_rate_dl`); in a and b it
-             first computes the UL combiners, one stack per number of
-             surviving chains
-  per power  in a and b, the channel estimates, one eigen precoder per
-             stream count shared by every scheme, and one precoded burst
-             per distinct precoder object, sent through the TX chain at
-             most once; schemes with the same precoder fields and digital
-             stage are received together, down to their covariances and
-             saturation flags (`_receive_ab`).  In c and d, one stage
-             (`_point_dl`) scales the fixed pointings to the power and asks
-             the scenario for each full-duplex pointing (rows, precoder),
-             whose burst it forms and distorts: in c each full-duplex
-             scheme takes its probe slot's residual SI and saturated
-             chains at the power from the moments (`_probe_receive`),
-             then scales its staged correlations into an LMMSE estimate
-             and zero-forces (`_c_fd_point`); in d it projects its precoder, receives the
-             warm-up slot, refines the angle and points the scored slot
-             (`_d_fd_point`).
+             one analog canceller per tap choice (`_trial_taps`, which also
+             applies the SI isolation).  In c and d, the ideal-CSI and
+             half-duplex pointings: UE rows, precoder and the per-UE TX
+             distortion power of the unit-power burst, which the power only
+             scales (`_fixed_pointing`).  In c, one probe record per
+             full-duplex scheme (`_prepare_c`): its probe burst, its sounded
+             pilots correlated with the pilot matrix, and its probe slot,
+             received once at unit amplitude with one canceller fit and kept
+             as per-chain second moments (`_stage_probe`).  In d, the HD
+             angle estimate (trained at the fixed UL power), the UL pilot
+             and noise of the full-duplex slot (`_prepare_d`), and a memo
+             keyed by codeword of each beam's DL and SI channels, SI
+             estimate and cancellers (`_d_beam`).  Then one rate pass scores
+             the trial's items, flat over (power, scheme), one stack per
+             array shape (`_score_ab`, `_rate_dl`); in a and b it first
+             computes the UL combiners, one stack per surviving-chain count
+  per power  one item per scheme.  In a and b: the channel estimates, one
+             eigen precoder per stream count shared by every scheme, and one
+             burst per distinct precoder, sent through the TX chain at most
+             once; schemes with the same precoder fields and digital stage
+             are received together, down to their covariances and
+             saturation flags (`_receive_ab`).  In c and d (`_point_dl`):
+             the fixed pointings scaled to the power, and each full-duplex
+             pointing (rows, precoder), whose burst is formed and distorted
+             there.  In c a full-duplex scheme takes its probe slot's
+             residual SI and saturated chains at the power from the moments
+             (`_probe_receive`), scales its correlations into an LMMSE
+             estimate and zero-forces (`_c_fd_point`); in d it projects its
+             precoder, receives the warm-up slot and points the scored slot
+             (`_d_fd_point`)
 
-One table, `_DRIVERS`, gives each scenario its draw, prepare, per-power
-stage and the rate pass that finishes the trial.
+Each decision of the trial has one owner.  The config holds the sweep, so
+`run_trial` scores a copy of it narrowed to one power and scheme.  One
+table, `_DRIVERS`, gives each scenario its draw, prepare, per-power stage,
+rate pass and the share of its rates a half-duplex scheme keeps, and
+`_eval_draw` gives the trial its shape: it flattens the items for the rate
+pass, applies that share and regroups the pairs per power.  d's HD and
+warm-up slots take their angle from one step, `_d_angle`: the DOA sweep
+over the chains that escaped clipping, refined by an adjacent pair of
+them, or the first codeword's angle when every chain clipped.
+
+Each hardware block has one owner too.  Every burst goes through the TX
+chain, drive level included, in `impairments.apply_tx_chain`; each analog
+beamformer is assembled from the run's codebook its beams were chosen from
+(`assemble_analog_bf`); and each analog canceller, `_Taps`, holds the SI
+channel it cancels and leaves the analog residual (`_Taps.leak`).  A
+scheme's analog taps are the configured count laid out row by row, every
+position, or none (`_trial_taps`).  The full-duplex slots of a, b and d
+are received through one chain, `_fd_receive`: analog taps, saturation
+check, then the digital canceller.  c's probe slot, whose burst only
+scales with the power, takes the same stages split at the amplitude
+(`_stage_probe`, `_probe_receive`).  Both run the digital canceller
+through `cancellation.cancel_slot`, which projects every burst of a, b and
+c onto its regressors' row space and fits every burst of d, one stream on
+two chains, by minimum-norm `lstsq`.
 
 The trials of a run are shared among worker processes forked after the
 per-run stage (`_pooled_rates`), one contiguous chunk of trial indices
@@ -67,26 +86,6 @@ every trial draws from its own child seed, so the curves do not depend on
 the number of workers; with one, and wherever `_forks` says no, the trials
 run in the calling process.  Each worker runs numpy's bundled OpenBLAS on
 one thread, since the workers already fill the cores.
-
-Each hardware block has one owner.  Every burst goes through the TX
-chain, drive level included, in `impairments.apply_tx_chain`; each
-analog beamformer is assembled from the run's codebook its beams were
-chosen from (`assemble_analog_bf`); and each analog canceller, `_Taps`,
-holds the SI channel it cancels and leaves the analog residual
-(`_Taps.leak`).  The full-duplex slots of a, b and d are received through
-one chain, `_fd_receive`: analog taps, saturation check, then the digital
-canceller.  Scenario c's probe slot, whose burst only scales with the
-power, takes the same stages split at the amplitude (`_stage_probe`,
-`_probe_receive`).  Both run the digital canceller through
-`cancellation.cancel_slot`, which projects a burst onto its regressors'
-row space: onto the regressors themselves when it has as many streams as
-chains (every burst of b, some of a), and onto a reduced basis when two
-or more streams drive more chains (every burst of c, the rest of a).  A
-burst of one stream on two or more chains, every burst of d, takes the
-minimum-norm `lstsq` fit, and so does one whose regressors are too
-ill-conditioned to project.  A
-scheme's analog taps are the configured count laid out row by row, every
-position, or none (`_trial_taps`).
 
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Arrays of
@@ -101,6 +100,7 @@ already weighted, so DL + UL is always the headline sum rate.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 from dataclasses import dataclass
@@ -317,6 +317,11 @@ class ScenarioConfig:
             )
         if min(self.num_ue, self.dl_ue_antennas, self.ul_ue_antennas, self.ul_streams) < 1:
             raise ValueError("UE counts, antennas and streams must be >= 1")
+        # Past this range 10^(K/10) overflows or the Rician weights turn NaN.
+        for name in ("kappa_si_db", "kappa_ue_db"):
+            if not abs(getattr(self, name)) <= 300.0:
+                raise ValueError(f"{name!r} must be a finite K-factor within [-300, 300] dB, "
+                                 f"got {getattr(self, name)!r}")
         if self.scenario == "c":
             if self.aging is None:
                 raise ValueError("scenario 'c' requires aging parameters")
@@ -512,12 +517,13 @@ class _Taps:
 
 
 def _trial_taps(
-    cfg: ScenarioConfig, consts: dict, h_si_eff: np.ndarray, n_cal: np.ndarray,
+    cfg: ScenarioConfig, consts: dict, h_si: np.ndarray, n_cal: np.ndarray,
     plans: List[_Plan],
 ) -> Tuple[np.ndarray, Dict[str, _Taps]]:
-    """The trial's SI calibration: the read-only estimate of `h_si_eff`,
-    sounded once at the calibration power with noise `n_cal`, and one
-    analog canceller per distinct tap choice among the given plans.
+    """The trial's SI calibration on the chain-to-chain SI channel `h_si`
+    attenuated by the configured isolation: the read-only estimate of that
+    channel, sounded once at the calibration power with noise `n_cal`, and
+    one analog canceller per distinct tap choice among the given plans.
 
     The configured taps cover whole receive rows first
     (`select_taps_by_row`); full taps match every entry of the estimate,
@@ -525,6 +531,7 @@ def _trial_taps(
     """
     bud = cfg.budget
     configured = cfg.arch.num_taps
+    h_si_eff = _ro(np.sqrt(bud.si_gain) * h_si)
     h_si_hat = _ro(_pilot_estimate(h_si_eff, n_cal, consts["si_cal"], bud.bs_noise_w, bud.si_gain))
     taps: Dict[str, _Taps] = {}
     for plan in plans:
@@ -632,9 +639,9 @@ def _prepare_ab(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan
     ctx["h_dl_eff"] = _ro(np.sqrt(bud.dl_gain) * (draw["h_dl"] @ f_tx))
     h_ul = draw["h_ul"][:, : cfg.ul_streams]
     ctx["h_ul_eff"] = _ro(np.sqrt(bud.ul_gain) * (f_rx.conj().T @ h_ul))
-    h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(draw["h_si"], f_tx, f_rx))
+    h_si = effective_si_channel(draw["h_si"], f_tx, f_rx)
     fd = [plan for plan in plans if plan.duplex == "fd"]
-    h_si_hat, ctx["taps"] = _trial_taps(cfg, consts, h_si_eff, draw["n_cal"], fd)
+    h_si_hat, ctx["taps"] = _trial_taps(cfg, consts, h_si, draw["n_cal"], fd)
     if any(plan.null_depth for plan in fd):
         _, _, vh = np.linalg.svd(h_si_hat)
         ctx["null_v"] = _ro(vh[: arch.n_tx_rf // 2].conj().T)
@@ -750,20 +757,16 @@ def _receive_ab(
     ]
 
 
-def _score_ab(
-    cfg: ScenarioConfig, ctx: dict, received: List[List[tuple]], plans: List[_Plan]
-) -> List[List[Tuple[float, float]]]:
-    """(DL, UL) rates of every plan, one row per power of `received`.
+def _score_ab(cfg: ScenarioConfig, ctx: dict, items: List[tuple]) -> List[Tuple[float, float]]:
+    """(DL, UL) rates of every (power, plan) item of the trial, in order.
 
-    Every (power, plan) item of the trial is scored in one stack: one
-    `mmse_combiner` per number of surviving chains, then one `dl_rate` and
-    one `ul_rate` (which also holds the interference-free bounds) per
-    array shape, each item at its own power.
+    The items are scored in one stack: one `mmse_combiner` per number of
+    surviving chains, then one `dl_rate` and one `ul_rate` (which also
+    holds the interference-free bounds) per array shape, each item at its
+    own power.
     """
     bud = cfg.budget
-    p_w, ws, dist_cov, si_cov, alive, h_ul_hat = zip(
-        *(item for row in received for item in row)
-    )
+    p_w, ws, dist_cov, si_cov, alive, h_ul_hat = zip(*items)
     # Surviving chains see thermal noise plus residual SI; the bound, noise alone.
     sizes = [int(m.sum()) for m in alive]
     thermal = {k: bud.bs_noise_w * np.eye(k, dtype=complex) for k in set(sizes)}
@@ -785,14 +788,13 @@ def _score_ab(
         p_w,
     )
     out = []
-    for k, (rate, pair) in enumerate(zip(dl, ul)):
+    for rate, pair in zip(dl, ul):
         up, bound = (0.0, 0.0) if pair is None else map(float, pair)
         # Sanity bound: residual SI can only cost rate with this combiner.
         if up > bound * (1.0 + 1e-9) + 1e-12:
             raise RuntimeError("full-duplex UL rate exceeded its interference-free bound")
-        scale = 0.5 if plans[k % len(plans)].duplex == "hd" else 1.0
-        out.append((scale * (0.0 if rate is None else float(rate)), scale * up))
-    return [out[i : i + len(plans)] for i in range(0, len(out), len(plans))]
+        out.append((0.0 if rate is None else float(rate), up))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +833,9 @@ def _zf_or_none(h: np.ndarray) -> Optional[np.ndarray]:
 def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]) -> dict:
     """Per-trial context: SI estimate, taps, every power-free precoder and
     what follows from it: the ideal-CSI and HD pointings for `_point_dl`,
-    and for each full-duplex scheme its probe slot's moments and its
-    sounded pilots correlated with the pilot matrix."""
+    and for each full-duplex scheme with a probe precoder its record in
+    `ctx["probe"]`: the probe burst, its sounded pilots correlated with
+    the pilot matrix, and its probe slot's moments (`_stage_probe`)."""
     bud = cfg.budget
     u = cfg.num_ue
     g = draw["g_slots"]
@@ -845,35 +848,31 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
     if fd:
         # Calibrate taps once at the fixed calibration power; the probe
         # precoder measures the steady-state residual from stale truth.
-        h_si_eff = _ro(np.sqrt(bud.si_gain) * draw["h_si"])
-        _, ctx["taps"] = _trial_taps(cfg, consts, h_si_eff, draw["n_cal"], fd)
+        _, ctx["taps"] = _trial_taps(cfg, consts, draw["h_si"], draw["n_cal"], fd)
         # The probe slot's UL pilot plus noise, the same at every power.
         pil_rx = np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_joint"].matrix)
         ctx["ul_noise"] = _ro(pil_rx + np.sqrt(bud.bs_noise_w) * draw["n_burst"])
-        ctx["probe"] = {}  # csi mode -> (probe burst or None, sounding correlations)
-        ctx["probe_rx"] = {}  # plan -> its probe slot's moments, `_stage_probe`
+        ctx["probe"] = {}  # plan -> (burst, correlations, moments), given a probe precoder
         for plan in fd:
-            if plan.csi not in ctx["probe"]:
-                if plan.csi == "sequential":
-                    # One UE sounds per slot with the full pilot budget; the
-                    # newest estimate of UE k is k + 1 slots old when applied.
-                    stale = np.column_stack([g[4 - k][:, k] for k in range(u)])
-                    pil = consts["ul_single"].matrix
-                    sounded = [ul_amp * (g[4 - k][:, k : k + 1] @ pil) for k in range(u)]
-                else:
-                    stale = g[4]
-                    pil = consts["ul_joint"].matrix
-                    sounded = [ul_amp * (g[4] @ pil)]
-                # The sounding at noise level N is y + sqrt(N) n, so its
-                # correlation with the pilots is y P^H + sqrt(N) n P^H.
-                ph = pil.conj().T
-                corr = [(_ro(y @ ph), _ro(n @ ph)) for y, n in zip(sounded, draw["n_pilot"])]
-                w_probe = _zf_or_none(dl_amp * stale.T)
-                burst = None if w_probe is None else _ro(w_probe @ draw["s_dl"])
-                ctx["probe"][plan.csi] = (burst, corr)
-            burst = ctx["probe"][plan.csi][0]
-            if burst is not None:
-                ctx["probe_rx"][plan] = _stage_probe(cfg, ctx, plan, burst)
+            if plan.csi == "sequential":
+                # One UE sounds per slot with the full pilot budget; the
+                # newest estimate of UE k is k + 1 slots old when applied.
+                stale = np.column_stack([g[4 - k][:, k] for k in range(u)])
+                pil = consts["ul_single"].matrix
+                sounded = [ul_amp * (g[4 - k][:, k : k + 1] @ pil) for k in range(u)]
+            else:
+                stale = g[4]
+                pil = consts["ul_joint"].matrix
+                sounded = [ul_amp * (g[4] @ pil)]
+            w_probe = _zf_or_none(dl_amp * stale.T)
+            if w_probe is None:
+                continue
+            burst = _ro(w_probe @ draw["s_dl"])
+            # The sounding at noise level N is y + sqrt(N) n, so its
+            # correlation with the pilots is y P^H + sqrt(N) n P^H.
+            ph = pil.conj().T
+            corr = [(_ro(y @ ph), _ro(n @ ph)) for y, n in zip(sounded, draw["n_pilot"])]
+            ctx["probe"][plan] = (burst, corr, _stage_probe(cfg, ctx, plan, burst))
     if any(plan.duplex == "hd" for plan in plans):
         # Train in the reserved slice of the previous slot, apply now.
         pil = consts["ul_hd"]
@@ -938,7 +937,7 @@ def _probe_receive(
     probe slot at power `p_w`, and the chains whose input exceeds `sat_w`
     watts; both from the moments `_stage_probe` kept, with no sample of
     the slot touched."""
-    m_in, m_out = ctx["probe_rx"][plan]
+    m_in, m_out = ctx["probe"][plan][2]
     return _power_at(m_out, p_w), check_saturation(_power_at(m_in, p_w), sat_w)
 
 
@@ -950,14 +949,14 @@ def _c_fd_point(
     Returns the pointing (rows, w) for `_point_dl`, or None without a
     precoder."""
     bud = cfg.budget
-    if plan not in ctx["probe_rx"]:
+    if plan not in ctx["probe"]:
         return None  # no probe precoder
     resid_w, saturated = _probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
     noise_eff = bud.bs_noise_w + float(np.mean(resid_w))
     pil = consts["ul_single" if plan.csi == "sequential" else "ul_joint"]
     shrink = mmse_shrink(pil, noise_eff, bud.ul_gain)
     amp = np.sqrt(noise_eff)
-    g_hat = np.hstack([shrink * (yp + amp * n_p) for yp, n_p in ctx["probe"][plan.csi][1]])
+    g_hat = np.hstack([shrink * (yp + amp * n_p) for yp, n_p in ctx["probe"][plan][1]])
     g_hat = g_hat / np.sqrt(bud.ul_gain) * np.sqrt(bud.dl_gain)  # reciprocity
     g_hat[saturated, :] = 0.0  # clipped chains yield no usable estimate
     w = _zf_or_none(g_hat.T)
@@ -1007,6 +1006,17 @@ def _interferometric_doa(z: np.ndarray, rows: np.ndarray, coarse: float) -> floa
     return float(np.arcsin(np.angle(corr) / np.pi))
 
 
+def _d_angle(consts: dict, z: np.ndarray, alive: np.ndarray) -> float:
+    """Scenario d's pointing angle from a training slot `z` at the receive
+    chains: the DOA sweep over the chains flagged in `alive`, refined by
+    the phase slope of an adjacent pair of them; the first codeword's
+    angle when every chain clipped."""
+    if not np.any(alive):
+        return float(consts["d_angles"][0])  # training slot lost to clipping
+    coarse = doa_estimate(z[alive], consts["d_sweep"][:, alive], consts["d_angles"])
+    return _interferometric_doa(z, np.flatnonzero(alive), coarse)
+
+
 @dataclass(frozen=True)
 class _Beam:
     """One analog beam of scenario d and what follows from it in a trial."""
@@ -1028,10 +1038,8 @@ def _d_beam(cfg: ScenarioConfig, consts: dict, ctx: dict, idx: int) -> _Beam:
         f_tx = consts["d_f_tx"][idx]
         taps: Dict[str, _Taps] = {}
         if ctx["fd"]:
-            h_si_eff = _ro(np.sqrt(bud.si_gain) * effective_si_channel(
-                ctx["h_si"], f_tx, np.eye(cfg.arch.n_rx, dtype=complex)
-            ))
-            _, taps = _trial_taps(cfg, consts, h_si_eff, ctx["n_cal"], ctx["fd"])
+            h_si = effective_si_channel(ctx["h_si"], f_tx, np.eye(cfg.arch.n_rx, dtype=complex))
+            _, taps = _trial_taps(cfg, consts, h_si, ctx["n_cal"], ctx["fd"])
         h_dl_eff = _ro(np.sqrt(bud.dl_gain) * (ctx["h_dl"] @ f_tx))
         beams[idx] = _Beam(f_tx, h_dl_eff, taps)
     return beams[idx]
@@ -1061,7 +1069,6 @@ def _prepare_d(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
     slot's UL pilot and noise.  `ctx["beams"]` memoizes each codeword's
     channels and cancellers.
     """
-    arch = cfg.arch
     bud = cfg.budget
     pil_w = dbm_to_watt(bud.ul_power_dbm)
     h_ul = np.sqrt(bud.ul_gain) * draw["h_ul"]
@@ -1078,8 +1085,7 @@ def _prepare_d(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
             ctx["ideal"] = (h_eff, w, _ro(np.zeros(len(h_eff))))
     if any(plan.duplex == "hd" for plan in plans):
         y = h_ul * np.sqrt(pil_w) + np.sqrt(bud.bs_noise_w) * draw["n_slot"][:, : cfg.hd_pilot_len]
-        theta_hat = doa_estimate(y, consts["d_sweep"], consts["d_angles"])
-        theta_hat = _interferometric_doa(y, np.arange(arch.n_rx_rf), theta_hat)
+        theta_hat = _d_angle(consts, y, np.ones(len(y), dtype=bool))
         beam, w = _d_point(cfg, consts, ctx, theta_hat)
         ctx["hd"] = _fixed_pointing(cfg, beam.h_dl_eff, _ro(w), draw["s_dl"])
     if ctx["fd"]:
@@ -1107,13 +1113,7 @@ def _d_fd_point(
     _, z, saturated = _fd_receive(
         taps, x, x_tx, ctx["ul"], ctx["noise"], plan.digital, bud.rx_saturation_w
     )
-    alive = ~saturated
-    if np.any(alive):
-        coarse = doa_estimate(z[alive], consts["d_sweep"][:, alive], consts["d_angles"])
-        theta = _interferometric_doa(z, np.flatnonzero(alive), coarse)
-    else:
-        theta = float(consts["d_angles"][0])  # training slot lost to clipping
-    beam, w = _d_point(cfg, consts, ctx, theta)
+    beam, w = _d_point(cfg, consts, ctx, _d_angle(consts, z, ~saturated))
     w = _project(bud, plan, beam.taps[plan.taps], w, p_w)
     return None if w is None else (beam.h_dl_eff, w)
 
@@ -1189,40 +1189,34 @@ def _sinr_rates(
 
 
 def _rate_dl(
-    cfg: ScenarioConfig, ctx: dict, received: List[List[Optional[tuple]]], plans: List[_Plan]
-) -> List[List[Tuple[float, float]]]:
-    """(DL, UL) rates of every plan, one row per power of `received`; the
-    UL carries no data.
+    cfg: ScenarioConfig, ctx: dict, items: List[Optional[tuple]]
+) -> List[Tuple[float, float]]:
+    """(DL, UL) rates of every (power, plan) item of the trial, in order;
+    the UL carries no data.
 
-    Every (power, plan) item of the trial is rated at once, one stack per
-    shape of UE rows and precoder.  A None item scores 0, and half duplex
-    keeps its DL share of the slot.
+    The items are rated at once, one stack per shape of UE rows and
+    precoder.  A None item scores 0.
     """
-    items = [item for row in received for item in row]
     rates = _stacked(
         partial(_sinr_rates, cfg.budget.ue_noise_w),
         [None if it is None else (it[1].shape, it[2].shape) for it in items],
         *zip(*(it or (None,) * 4 for it in items)),
     )
-    out = []
-    for k, rate in enumerate(rates):
-        scale = cfg.dl_data_fraction if plans[k % len(plans)].duplex == "hd" else 1.0
-        out.append((0.0 if rate is None else scale * float(rate), 0.0))
-    return [out[i : i + len(plans)] for i in range(0, len(out), len(plans))]
+    return [(0.0 if rate is None else float(rate), 0.0) for rate in rates]
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 
-def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object, object]:
-    """What the config and `powers` fix for the whole run, built and checked
-    once, all read-only.
+def _run_constants(cfg: ScenarioConfig) -> Dict[object, object]:
+    """What the config fixes for the whole run, built and checked once,
+    all read-only.
 
     Pilot matrices, with the powers the config fixes folded in.  The DL
     and UL sounding pilots of scenarios a and b follow the swept power:
-    they are scaled for each of `powers`, the powers the run scores, under
-    keys ("dl", power) and ("ul", power).  The transmit codebook of a, b
+    they are scaled for each power of the sweep, under keys ("dl", power)
+    and ("ul", power).  The transmit codebook of a, b
     and d and the receive codebook of a and b.  Scenario d adds its beam
     grid: the codeword angles, the DOA sweep over them and the analog
     beamformer of each codeword, built from the transmit codebook.
@@ -1235,7 +1229,7 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
     if cfg.scenario in ("a", "b"):
         dl = orthogonal_pilots(arch.n_tx_rf, lp)
         ul = orthogonal_pilots(cfg.ul_streams, lp)
-        for p in powers:
+        for p in cfg.power_sweep_dbm:
             consts["dl", p] = np.sqrt(dbm_to_watt(p) / arch.n_tx_rf) * dl
             consts["ul", p] = np.sqrt(dbm_to_watt(p) / cfg.ul_streams) * ul
     elif cfg.scenario == "c":
@@ -1262,20 +1256,26 @@ def _run_constants(cfg: ScenarioConfig, powers: Sequence[float]) -> Dict[object,
 @dataclass(frozen=True)
 class _Driver:
     """How one scenario runs a trial: `draw` it from the RNG, `prepare` its
-    power-free context, take each power through `stage` up to the rates,
-    and `finish` the per-power rows into (DL, UL) rates in one pass."""
+    power-free context, take each power through `stage` to one item per
+    plan, and `finish` every item of the trial into (DL, UL) rates in one
+    pass.  A half-duplex scheme keeps the `hd_share` of its rates: half
+    of each in a and b, which alternate DL and UL half slots, and the DL
+    data fraction in c and d."""
 
     draw: Callable
     prepare: Callable
     stage: Callable
     finish: Callable
+    hd_share: Callable[[ScenarioConfig], float]
 
 
 _DRIVERS: Dict[str, _Driver] = {
-    "a": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab),
-    "b": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab),
-    "c": _Driver(_draw_c, _prepare_c, partial(_point_dl, _c_fd_point), _rate_dl),
-    "d": _Driver(_draw_d, _prepare_d, partial(_point_dl, _d_fd_point), _rate_dl),
+    "a": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab, lambda cfg: 0.5),
+    "b": _Driver(_draw_ab, _prepare_ab, _receive_ab, _score_ab, lambda cfg: 0.5),
+    "c": _Driver(_draw_c, _prepare_c, partial(_point_dl, _c_fd_point), _rate_dl,
+                 lambda cfg: cfg.dl_data_fraction),
+    "d": _Driver(_draw_d, _prepare_d, partial(_point_dl, _d_fd_point), _rate_dl,
+                 lambda cfg: cfg.dl_data_fraction),
 }
 
 
@@ -1293,26 +1293,27 @@ def _trial_label(cfg: ScenarioConfig, trial: int) -> str:
 
 
 def _eval_draw(
-    cfg: ScenarioConfig, consts: dict, rng: np.random.Generator, powers: Sequence[float],
-    schemes: Sequence[str], trial: Optional[int] = None,
+    cfg: ScenarioConfig, consts: dict, rng: np.random.Generator, trial: Optional[int] = None
 ) -> List[List[Tuple[float, float]]]:
-    """(DL, UL) rates per power and scheme for one trial drawn from `rng`.
+    """(DL, UL) rates per power and scheme of `cfg` for one trial drawn
+    from `rng`.
 
     Draws the trial and builds its context once, then takes every power
     through the per-power stage; one rate pass then scores the whole
-    trial.  Given the `trial` index, a fault is re-raised as
+    trial, whose pairs are regrouped per power, half-duplex schemes at
+    their share.  Given the `trial` index, a fault is re-raised as
     TrialError naming where it happened.
     """
-    plans = [_PLANS[cfg.scenario][s] for s in schemes]
+    plans = [_PLANS[cfg.scenario][s] for s in cfg.schemes]
     drv = _DRIVERS[cfg.scenario]
     ctx = power_dbm = None
     try:
         ctx = drv.prepare(cfg, consts, drv.draw(cfg, rng), plans)
-        rows = []
-        for power_dbm in powers:
-            rows.append(drv.stage(cfg, consts, ctx, power_dbm, plans))
+        items = []
+        for power_dbm in cfg.power_sweep_dbm:
+            items += drv.stage(cfg, consts, ctx, power_dbm, plans)
         power_dbm = None
-        return drv.finish(cfg, ctx, rows, plans)
+        pairs = iter(drv.finish(cfg, ctx, items))  # one power's row at a time, below
     except Exception as exc:
         if trial is None:
             raise
@@ -1321,29 +1322,35 @@ def _eval_draw(
             where += " (set-up)"
         else:
             # A fault in the rate pass may lie at any power.
-            tried = powers if power_dbm is None else [power_dbm]
-            power_dbm, scheme = _failing_point(cfg, consts, ctx, drv, tried, schemes)
+            tried = cfg.power_sweep_dbm if power_dbm is None else [power_dbm]
+            power_dbm, scheme = _failing_point(cfg, consts, ctx, drv, tried)
             if power_dbm is not None:
                 where += f", power {power_dbm:g} dBm"
             if scheme is not None:
                 where += f", scheme {scheme}"
         raise TrialError(f"{where}: {type(exc).__name__}: {exc}") from exc
+    share = drv.hd_share(cfg)
+    return [
+        [(share * dl, share * ul) if plan.duplex == "hd" else (dl, ul)
+         for plan, (dl, ul) in zip(plans, pairs)]
+        for _ in cfg.power_sweep_dbm
+    ]
 
 
 def _failing_point(
-    cfg, consts, ctx, drv: _Driver, powers: Sequence[float], schemes: Sequence[str]
+    cfg, consts, ctx, drv: _Driver, powers: Sequence[float]
 ) -> Tuple[Optional[float], Optional[str]]:
-    """The first (power, scheme) that also fails when scored alone, as
-    `run_trial` scores it: a failed stack does not say which member.
-    When no single point reproduces the fault, the scheme is None, and so
-    is the power unless only one was tried."""
-    if len(powers) * len(schemes) == 1:
-        return powers[0], schemes[0]
+    """The first (power, scheme) of the tried `powers` that also fails when
+    scored alone, as `run_trial` scores it: a failed stack does not say
+    which member.  When no single point reproduces the fault, the scheme
+    is None, and so is the power unless only one was tried."""
+    if len(powers) * len(cfg.schemes) == 1:
+        return powers[0], cfg.schemes[0]
     for p in powers:
-        for scheme in schemes:
+        for scheme in cfg.schemes:
             plan = [_PLANS[cfg.scenario][scheme]]
             try:
-                drv.finish(cfg, ctx, [drv.stage(cfg, consts, ctx, p, plan)], plan)
+                drv.finish(cfg, ctx, drv.stage(cfg, consts, ctx, p, plan))
             except Exception:  # noqa: BLE001  any fault reproduces the stacked one
                 return p, scheme
     return (powers[0] if len(powers) == 1 else None), None
@@ -1353,15 +1360,13 @@ def run_trial(
     cfg: ScenarioConfig, power_dbm: float, scheme: str, rng: np.random.Generator
 ) -> Tuple[float, float]:
     """Single Monte Carlo trial; returns the (DL, UL) rate pair in bps/Hz."""
-    if scheme not in allowed_schemes(cfg.scenario):
-        raise ValueError(f"scheme {scheme!r} not defined for scenario {cfg.scenario!r}")
-    powers = (power_dbm,)
-    return _eval_draw(cfg, _run_constants(cfg, powers), rng, powers, (scheme,))[0][0]
+    cfg = dataclasses.replace(cfg, power_sweep_dbm=(power_dbm,), schemes=(scheme,))
+    return _eval_draw(cfg, _run_constants(cfg), rng)[0][0]
 
 
 def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,)))
-    pairs = _eval_draw(cfg, consts, rng, cfg.power_sweep_dbm, cfg.schemes, trial)
+    pairs = _eval_draw(cfg, consts, rng, trial)
     out = np.array([[dl + ul for dl, ul in row] for row in pairs])
     bad = np.argwhere(~np.isfinite(out))
     if len(bad):
@@ -1508,19 +1513,8 @@ def _pooled_rates(cfg: ScenarioConfig, consts: dict, jobs: int, rates: np.ndarra
 def run_scenario(cfg: ScenarioConfig, jobs: Optional[int] = None) -> List[CurvePoint]:
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
 
-    Work is staged by what it depends on: per run the pilot matrices
-    (in a and b scaled to every swept power), the codebooks and d's beam
-    grid, per trial the draw and everything power-free (SI estimate,
-    taps, in c and d the ideal-CSI and HD pointings with the TX
-    distortion of their unit-power bursts, in c each full-duplex probe
-    slot received at unit amplitude and kept as second moments, and its
-    pilot correlations, in d each used codeword's channels and
-    cancellers), per power the rest.  In a and b each distinct precoder of
-    a power is sent as one burst, and schemes sharing a burst and digital
-    stage are received together.  In every scenario one rate pass per
-    trial scores every (power, scheme) as one stack per array shape; in a
-    and b it also computes the UL combiners, one stack per number of
-    surviving chains.
+    Work is staged by what it depends on, as the module docstring sets
+    out: per run, per trial, and per power up to one rate pass per trial.
 
     Trials run on `jobs` worker processes forked from this one, each
     given one contiguous chunk of trial indices.  `jobs=1` runs them in
@@ -1537,7 +1531,7 @@ def run_scenario(cfg: ScenarioConfig, jobs: Optional[int] = None) -> List[CurveP
     whatever `jobs` is; so does a worker that dies.  No worker outlives
     the call.
     """
-    consts = _run_constants(cfg, cfg.power_sweep_dbm)
+    consts = _run_constants(cfg)
     rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
     jobs = _workers(cfg.trials, jobs)
     if jobs > 1:

@@ -1,5 +1,5 @@
-"""Shared fixtures: the JSON keys each scenario's config accepts, and
-those it does not read."""
+"""Shared fixtures: the JSON keys each scenario's config accepts, those
+it does not read, and a recorder of the calls a run makes."""
 
 import dataclasses
 import json
@@ -82,3 +82,34 @@ def accepted_keys(tmp_path_factory):
             else:
                 out[code].append(key)
     return out
+
+
+@dataclasses.dataclass
+class Call:
+    """One recorded call: its positional arguments, and its result once it
+    has returned."""
+
+    args: tuple
+    result: object = None
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """`count_calls(owner, name)` wraps `owner.name` for the test and
+    returns the list it appends one `Call` to per call.  Calls made in
+    forked trial workers are not seen, so count with `jobs=1`."""
+
+    def count(owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args):
+            call = Call(args)
+            calls.append(call)
+            call.result = original(*args)
+            return call.result
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return count

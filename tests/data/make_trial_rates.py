@@ -28,7 +28,7 @@ OUT = Path(__file__).resolve().parent / "trial_rates.json"
 def trial_rates(code: str, seed: int) -> np.ndarray:
     """(trial, power, scheme) rates of the default config of `code` at `seed`."""
     cfg = dataclasses.replace(default_scenario(code), seed=seed)
-    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    consts = link._run_constants(cfg)
     return np.array([link._trial_rates(cfg, consts, t) for t in range(TRIALS)])
 
 

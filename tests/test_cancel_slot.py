@@ -171,23 +171,12 @@ def test_cancel_slot_writes_no_input(slot):
 
 
 @pytest.mark.parametrize("code", "abcd")
-def test_default_configs_fit_only_one_stream_bursts(code, monkeypatch):
+def test_default_configs_fit_only_one_stream_bursts(code, count_calls):
     """Every burst of a, b and c (as many streams as chains, or two or
     more streams on more chains) is projected; every burst of d (one
     stream on two chains) takes the `lstsq` fit."""
-    calls = {"cancel_slot": 0, "_fit": 0}
-
-    def counted(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(cancellation, "_fit")
-    counted(link, "cancel_slot")
+    fits = count_calls(cancellation, "_fit")
+    slots = count_calls(link, "cancel_slot")
     run_scenario(dataclasses.replace(default_scenario(code), trials=2), jobs=1)
-    assert calls["cancel_slot"] > 0
-    assert calls["_fit"] == (calls["cancel_slot"] if code == "d" else 0)
+    assert len(slots) > 0
+    assert len(fits) == (len(slots) if code == "d" else 0)

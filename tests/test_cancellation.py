@@ -81,6 +81,11 @@ def test_select_taps_by_row_covers_strong_rows():
     assert sorted(select_taps_by_row(h, 4)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     with pytest.raises(ValueError):
         select_taps_by_row(h, 5)
+    # The leftover tap comes from an uncovered row, even when that row is
+    # all zeros and so ties with the covered entries.
+    zeros = np.array([[1, 1], [0, 0]], dtype=complex)
+    assert select_taps_by_row(zeros, 3) == [(0, 0), (0, 1), (1, 0)]
+    set_tap_gains(zeros, select_taps_by_row(zeros, 3))
 
 
 def test_select_taps_by_row_leaves_low_rank_residual():

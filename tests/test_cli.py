@@ -122,6 +122,14 @@ def test_complexity_command(capsys):
     }
 
 
+def test_complexity_takes_only_a_config(capsys):
+    # It reads no seed, trials or schemes, so it takes no flag for them.
+    with pytest.raises(SystemExit) as exc:
+        main(["complexity", "--config", "scenario_b", "--seed", "3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_run_command_to_file(tmp_path, capsys):
     src = _write(
         tmp_path,
@@ -351,10 +359,18 @@ def test_dropped_pilot_stream_count_is_rejected(tmp_path, capsys):
         ({"budget": {"bs_noise_dbm": -280}}, "bs_noise_dbm", "-174 dBm"),
         ({"budget": {"bs_noise_dbm": -174.5}}, "bs_noise_dbm", "-174 dBm"),
         ({"budget": {"ue_noise_dbm": -220}}, "ue_noise_dbm", "-174 dBm"),
+        # Rician K-factors that used to pass `validate`, then exit 2 from
+        # an SVD, a non-finite rate or an OverflowError in the draw.
+        ({"kappa_si_db": float("inf")}, "kappa_si_db", "[-300, 300] dB"),
+        ({"kappa_ue_db": float("inf"), "scenario": "d"}, "kappa_ue_db", "[-300, 300] dB"),
+        ({"kappa_ue_db": 1e308, "scenario": "d"}, "kappa_ue_db", "[-300, 300] dB"),
+        ({"kappa_si_db": 1e300, "scenario": "b"}, "kappa_si_db", "[-300, 300] dB"),
+        ({"kappa_si_db": float("-inf")}, "kappa_si_db", "[-300, 300] dB"),
     ],
     ids=["sweep", "bs-noise", "ue-noise", "ul-power", "saturation", "pilot-power", "drive",
          "iip3", "iip3-minus-inf", "bs-noise-thermal", "bs-noise-just-below-thermal",
-         "ue-noise-thermal"],
+         "ue-noise-thermal", "kappa-si-inf", "kappa-ue-inf", "kappa-ue-huge", "kappa-si-huge",
+         "kappa-si-minus-inf"],
 )
 def test_exit_code_one_on_unbounded_dbm(tmp_path, capsys, payload, key, bound):
     src = _write(tmp_path, {"scenario": "a", **payload})

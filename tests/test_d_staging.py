@@ -4,9 +4,11 @@ The beam grid (codeword angles, DOA sweep, codebook and each codeword's
 analog beamformer) is fixed by the config and built once per run.  The
 ideal-CSI and half-duplex pointings are fixed per trial, and a per-trial
 memo keyed by codeword holds the channels and cancellers every pass and
-power share.  These tests hold the grid to one build per run, and check
-on random small configs that the memo leaks nothing across powers or
-scheme subsets: `run_scenario` equals `run_trial` exactly.
+power share.  Both the half-duplex and the full-duplex training slots
+take their angle from one step, `_d_angle`.  These tests hold the grid to
+one build per run, pin that step, and check on random small configs that
+the memo leaks nothing across powers or scheme subsets: `run_scenario`
+equals `run_trial` exactly.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdmimo import beamforming, link
+from fdmimo import beamforming, estimation, link
 from fdmimo.beamforming import ArchitectureConfig
 from fdmimo.cli import default_scenario
 from fdmimo.link import allowed_schemes, run_scenario, run_trial
@@ -23,30 +25,48 @@ from fdmimo.link import allowed_schemes, run_scenario, run_trial
 seeds = st.integers(0, 2**32 - 1)
 
 
-def test_scenario_d_builds_its_beam_grid_once_per_run(monkeypatch):
+def test_scenario_d_builds_its_beam_grid_once_per_run(count_calls):
     cfg = dataclasses.replace(default_scenario("d"), trials=2)
-    calls = {"steering_vector": 0, "dft_codebook": 0}
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(link, "steering_vector")
-    count(link, "dft_codebook")
-    count(beamforming, "dft_codebook")  # as assemble_analog_bf would see it
+    steering = count_calls(link, "steering_vector")
+    books = count_calls(link, "dft_codebook")
+    inner = count_calls(beamforming, "dft_codebook")  # as assemble_analog_bf would see it
     run_scenario(cfg, jobs=1)
     beams = cfg.arch.tx_subarray
     # Ceilings, not counts.  One DOA sweep per run, and one codebook, which
     # every codeword's beamformer reads; rebuilding them for every (power,
     # scheme) made 1280 and 120 calls per trial, and rebuilding the codebook
     # in each beamformer 1 + beams per run.
-    assert calls["steering_vector"] <= beams
-    assert calls["dft_codebook"] <= 1
+    assert len(steering) <= beams
+    assert len(books) + len(inner) <= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chains=st.integers(1, 4),
+    samples=st.integers(1, 50),
+    angle=st.floats(-np.pi / 3, np.pi / 3),
+    snr_db=st.floats(-20.0, 40.0),
+    seed=seeds,
+)
+def test_d_angle_is_the_sweep_and_refinement_or_the_first_codeword(
+    chains, samples, angle, snr_db, seed
+):
+    # With every chain alive, as in the half-duplex slot, the angle is the
+    # sweep over every chain refined by the first chain pair.  With every
+    # chain clipped, the training slot is lost and d points the first
+    # codeword.
+    cfg = default_scenario("d")
+    cfg = dataclasses.replace(cfg, arch=dataclasses.replace(cfg.arch, n_rx=chains, n_rx_rf=chains))
+    consts = link._run_constants(cfg)
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((chains, samples)) + 1j * rng.standard_normal((chains, samples))
+    a = np.exp(1j * np.pi * np.arange(chains) * np.sin(angle))[:, None]
+    z = 10.0 ** (snr_db / 20.0) * a * rng.standard_normal((1, samples)) + noise
+    coarse = estimation.doa_estimate(z, consts["d_sweep"], consts["d_angles"])
+    expected = link._interferometric_doa(z, np.arange(chains), coarse)
+    assert link._d_angle(consts, z, np.ones(chains, dtype=bool)) == expected
+    clipped = link._d_angle(consts, z, np.zeros(chains, dtype=bool))
+    assert clipped == float(consts["d_angles"][0])
 
 
 @st.composite

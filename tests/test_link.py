@@ -61,8 +61,7 @@ def _sinr_rate(cfg, rows, w, p_w):
     """c's and d's DL rate of one pointing with no TX distortion, through
     the rate pass that scores every item of a trial."""
     item = (p_w, rows, w, np.zeros(len(rows)))
-    ideal = link._PLANS[cfg.scenario]["ideal-csi"]
-    (dl, ul), = link._rate_dl(cfg, {}, [[item]], [ideal])[0]
+    (dl, ul), = link._rate_dl(cfg, {}, [item])
     assert ul == 0.0
     return dl
 
@@ -79,7 +78,7 @@ def test_sinr_rate_of_one_ue_is_dl_rate():
             expected = dl_rate(h, w, p_w, cfg.budget.ue_noise_w)
             assert _sinr_rate(cfg, h, w, p_w) == pytest.approx(expected, rel=1e-12)
     # A scheme left without a precoder scores 0.
-    assert link._rate_dl(cfg, {}, [[None]], [link._PLANS["d"]["hd"]]) == [[(0.0, 0.0)]]
+    assert link._rate_dl(cfg, {}, [None]) == [(0.0, 0.0)]
 
 
 def test_sinr_rate_under_zero_forcing_sums_the_one_ue_rates():
@@ -265,9 +264,9 @@ def test_trial_order_leaves_the_rates_unchanged(code):
     # every trial the rates it gets in order, bit for bit.
     cfg = dataclasses.replace(default_scenario(code), trials=3)
     trials = range(cfg.trials)
-    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    consts = link._run_constants(cfg)
     forward = [link._trial_rates(cfg, consts, t) for t in trials]
-    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    consts = link._run_constants(cfg)
     backward = {t: link._trial_rates(cfg, consts, t) for t in reversed(trials)}
     for t in trials:
         assert np.array_equal(forward[t], backward[t]), t

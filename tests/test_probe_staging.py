@@ -96,7 +96,7 @@ def test_staged_probe_matches_the_per_power_receive():
     """
     cfg = default_scenario("c")
     bud = cfg.budget
-    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    consts = link._run_constants(cfg)
     plans = [link._PLANS["c"][s] for s in cfg.schemes]
     checked = 0
     for trial in range(3):
@@ -104,8 +104,7 @@ def test_staged_probe_matches_the_per_power_receive():
         ctx = link._prepare_c(cfg, consts, link._draw_c(cfg, rng), plans)
         pil_rx = np.sqrt(bud.ul_gain) * (ctx["g_slots"][5] @ consts["ul_joint"].matrix)
         noise_b = np.sqrt(bud.bs_noise_w) * ctx["n_burst"]
-        for plan in ctx["probe_rx"]:
-            burst = ctx["probe"][plan.csi][0]
+        for plan, (burst, _, _) in ctx["probe"].items():
             taps = ctx["taps"][plan.taps]
             for power_dbm in cfg.power_sweep_dbm:
                 p_w = dbm_to_watt(power_dbm)
@@ -123,35 +122,21 @@ def test_staged_probe_matches_the_per_power_receive():
     assert checked == 3 * 2 * len(cfg.power_sweep_dbm)
 
 
-def test_scenario_c_fits_the_canceller_once_per_trial_and_probe(monkeypatch):
+def test_scenario_c_fits_the_canceller_once_per_trial_and_probe(count_calls):
     cfg = dataclasses.replace(default_scenario("c"), trials=2)
     probes = 2  # proposed and benchmark; ideal-csi and hd have no probe
-    fits = []
-    cancel = link.cancel_slot
-
-    def counted(*args):
-        fits.append(None)
-        return cancel(*args)
-
-    monkeypatch.setattr(link, "cancel_slot", counted)
+    fits = count_calls(link, "cancel_slot")
     run_scenario(cfg, jobs=1)
     # A ceiling, not a count: staging that fits less often still passes.
     # The floor keeps the ceiling from passing on a path that counts nothing.
     assert 0 < len(fits) <= cfg.trials * probes
 
 
-def test_scenario_c_runs_the_tx_chain_once_per_burst_it_scores(monkeypatch):
+def test_scenario_c_runs_the_tx_chain_once_per_burst_it_scores(count_calls):
     # Per trial: one probe burst per full-duplex scheme, one pointing per
     # full-duplex scheme and power, and one HD burst, scaled to each power.
     cfg = dataclasses.replace(default_scenario("c"), trials=2)
-    calls = []
-    impair = link.apply_tx_chain
-
-    def counted(*args):
-        calls.append(None)
-        return impair(*args)
-
-    monkeypatch.setattr(link, "apply_tx_chain", counted)
+    calls = count_calls(link, "apply_tx_chain")
     run_scenario(cfg, jobs=1)
     fd, hd = 2, 1  # proposed and benchmark; ideal-csi is unimpaired
     assert 0 < len(calls) <= cfg.trials * (fd + fd * len(cfg.power_sweep_dbm) + hd)

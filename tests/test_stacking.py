@@ -173,29 +173,22 @@ def test_stacked_dl_rate_pass_is_exact(powers, shapes, picks, seed):
     # c's and d's rate pass stacks every (power, scheme) item of a trial
     # by shape; each rate equals the pass over that item alone.
     cfg = default_scenario("c")
-    plans = [link._PLANS["c"][s] for s in cfg.schemes]
     rng = np.random.default_rng(seed)
-    received = []
-    for i in range(powers):
-        row = []
-        for j in range(len(plans)):
-            pick = picks[i * len(plans) + j]
-            if pick < 0 or pick >= len(shapes):
-                row.append(None)  # a scheme left without a precoder
-                continue
-            ues, chains = shapes[pick]
-            rows = 1e-5 * _cn(rng, ues, chains)
-            w = _cn(rng, chains, ues)
-            row.append((float(rng.uniform(1e-3, 10.0)), rows, w / np.linalg.norm(w),
-                        1e-12 * rng.uniform(0.0, 1.0, ues)))
-        received.append(row)
-    stacked = link._rate_dl(cfg, {}, received, plans)
-    for i, row in enumerate(received):
-        for j, item in enumerate(row):
-            assert stacked[i][j] == link._rate_dl(cfg, {}, [[item]], [plans[j]])[0][0]
-            share = cfg.dl_data_fraction if plans[j].duplex == "hd" else 1.0
-            ref = 0.0 if item is None else share * _per_ue_loop(cfg.budget.ue_noise_w, *item)
-            assert stacked[i][j][0] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    items = []
+    for pick in picks[: powers * len(cfg.schemes)]:
+        if pick < 0 or pick >= len(shapes):
+            items.append(None)  # a scheme left without a precoder
+            continue
+        ues, chains = shapes[pick]
+        rows = 1e-5 * _cn(rng, ues, chains)
+        w = _cn(rng, chains, ues)
+        items.append((float(rng.uniform(1e-3, 10.0)), rows, w / np.linalg.norm(w),
+                      1e-12 * rng.uniform(0.0, 1.0, ues)))
+    stacked = link._rate_dl(cfg, {}, items)
+    for k, item in enumerate(items):
+        assert stacked[k] == link._rate_dl(cfg, {}, [item])[0]
+        ref = 0.0 if item is None else _per_ue_loop(cfg.budget.ue_noise_w, *item)
+        assert stacked[k][0] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def _per_ue_loop(noise_w, p_w, rows, w, dist):
@@ -209,22 +202,15 @@ def _per_ue_loop(noise_w, p_w, rows, w, dist):
 
 
 @pytest.mark.parametrize("code", "ab")
-def test_sweep_ab_builds_its_codebooks_once_per_run(monkeypatch, code):
+def test_sweep_ab_builds_its_codebooks_once_per_run(count_calls, code):
     cfg = dataclasses.replace(default_scenario(code), trials=2)
-    calls = []
-    book = beamforming.dft_codebook
-
-    def counted(*args):
-        calls.append(args)
-        return book(*args)
-
-    monkeypatch.setattr(link, "dft_codebook", counted)
-    monkeypatch.setattr(beamforming, "dft_codebook", counted)  # as assemble_analog_bf sees it
+    calls = count_calls(link, "dft_codebook")
+    inner = count_calls(beamforming, "dft_codebook")  # as assemble_analog_bf sees it
     run_scenario(cfg, jobs=1)
     # A ceiling: the transmit and receive codebooks, once per run; building
     # them in each trial made 2 calls per trial, and rebuilding them in each
     # analog beamformer 2 more.
-    assert 0 < len(calls) <= 2
+    assert 0 < len(calls) + len(inner) <= 2
 
 
 @st.composite
@@ -299,22 +285,12 @@ def test_small_c_configs_score_sane_rates_and_run_scenario_is_run_trial(cfg):
     assert all(b >= a - 1e-9 for a, b in zip(ideal, ideal[1:]))
 
 
-def test_sweep_a_builds_pilots_per_power_and_eigen_precoders_once(monkeypatch):
+def test_sweep_a_builds_pilots_per_power_and_eigen_precoders_once(count_calls):
     cfg = dataclasses.replace(default_scenario("a"), trials=3)
-    built, precoded = [], []
-    check, eigen = estimation.Pilots.__post_init__, link.eigen_precoder
-
-    def counted_check(pilots):
-        built.append(pilots)
-        check(pilots)
-
-    def counted_eigen(h, streams):
-        precoded.append((h.tobytes(), streams))
-        return eigen(h, streams)
-
-    monkeypatch.setattr(estimation.Pilots, "__post_init__", counted_check)
-    monkeypatch.setattr(link, "eigen_precoder", counted_eigen)
+    built = count_calls(estimation.Pilots, "__post_init__")
+    eigen = count_calls(link, "eigen_precoder")
     run_scenario(cfg, jobs=1)
+    precoded = [(call.args[0].tobytes(), call.args[1]) for call in eigen]
     powers = len(cfg.power_sweep_dbm)
     assert 2 * powers < len(built) <= 3 + 2 * powers
     # Each (trial, power) has its own channel estimate: a repeated input is
@@ -323,45 +299,25 @@ def test_sweep_a_builds_pilots_per_power_and_eigen_precoders_once(monkeypatch):
     assert len(set(precoded)) == len(precoded)
 
 
-def _counting(monkeypatch, name):
-    """Replace `link.<name>` by a wrapper that records each call."""
-    calls = []
-    original = getattr(link, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(link, name, counted)
-    return calls
-
-
-def test_sweep_a_computes_its_combiners_once_per_trial(monkeypatch):
+def test_sweep_a_computes_its_combiners_once_per_trial(count_calls):
     # The rate pass makes one combiner call per surviving-chain count for
     # the whole trial; one call per power point made at least one per
     # (trial, power).
     cfg = dataclasses.replace(default_scenario("a"), trials=3)
-    calls = _counting(monkeypatch, "mmse_combiner")
+    calls = count_calls(link, "mmse_combiner")
     run_scenario(cfg, jobs=1)
     assert 0 < len(calls) < cfg.trials * len(cfg.power_sweep_dbm)
 
 
-def test_proposed_and_hd_share_an_unprojected_burst(monkeypatch):
+def test_proposed_and_hd_share_an_unprojected_burst(count_calls):
     # At -10 dBm every trial's proposed precoder meets its SI budget as it
     # is, so it is hd's eigen precoder too: one burst, distorted once.
     cfg = dataclasses.replace(
         default_scenario("a"), trials=3, power_sweep_dbm=(-10.0,), schemes=("proposed", "hd")
     )
-    projected = []
-    project = link.si_aware_precoder_projection
-
-    def counted_projection(w, *args):
-        out = project(w, *args)
-        projected.append(out is not w)
-        return out
-
-    monkeypatch.setattr(link, "si_aware_precoder_projection", counted_projection)
-    calls = _counting(monkeypatch, "apply_tx_chain")
+    projections = count_calls(link, "si_aware_precoder_projection")
+    calls = count_calls(link, "apply_tx_chain")
     run_scenario(cfg, jobs=1)
+    projected = [call.result is not call.args[0] for call in projections]
     assert len(projected) == cfg.trials and not any(projected)
     assert len(calls) == cfg.trials

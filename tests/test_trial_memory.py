@@ -29,7 +29,7 @@ PEAK_CEILING_MB = {"a": 2.8, "c": 2.9, "d": 1.0}
 @pytest.mark.parametrize("code", sorted(PEAK_CEILING_MB))
 def test_one_trial_peaks_below_its_ceiling(code):
     cfg = default_scenario(code)
-    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    consts = link._run_constants(cfg)
     link._trial_rates(cfg, consts, 0)  # warm: lazy set-up is not the trial's
     tracemalloc.start()
     try:

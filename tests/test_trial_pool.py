@@ -70,7 +70,7 @@ def test_curves_do_not_depend_on_the_worker_count(cfg):
 def test_each_trial_fills_its_own_row():
     # The CSV's means hide the order of rows; the rates do not.
     cfg = _small("b", 5)
-    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    consts = link._run_constants(cfg)
     rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
     link._pooled_rates(cfg, consts, 3, rates)
     for t in range(cfg.trials):
@@ -218,7 +218,7 @@ def test_a_worker_runs_blas_on_one_thread():
     # One worker per core already fills the cores; BLAS threads would crowd them.
     before = _blas_threads()
     cfg = _small("a", 2)
-    consts = link._run_constants(cfg, cfg.power_sweep_dbm)
+    consts = link._run_constants(cfg)
     with ProcessPoolExecutor(
         1, mp_context=multiprocessing.get_context("fork"),
         initializer=link._serve, initargs=(cfg, consts),
