@@ -9,7 +9,6 @@ zero-forcing, MMSE and eigenmode designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,44 +16,6 @@ import numpy as np
 
 class SingularChannelError(np.linalg.LinAlgError):
     """Channel matrix too ill conditioned for the requested design."""
-
-
-@dataclass(frozen=True)
-class ArchitectureConfig:
-    """Transceiver array geometry and hardware budgets.
-
-    `n_tx` / `n_rx` count antennas, `n_tx_rf` / `n_rx_rf` RF chains, and
-    `num_taps` the analog canceller taps.  Each side splits into equal
-    contiguous sub-arrays, one per chain.  A fully digital array is the
-    case of one antenna per chain, whose analog stage is the identity.
-    """
-
-    n_tx: int
-    n_rx: int
-    n_tx_rf: int
-    n_rx_rf: int
-    phase_bits: int = 3
-    num_taps: int = 0
-
-    def __post_init__(self):
-        if min(self.n_tx, self.n_rx, self.n_tx_rf, self.n_rx_rf) < 1:
-            raise ValueError("antenna and chain counts must be positive")
-        if self.n_tx_rf > self.n_tx or self.n_rx_rf > self.n_rx:
-            raise ValueError("cannot have more RF chains than antennas")
-        if self.n_tx % self.n_tx_rf or self.n_rx % self.n_rx_rf:
-            raise ValueError("antennas must split evenly across RF chains")
-        if self.phase_bits < 1:
-            raise ValueError("phase_bits must be >= 1")
-        if not 0 <= self.num_taps <= self.n_tx_rf * self.n_rx_rf:
-            raise ValueError("num_taps must lie in [0, n_tx_rf * n_rx_rf]")
-
-    @property
-    def tx_subarray(self) -> int:
-        return self.n_tx // self.n_tx_rf
-
-    @property
-    def rx_subarray(self) -> int:
-        return self.n_rx // self.n_rx_rf
 
 
 def _snap_phases(phases: np.ndarray, phase_bits: int) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Fading channel generators and first-order channel aging.
 
 All generators return dense complex matrices with unit average entry power;
-link gains (pathloss, antenna isolation) are applied by the caller.
+link gains (pathloss, antenna isolation) are applied by the caller.  The
+aging correlation rho comes with the config's `AgingParams`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,18 +51,6 @@ class ClusteredParams:
             raise ValueError("num_paths must be >= 1")
         if self.rx_size < 1 or self.tx_size < 1:
             raise ValueError("array sizes must be positive")
-
-
-@dataclass(frozen=True)
-class AgingParams:
-    """Doppler spread and slot duration defining the slot-to-slot correlation."""
-
-    doppler_hz: float
-    slot_s: float
-    rho: float = field(init=False)  # one Bessel evaluation per config
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", doppler_correlation(self.doppler_hz, self.slot_s))
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -146,70 +134,6 @@ def gen_clustered_mmwave(params: ClusteredParams, rng: np.random.Generator) -> n
         a_tx = steering_vector(params.tx_size, th_tx)
         h += alpha * np.outer(a_rx, a_tx.conj())
     return np.sqrt(params.rx_size * params.tx_size / p) * h
-
-
-def _doppler_argument(doppler_hz: float, slot_s: float) -> float:
-    """The Bessel argument 2 pi fD Ts, or ValueError unless all three are finite."""
-    if not (0 <= doppler_hz < math.inf and 0 < slot_s < math.inf):
-        raise ValueError("doppler_hz must be finite and >= 0, slot_s finite and > 0")
-    x = 2.0 * math.pi * doppler_hz * slot_s
-    if x == math.inf:
-        raise ValueError("2 pi doppler_hz slot_s must be finite")
-    return x
-
-
-def _bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero, at x >= 0.
-
-    Up to x = 25 the power series sum_k (-x^2/4)^k / (k!)^2 is summed in
-    exact integer arithmetic and rounded once, so the result is correctly
-    rounded.  Once its terms shrink the series alternates, so the sum lies
-    between consecutive partial sums: it stops when both round to the same
-    float.  Beyond 25 the Hankel expansion
-    sqrt(2/(pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)) is summed in floats
-    until its terms fall below 1e-17, which they do long before the series
-    starts to diverge near k = 2x.
-    """
-    if x <= 25.0:
-        # x^2/4 is n/d exactly, and the k-th partial sum is num/den with
-        # den = d^k (k!)^2, so each term adds without rounding.
-        xn, xd = x.as_integer_ratio()
-        n, d = xn * xn, 4 * xd * xd
-        num = den = top = 1
-        k = 0
-        while True:
-            k += 1
-            top *= -n
-            before = num / den  # int / int is correctly rounded
-            step = d * k * k
-            num = num * step + top
-            den *= step
-            if k * k * d > n and num / den == before:
-                return before
-    # With a_k = prod_{j<=k} -(2j-1)^2 / (k! (8x)^k), P = a_0 - a_2 + a_4 - ...
-    # takes the even terms and Q = a_1 - a_3 + ... the odd ones (Q ~ -1/(8x)).
-    p = q = 0.0
-    a, k = 1.0, 0
-    while abs(a) > 1e-17:
-        signed = -a if k % 4 >= 2 else a
-        if k % 2:
-            q += signed
-        else:
-            p += signed
-        k += 1
-        a *= -((2 * k - 1) ** 2) / (8.0 * k * x)
-    # cos(x - pi/4) = (cos x + sin x)/sqrt 2, sin(x - pi/4) = (sin x - cos x)/sqrt 2.
-    c, s = math.cos(x), math.sin(x)
-    return math.sqrt(1.0 / (math.pi * x)) * (p * (c + s) - q * (s - c))
-
-
-def doppler_correlation(doppler_hz: float, slot_s: float) -> float:
-    """Slot-to-slot correlation coefficient J0(2 pi fD Ts), clamped to [0, 1].
-
-    At the bundled 50 Hz and 1 ms this equals scipy.special.j0 bit for bit;
-    for arguments up to 100 it lies within 1e-15 of it.
-    """
-    return max(0.0, _bessel_j0(_doppler_argument(doppler_hz, slot_s)))
 
 
 def evolve_gauss_markov(

@@ -16,19 +16,16 @@ from importlib import resources
 from pathlib import Path
 from typing import List, Optional, Sequence, get_type_hints
 
-import numpy as np
-
-from fdmimo.beamforming import ArchitectureConfig
-from fdmimo.channel import AgingParams
-from fdmimo.estimation import PilotConfig
-from fdmimo.impairments import TxImpairmentConfig
-from fdmimo.link import (
+from fdmimo.config import (
     SCENARIOS,
+    AgingParams,
+    ArchitectureConfig,
     CurvePoint,
     LinkBudget,
+    PilotConfig,
     ScenarioConfig,
+    TxImpairmentConfig,
     complexity_report,
-    run_scenario,
 )
 
 CSV_HEADER = "power_dbm,scheme,mean_rate_bps_hz,std_err,trials"
@@ -57,9 +54,10 @@ _SCALARS = {
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
-# Integer fields size arrays, so they must fit numpy's index type; the seed
-# only feeds SeedSequence, which takes any non-negative integer.
-_INT_MAX = int(np.iinfo(np.intp).max)
+# Integer fields size arrays, so they must fit numpy's index type, whose
+# largest value is sys.maxsize (both are Py_ssize_t's); the seed only feeds
+# SeedSequence, which takes any non-negative integer.
+_INT_MAX = sys.maxsize
 
 
 def _typed(key: str, value, typ):
@@ -289,6 +287,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Checked before the sweep, so a typo does not cost a whole run.
         print(f"fdmimo: config error: no directory for --out {args.out}", file=sys.stderr)
         return 1
+    from fdmimo.link import run_scenario  # the simulator, and numpy, load for `run` alone
+
     try:
         points = run_scenario(cfg)
     except Exception as exc:  # noqa: BLE001  simulation faults map to exit 2

@@ -7,29 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from fdmimo.impairments import check_dbm
-
 
 class NoSignalError(RuntimeError):
     """Every swept beam measured zero power; nothing to estimate."""
-
-
-@dataclass(frozen=True)
-class PilotConfig:
-    """Pilot budget and training power.
-
-    `num_pilots` is the training length of scenarios a and b (c and d
-    train over the whole packet); `power_dbm` the total transmit power of
-    the self-interference calibration.
-    """
-
-    num_pilots: int = 40
-    power_dbm: float = 10.0
-
-    def __post_init__(self):
-        if self.num_pilots < 1:
-            raise ValueError("num_pilots must be >= 1")
-        check_dbm("power_dbm", self.power_dbm)
 
 
 @dataclass(frozen=True, eq=False)

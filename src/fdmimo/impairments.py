@@ -7,29 +7,9 @@ watts.  `iq_imbalance` and `pa_nonlinearity` act on the samples as given;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-def dbm_to_watt(p_dbm: float) -> float:
-    """Convert a dBm power to watts."""
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def check_dbm(name: str, p_dbm: float) -> None:
-    """Reject a configured power that is not finite or lies beyond 300 dBm.
-
-    Far outside that range `dbm_to_watt` overflows, so such a value is a
-    configuration error rather than a fault of the simulation.
-    """
-    if not (np.isfinite(p_dbm) and abs(p_dbm) <= 300.0):
-        raise ValueError(f"{name} must be a finite power within [-300, 300] dBm, got {p_dbm!r}")
-
-
-# How far under the intercept `pa_nonlinearity` peaks: the output magnitude
-# r - 4 r^3 / (3 A^2) is largest at r^2 = A^2 / 4, 10 log10(4) dB below A^2.
-PA_TURNOVER_DB = 10.0 * np.log10(4.0)
+from fdmimo.config import TxImpairmentConfig, dbm_to_watt
 
 
 def watt_to_dbm(p_w: float) -> float:
@@ -37,43 +17,6 @@ def watt_to_dbm(p_w: float) -> float:
     if p_w <= 0:
         raise ValueError("power must be positive")
     return 10.0 * np.log10(p_w) + 30.0
-
-
-@dataclass(frozen=True)
-class TxImpairmentConfig:
-    """Per-chain transmit impairment settings.
-
-    `iip3_dbm` is the input-referred third-order intercept of the PA model
-    and `irr_db` the image rejection ratio of the IQ mixer.  `drive_dbm` is
-    the per-chain power at which the RF hardware is driven: `apply_tx_chain`
-    normalizes each chain to this level before applying the impairments and
-    restores the commanded power afterwards, which models output gain
-    staging at a fixed PA operating point.  `enabled=False` bypasses both
-    impairments entirely; `iip3_dbm=inf` removes the PA nonlinearity.
-
-    With the PA model on, the drive must stay below `PA_TURNOVER_DB` under
-    the intercept: there the cubic's output peaks, and past it the output
-    falls and then grows without bound, so the distortion can leave the
-    float range.
-    """
-
-    iip3_dbm: float = 20.0
-    irr_db: float = 30.0
-    enabled: bool = True
-    drive_dbm: float = -15.0
-
-    def __post_init__(self):
-        if self.irr_db <= 0:
-            raise ValueError("irr_db must be positive")
-        if self.iip3_dbm != np.inf:
-            check_dbm("iip3_dbm", self.iip3_dbm)
-        check_dbm("drive_dbm", self.drive_dbm)
-        if self.enabled and self.drive_dbm >= self.iip3_dbm - PA_TURNOVER_DB:
-            raise ValueError(
-                f"drive_dbm must lie below iip3_dbm - {PA_TURNOVER_DB:.2f} dB, where the PA "
-                f"model's output turns over; got drive_dbm {self.drive_dbm!r} with iip3_dbm "
-                f"{self.iip3_dbm!r}"
-            )
 
 
 def pa_nonlinearity(x: np.ndarray, iip3_dbm: float) -> np.ndarray:

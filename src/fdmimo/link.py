@@ -85,7 +85,10 @@ stay read-only.  Each chunk's rows are written back by trial index, and
 every trial draws from its own child seed, so the curves do not depend on
 the number of workers; with one, and wherever `_forks` says no, the trials
 run in the calling process.  Each worker runs numpy's bundled OpenBLAS on
-one thread, since the workers already fill the cores.
+one thread, since the workers already fill the cores, and fixes glibc's
+malloc thresholds, so that it reuses its heap from trial to trial whatever
+its parent did before the fork (`_serve`).  Trials run in the calling process
+keep its allocator settings, so profile them with that in mind.
 
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Arrays of
@@ -100,6 +103,7 @@ already weighted, so DL + UL is always the headline sum rate.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import os
 import sys
@@ -110,7 +114,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from fdmimo.beamforming import (
-    ArchitectureConfig,
     SingularChannelError,
     assemble_analog_bf,
     beam_select_doa,
@@ -131,7 +134,6 @@ from fdmimo.cancellation import (
     si_aware_precoder_projection,
 )
 from fdmimo.channel import (
-    AgingParams,
     ClusteredParams,
     RicianParams,
     complex_gaussian,
@@ -141,244 +143,9 @@ from fdmimo.channel import (
     gen_rician,
     steering_vector,
 )
-from fdmimo.estimation import (
-    Pilots, PilotConfig, doa_estimate, mmse_estimate, mmse_shrink, orthogonal_pilots,
-)
-from fdmimo.impairments import TxImpairmentConfig, apply_tx_chain, check_dbm, dbm_to_watt
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Scalar link gains, noise floors and front-end limits.
-
-    Pathloss and isolation are positive dB losses.  `ul_power_dbm` is the
-    fixed UE training/transmit power in the multi-user and DOA scenarios;
-    scenarios a and b drive the UL UE at the swept DL power instead.
-    """
-
-    dl_pathloss_db: float = 100.0
-    ul_pathloss_db: float = 100.0
-    si_isolation_db: float = 40.0
-    bs_noise_dbm: float = -110.0
-    ue_noise_dbm: float = -90.0
-    rx_saturation_dbm: float = -20.0
-    ul_power_dbm: float = 10.0
-
-    def __post_init__(self):
-        if min(self.dl_pathloss_db, self.ul_pathloss_db, self.si_isolation_db) < 0:
-            raise ValueError("pathloss and isolation must be nonnegative dB losses")
-        for name in ("bs_noise_dbm", "ue_noise_dbm", "rx_saturation_dbm", "ul_power_dbm"):
-            check_dbm(name, getattr(self, name))
-        for name in ("bs_noise_dbm", "ue_noise_dbm"):
-            # kTB at 290 K in 1 Hz; a lower floor leaves the residual SI
-            # covariance numerically indefinite instead of adding noise.
-            if getattr(self, name) < -174.0:
-                raise ValueError(f"{name} must be at least -174 dBm (thermal noise in 1 Hz)")
-
-    @property
-    def dl_gain(self) -> float:
-        return 10.0 ** (-self.dl_pathloss_db / 10.0)
-
-    @property
-    def ul_gain(self) -> float:
-        return 10.0 ** (-self.ul_pathloss_db / 10.0)
-
-    @property
-    def si_gain(self) -> float:
-        return 10.0 ** (-self.si_isolation_db / 10.0)
-
-    @property
-    def bs_noise_w(self) -> float:
-        return dbm_to_watt(self.bs_noise_dbm)
-
-    @property
-    def ue_noise_w(self) -> float:
-        return dbm_to_watt(self.ue_noise_dbm)
-
-    @property
-    def rx_saturation_w(self) -> float:
-        return dbm_to_watt(self.rx_saturation_dbm)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """How one scheme wires the transceiver for a trial.
-
-    `digital` also sets the residual SI that a full-duplex precoder
-    projection may leave (`_project`).  A digital stage cancels what
-    reaches it, so the residual only has to keep the receive chains out
-    of saturation, with half the limit as margin; without one the residual
-    stays in the samples, so it must stay under the BS noise floor.
-    """
-
-    taps: str = "config"  # "config" | "full" | "none"
-    digital: bool = True
-    impaired: bool = True
-    duplex: str = "fd"  # "fd" | "hd"
-    csi: str = "estimated"  # "estimated" | "sequential" | "perfect"
-    null_depth: bool = False  # fixed half-dimension null-space projection
-
-
-_PLANS: Dict[str, Dict[str, _Plan]] = {
-    "a": {
-        "proposed": _Plan(),
-        "proposed-ideal": _Plan(impaired=False),
-        "benchmark": _Plan(taps="full", digital=False, null_depth=True),
-        "benchmark-ideal": _Plan(taps="full", digital=False, impaired=False, null_depth=True),
-        "hd": _Plan(taps="none", digital=False, duplex="hd"),
-    },
-    "b": {
-        "proposed": _Plan(),
-        "benchmark": _Plan(taps="none", digital=False),
-        "hd": _Plan(taps="none", digital=False, duplex="hd"),
-    },
-    "c": {
-        "proposed": _Plan(),
-        "benchmark": _Plan(taps="full", csi="sequential"),
-        "ideal-csi": _Plan(taps="full", digital=False, impaired=False, csi="perfect"),
-        "hd": _Plan(taps="none", digital=False, duplex="hd"),
-    },
-    "d": {
-        "proposed": _Plan(),
-        "benchmark": _Plan(taps="full"),
-        "ideal-csi": _Plan(taps="full", digital=False, impaired=False, csi="perfect"),
-        "hd": _Plan(taps="none", digital=False, duplex="hd"),
-    },
-}
-
-
-# Scenario codes; `configs/scenario_<code>.json` holds each one's values and keys.
-SCENARIOS = tuple(_PLANS)
-
-
-def allowed_schemes(scenario: str) -> Tuple[str, ...]:
-    """Scheme labels defined for a scenario, in canonical order."""
-    if scenario not in _PLANS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return tuple(_PLANS[scenario])
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Complete description of one simulation campaign.  A scenario
-    ignores the fields its bundled config does not set."""
-
-    scenario: str
-    arch: ArchitectureConfig
-    budget: LinkBudget = LinkBudget()
-    impairments: TxImpairmentConfig = TxImpairmentConfig()
-    pilots: PilotConfig = PilotConfig()
-    aging: Optional[AgingParams] = None
-    power_sweep_dbm: Tuple[float, ...] = (0.0,)
-    trials: int = 100
-    seed: int = 0
-    schemes: Tuple[str, ...] = ("proposed",)
-    num_ue: int = 1
-    num_paths: int = 7
-    dl_ue_antennas: int = 1
-    ul_ue_antennas: int = 1
-    ul_streams: int = 1
-    kappa_si_db: float = 30.0
-    kappa_ue_db: float = 20.0
-    packet_symbols: int = 1000
-    dl_data_fraction: float = 0.9
-    hd_pilot_fraction: float = 0.1
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if len(self.power_sweep_dbm) < 1:
-            raise ValueError("power_sweep_dbm must not be empty")
-        for i, p in enumerate(self.power_sweep_dbm):
-            check_dbm(f"power_sweep_dbm[{i}]", p)
-        # A repeat would write its rows twice; 0.0 and -0.0 are one power.
-        if len(set(self.power_sweep_dbm)) < len(self.power_sweep_dbm):
-            raise ValueError("power_sweep_dbm must not repeat a power")
-        if len(self.schemes) < 1:
-            raise ValueError("schemes must not be empty")
-        if len(set(self.schemes)) < len(self.schemes):
-            raise ValueError("schemes must not repeat a scheme")
-        legal = allowed_schemes(self.scenario)
-        for s in self.schemes:
-            if s not in legal:
-                raise ValueError(
-                    f"scheme {s!r} not defined for scenario {self.scenario!r}; "
-                    f"choose from {legal}"
-                )
-        if self.scenario in ("a", "c") and (
-            self.arch.n_tx != self.arch.n_tx_rf or self.arch.n_rx != self.arch.n_rx_rf
-        ):
-            raise ValueError(
-                f"scenario {self.scenario!r} uses a fully digital array, one RF chain per antenna"
-            )
-        if min(self.num_ue, self.dl_ue_antennas, self.ul_ue_antennas, self.ul_streams) < 1:
-            raise ValueError("UE counts, antennas and streams must be >= 1")
-        # Past this range 10^(K/10) overflows or the Rician weights turn NaN.
-        for name in ("kappa_si_db", "kappa_ue_db"):
-            if not abs(getattr(self, name)) <= 300.0:
-                raise ValueError(f"{name!r} must be a finite K-factor within [-300, 300] dB, "
-                                 f"got {getattr(self, name)!r}")
-        if self.scenario == "c":
-            if self.aging is None:
-                raise ValueError("scenario 'c' requires aging parameters")
-            if self.num_ue > self.arch.n_tx_rf:
-                raise ValueError("cannot zero-force more UEs than transmit chains")
-            # The UL channel, transposed, is the DL channel: one array serves both.
-            if self.arch.n_tx != self.arch.n_rx:
-                raise ValueError("scenario 'c' uses reciprocal channels, so n_tx must equal n_rx")
-        # d's receive side has no analog beamformer: each antenna is a chain.
-        if self.scenario == "d" and self.arch.n_rx != self.arch.n_rx_rf:
-            raise ValueError("scenario 'd' receives on every antenna, so n_rx must equal n_rx_rf")
-        if self.scenario in ("a", "b"):
-            if self.ul_streams > self.ul_ue_antennas:
-                raise ValueError("ul_streams cannot exceed ul_ue_antennas")
-            if self.pilots.num_pilots < max(self.arch.n_tx_rf, self.ul_streams):
-                raise ValueError("pilots.num_pilots must cover every transmit chain and UL stream")
-        if self.packet_symbols < 3 * self.arch.n_tx_rf:
-            raise ValueError("packet_symbols must cover the digital canceller basis")
-        if not 0.0 < self.dl_data_fraction <= 1.0:
-            raise ValueError("dl_data_fraction must lie in (0, 1]")
-        if not 0.0 < self.hd_pilot_fraction <= 1.0:
-            raise ValueError("hd_pilot_fraction must lie in (0, 1]")
-        # The half-duplex baselines of c and d train one pilot symbol per UE.
-        need = {"c": self.num_ue, "d": 1}.get(self.scenario, 0)
-        if self.hd_pilot_len < need:
-            raise ValueError(f"hd_pilot_fraction leaves fewer than {need} HD pilots, one per UE")
-
-    @property
-    def hd_pilot_len(self) -> int:
-        return int(round(self.hd_pilot_fraction * self.packet_symbols))
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One point of a rate-versus-power curve."""
-
-    power_dbm: float
-    scheme: str
-    mean_rate_bps_hz: float
-    std_err: float
-    trials: int
-
-
-def complexity_report(arch: ArchitectureConfig) -> Dict[str, int]:
-    """Analog hardware counts for an architecture.
-
-    Phase shifters are counted for both connection styles of a hybrid
-    array; tap counts compare an antenna-level canceller, a full
-    chain-level canceller and the configured budget.
-    """
-    return {
-        "phase_shifters_partially_connected": arch.n_tx + arch.n_rx,
-        "phase_shifters_fully_connected": arch.n_tx * arch.n_tx_rf + arch.n_rx * arch.n_rx_rf,
-        "taps_full_antenna": arch.n_tx * arch.n_rx,
-        "taps_full_chain": arch.n_tx_rf * arch.n_rx_rf,
-        "taps_configured": arch.num_taps,
-    }
+from fdmimo.config import _PLANS, CurvePoint, LinkBudget, ScenarioConfig, _Plan, dbm_to_watt
+from fdmimo.estimation import Pilots, doa_estimate, mmse_estimate, mmse_shrink, orthogonal_pilots
+from fdmimo.impairments import apply_tx_chain
 
 
 def dl_rate(
@@ -1406,8 +1173,6 @@ def _openblas() -> Optional[object]:
     """The OpenBLAS library that numpy's wheel bundles (`numpy.libs` on
     Linux, `numpy/.dylibs` on macOS), or None: another BLAS, or numpy
     built some other way."""
-    import ctypes
-
     root = os.path.dirname(np.__file__)
     for folder in (root + ".libs", os.path.join(root, ".dylibs")):
         try:
@@ -1420,18 +1185,42 @@ def _openblas() -> Optional[object]:
     return None
 
 
+# glibc's `mallopt` settings for a trial worker, (parameter, bytes):
+# M_MMAP_THRESHOLD, so that blocks under 4 MiB come from the heap, and
+# M_TRIM_THRESHOLD, so that up to 8 MiB of free heap top stays mapped.
+_MALLOPT = ((-3, 4 << 20), (-1, 8 << 20))
+
+
 def _serve(cfg: ScenarioConfig, consts: dict) -> None:
-    """Start a trial worker: keep the run, and cut BLAS to one thread.
+    """Start a trial worker: keep the run, cut BLAS to one thread, and
+    fix the C allocator's thresholds.
+
     The pool runs one worker per core, so BLAS threads on top of it
     oversubscribe the cores: on 2 cores at OpenBLAS's default of a
     thread per core, scenario c's default run took 1.9-2.6 s on 2
-    workers against 1.3-1.7 s serially."""
+    workers against 1.3-1.7 s serially.
+
+    glibc serves a block over its mmap threshold by mmap and returns it
+    to the kernel on free, so a trial may fault its packet-length arrays
+    in afresh.  Whether it does depends on how far the process's earlier
+    frees have raised glibc's dynamic threshold, and a worker inherits
+    that from its parent: on 2 cores, a default 20-trial scenario-a run
+    with the modules' bytecode cached took 88k minor faults in its two
+    workers.  Fixed thresholds make a worker reuse its heap whatever its
+    parent did; the same run then takes about 5.5k faults, the fork's
+    own.  Where the C library has no `mallopt`, they stay unset."""
     global _SERVED
     _SERVED = cfg, consts
     lib = _openblas()
     name = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
     if name is not None:
         getattr(lib, name)(1)
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt.restype = ctypes.c_int
+        for param, value in _MALLOPT:
+            libc.mallopt(param, value)
 
 
 def _chunk_rates(start: int, stop: int) -> np.ndarray:
@@ -1486,8 +1275,18 @@ def _pooled_rates(cfg: ScenarioConfig, consts: dict, jobs: int, rates: np.ndarra
     exited when this returns or raises.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
+
+    def submit(start: int, stop: int) -> Future:
+        # The first submit forks every worker, so one can die, and break
+        # the pool, before the last chunk is queued.
+        try:
+            return pool.submit(_chunk_rates, start, stop)
+        except BrokenProcessPool as exc:
+            future = Future()
+            future.set_exception(exc)
+            return future
 
     edges = [cfg.trials * k // jobs for k in range(jobs + 1)]
     chunks = list(zip(edges[:-1], edges[1:]))
@@ -1495,7 +1294,7 @@ def _pooled_rates(cfg: ScenarioConfig, consts: dict, jobs: int, rates: np.ndarra
         jobs, mp_context=multiprocessing.get_context("fork"),
         initializer=_serve, initargs=(cfg, consts),
     ) as pool:
-        futures = [pool.submit(_chunk_rates, start, stop) for start, stop in chunks]
+        futures = [submit(start, stop) for start, stop in chunks]
         for (start, stop), future in zip(chunks, futures):
             try:
                 rates[start:stop] = future.result()

@@ -21,10 +21,11 @@ from fdmimo.cancellation import (
     set_tap_gains,
     train_digital_canceller,
 )
-from fdmimo.channel import doppler_correlation, evolve_gauss_markov
+from fdmimo.channel import evolve_gauss_markov
 from fdmimo.cli import default_scenario
+from fdmimo.config import dbm_to_watt, doppler_correlation
 from fdmimo.estimation import estimation_error_variance, mmse_estimate, orthogonal_pilots
-from fdmimo.impairments import dbm_to_watt, iq_imbalance, pa_nonlinearity, watt_to_dbm
+from fdmimo.impairments import iq_imbalance, pa_nonlinearity, watt_to_dbm
 from fdmimo.link import run_scenario
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fdmimo.beamforming import (
-    ArchitectureConfig,
     SingularChannelError,
     assemble_analog_bf,
     beam_select_doa,
@@ -15,6 +14,7 @@ from fdmimo.beamforming import (
     select_subarray_beams,
     zf_precoder,
 )
+from fdmimo.config import ArchitectureConfig
 
 
 def test_architecture_validation():

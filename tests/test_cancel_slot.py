@@ -34,7 +34,7 @@ from fdmimo.cancellation import (
     train_digital_canceller,
 )
 from fdmimo.cli import default_scenario
-from fdmimo.impairments import dbm_to_watt
+from fdmimo.config import dbm_to_watt
 
 TOLERANCE = 1e-9
 

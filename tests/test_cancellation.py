@@ -22,7 +22,7 @@ from fdmimo.cancellation import (
     si_aware_precoder_projection,
     train_digital_canceller,
 )
-from fdmimo.link import LinkBudget
+from fdmimo.config import LinkBudget
 
 
 def _cn(rng, *shape):

@@ -7,18 +7,16 @@ import pytest
 import scipy.special  # the oracle for fdmimo's own J0, never used by fdmimo
 
 from fdmimo.channel import (
-    AgingParams,
-    _bessel_j0,
     ClusteredParams,
     RicianParams,
     complex_gaussian,
-    doppler_correlation,
     evolve_gauss_markov,
     gen_clustered_mmwave,
     gen_rayleigh,
     gen_rician,
     steering_vector,
 )
+from fdmimo.config import AgingParams, _bessel_j0, doppler_correlation
 
 # J0(2 pi * 50 Hz * 1 ms) from the Bessel power series, summed independently
 J0_50HZ_1MS = 0.9754777740752495

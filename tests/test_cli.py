@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from fdmimo import link
 from fdmimo.beamforming import SingularChannelError
 from fdmimo.cli import CSV_HEADER, ConfigError, default_scenario, format_csv, main, parse_config
-from fdmimo.impairments import PA_TURNOVER_DB
-from fdmimo.link import CurvePoint, TrialError, allowed_schemes, run_scenario
+from fdmimo.config import PA_TURNOVER_DB, CurvePoint, allowed_schemes
+from fdmimo.link import TrialError, run_scenario
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -181,7 +181,7 @@ def test_run_out_needs_a_writable_path(tmp_path, monkeypatch, capsys):
         def no_sweep(cfg):
             raise AssertionError("the sweep ran before --out was checked")
 
-        patch.setattr("fdmimo.cli.run_scenario", no_sweep)
+        patch.setattr("fdmimo.link.run_scenario", no_sweep)
         missing = tmp_path / "missing" / "curve.csv"
         assert main(["run", "--config", src, "--out", str(missing)]) == 1
         err = capsys.readouterr().err
@@ -226,7 +226,7 @@ def test_exit_code_two_on_runtime_failure(tmp_path, monkeypatch, capsys):
     def failing_sweep(cfg):
         raise RuntimeError("rate exceeded its bound")
 
-    monkeypatch.setattr("fdmimo.cli.run_scenario", failing_sweep)
+    monkeypatch.setattr("fdmimo.link.run_scenario", failing_sweep)
     assert main(["run", "--config", src]) == 2
     assert "runtime error: rate exceeded its bound" in capsys.readouterr().err
 

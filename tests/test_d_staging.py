@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmimo import beamforming, estimation, link
-from fdmimo.beamforming import ArchitectureConfig
 from fdmimo.cli import default_scenario
-from fdmimo.link import allowed_schemes, run_scenario, run_trial
+from fdmimo.config import ArchitectureConfig, allowed_schemes
+from fdmimo.link import run_scenario, run_trial
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fdmimo.channel import steering_vector
+from fdmimo.config import PilotConfig
 from fdmimo.estimation import (
     NoSignalError,
-    PilotConfig,
     Pilots,
     doa_estimate,
     estimation_error_variance,

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from fdmimo.cli import default_scenario, format_csv
-from fdmimo.link import allowed_schemes, run_scenario
+from fdmimo.config import allowed_schemes
+from fdmimo.link import run_scenario
 
 DATA = Path(__file__).resolve().parent / "data"
 

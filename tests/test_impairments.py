@@ -11,15 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdmimo.impairments import (
-    PA_TURNOVER_DB,
-    TxImpairmentConfig,
-    apply_tx_chain,
-    dbm_to_watt,
-    iq_imbalance,
-    pa_nonlinearity,
-    watt_to_dbm,
-)
+from fdmimo.config import PA_TURNOVER_DB, TxImpairmentConfig, dbm_to_watt
+from fdmimo.impairments import apply_tx_chain, iq_imbalance, pa_nonlinearity, watt_to_dbm
 
 
 def two_tone_im3_dbm(per_tone_dbm, iip3_dbm, n=4096, f1=200, f2=300):

@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 from conftest import SECTIONS, UNREAD
 
-from fdmimo import link
-from fdmimo.beamforming import ArchitectureConfig, SingularChannelError, zf_precoder
-from fdmimo.channel import AgingParams, complex_gaussian
+from fdmimo import config, link
+from fdmimo.beamforming import SingularChannelError, zf_precoder
+from fdmimo.channel import complex_gaussian
 from fdmimo.cli import default_scenario, format_csv
-from fdmimo.link import (
+from fdmimo.config import (
+    AgingParams,
+    ArchitectureConfig,
     LinkBudget,
     ScenarioConfig,
-    TrialError,
     allowed_schemes,
     complexity_report,
-    dl_rate,
-    run_scenario,
-    run_trial,
-    ul_rate,
 )
+from fdmimo.link import TrialError, dl_rate, run_scenario, run_trial, ul_rate
 
 
 def test_dl_rate_frozen_example():
@@ -109,7 +107,7 @@ def test_projection_budget_follows_the_digital_stage():
     w = complex_gaussian(rng, 4, 1)
     w /= np.linalg.norm(w)
     p_w = 1e-3
-    digital = link._Plan()
+    digital = config._Plan()
     out = link._project(bud, digital, taps, w, p_w)
     assert out is not None
     assert p_w * np.linalg.norm(r @ out) ** 2 <= 0.5 * bud.rx_saturation_w

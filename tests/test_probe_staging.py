@@ -16,9 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdmimo import link
+from fdmimo import config, link
 from fdmimo.cli import default_scenario
-from fdmimo.impairments import TxImpairmentConfig, apply_tx_chain, dbm_to_watt
+from fdmimo.config import TxImpairmentConfig, dbm_to_watt
+from fdmimo.impairments import apply_tx_chain
 from fdmimo.link import run_scenario
 
 seeds = st.integers(0, 2**32 - 1)
@@ -97,7 +98,7 @@ def test_staged_probe_matches_the_per_power_receive():
     cfg = default_scenario("c")
     bud = cfg.budget
     consts = link._run_constants(cfg)
-    plans = [link._PLANS["c"][s] for s in cfg.schemes]
+    plans = [config._PLANS["c"][s] for s in cfg.schemes]
     checked = 0
     for trial in range(3):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,)))

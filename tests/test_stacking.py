@@ -24,11 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmimo import beamforming, cancellation, estimation, link
-from fdmimo.beamforming import ArchitectureConfig, mmse_combiner
+from fdmimo.beamforming import mmse_combiner
 from fdmimo.cancellation import RegressorRankError, apply_digital_canceller, train_digital_canceller
-from fdmimo.channel import AgingParams
 from fdmimo.cli import default_scenario
-from fdmimo.link import allowed_schemes, dl_rate, run_scenario, run_trial, ul_rate
+from fdmimo.config import AgingParams, ArchitectureConfig, allowed_schemes
+from fdmimo.link import dl_rate, run_scenario, run_trial, ul_rate
 
 dims = st.integers(1, 6)
 batches = st.integers(1, 5)

@@ -6,10 +6,12 @@ a scenario's draw is wrapped so that chosen trials, told apart by their
 child seed's spawn key, raise or kill their worker.
 """
 
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -24,10 +26,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdmimo
-from fdmimo import channel, link
+from fdmimo import config, link
 from fdmimo.beamforming import SingularChannelError
-from fdmimo.channel import doppler_correlation
 from fdmimo.cli import default_scenario, format_csv, main
+from fdmimo.config import doppler_correlation
 from fdmimo.link import TrialError, run_scenario
 
 # Tests of the pool itself; elsewhere `jobs` > 1 runs the trials serially.
@@ -122,7 +124,7 @@ def test_a_failing_chunk_raises_the_serial_loops_first_fault(tmp_path, monkeypat
     )
     assert type(raised[2].__cause__) is SingularChannelError
 
-    monkeypatch.setattr("fdmimo.cli.run_scenario", partial(run_scenario, jobs=2))
+    monkeypatch.setattr("fdmimo.link.run_scenario", partial(run_scenario, jobs=2))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "a", "seed": 3, "trials": 6}))
     assert main(["run", "--config", str(path)]) == 2
@@ -143,11 +145,36 @@ def test_a_dead_worker_is_a_trial_error_naming_the_unfinished_trials(tmp_path, m
         run_scenario(_small("c", 6, seed=5, powers=1), jobs=2)
     assert multiprocessing.active_children() == []
 
-    monkeypatch.setattr("fdmimo.cli.run_scenario", partial(run_scenario, jobs=2))
+    monkeypatch.setattr("fdmimo.link.run_scenario", partial(run_scenario, jobs=2))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "c", "seed": 5, "trials": 6}))
     assert main(["run", "--config", str(path)]) == 2
     assert f"runtime error: {died}" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_worker_that_dies_before_the_last_chunk_is_queued_is_a_trial_error(monkeypatch):
+    # Each chunk is queued once the one before it has failed, so the pool
+    # is already broken when the second is submitted.
+    parent = os.getpid()
+
+    def fault(trial):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    _plant(monkeypatch, "c", fault)
+    submit = ProcessPoolExecutor.submit
+
+    def one_at_a_time(pool, *args):
+        future = submit(pool, *args)
+        concurrent.futures.wait([future], timeout=60)
+        return future
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", one_at_a_time)
+    died = "scenario c, seed 5, trials 0-5: a worker process died in one of them"
+    with pytest.raises(TrialError, match=died):
+        run_scenario(_small("c", 6, seed=5, powers=1), jobs=2)
     assert multiprocessing.active_children() == []
 
 
@@ -160,7 +187,7 @@ def test_workers_reuse_the_runs_rho(tmp_path, monkeypatch):
             f.write(f"{os.getpid()}\n")
         return doppler_correlation(doppler_hz, slot_s)
 
-    monkeypatch.setattr(channel, "doppler_correlation", counted)
+    monkeypatch.setattr(config, "doppler_correlation", counted)
     run_scenario(_small("c", 6), jobs=2)
     assert log.read_text().split() == [str(os.getpid())]
 
@@ -225,3 +252,38 @@ def test_a_worker_runs_blas_on_one_thread():
     ) as pool:
         assert pool.submit(_blas_threads).result() == 1
     assert _blas_threads() == before
+
+
+# A default 20-trial scenario-a run on two workers: their minor page
+# faults and the largest one's peak RSS in KiB.
+_WORKER_HEAP = """
+import dataclasses, resource
+from fdmimo import default_scenario, run_scenario
+run_scenario(dataclasses.replace(default_scenario("a"), trials=20), jobs=2)
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(usage.ru_minflt, usage.ru_maxrss)
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator thresholds are glibc's")
+def test_workers_reuse_their_heap_with_cached_bytecode(tmp_path):
+    # An installed package imports cached bytecode.  Whether a worker
+    # returns its packet-length arrays to the kernel and faults them in
+    # again depends on the heap it inherits, and compiling the modules on
+    # import hid that churn.  On 2 cores the workers took 88.8k faults
+    # without fixed thresholds and about 5.5k, the fork's own, with them;
+    # peak RSS read 38 MB either way.
+    src = str(Path(fdmimo.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
+    for _ in range(2):  # the first run compiles what the second imports
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER_HEAP], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    faults, peak_kib = map(int, proc.stdout.split())
+    assert faults < 20_000
+    assert peak_kib < 44 * 1024
