@@ -25,9 +25,11 @@ solvers:
               rank in doubt, or rows too ill-conditioned for the
               projection to keep its accuracy
 
-`train_digital_canceller`, whose two rank tests reject every dependent
-burst, stays as the checked reference.  Both solvers work on arrays built
-once per slot, which keeps a slot's heap peak small.
+One stream on two or more chains is refused from the burst's own Gram
+x x^H, before the regressors' Gram is formed.  `train_digital_canceller`,
+whose two rank tests reject every dependent burst, stays as the checked
+reference.  Both solvers work on arrays built once per slot, which keeps
+a slot's heap peak small.
 """
 
 from __future__ import annotations
@@ -339,8 +341,12 @@ def _projection(
 
     This is the slot canceller's routing rule.  With n chains, T samples
     and level = max(n, T) eps, the k streams of `x` are the eigenvalues of
-    its Gram x x^H (the leading block of the Gram of `phi`, not formed
-    twice) above lambda_max level.  With U the eigenvectors, the rows are
+    its Gram x x^H above lambda_max level.  A burst of n >= 2 chains whose
+    own Gram x x^H holds fewer than two streams, every burst of scenario
+    d, is refused first, before the Gram of `phi` is formed: nothing of it
+    would be used.  Past that, the streams are counted again on the
+    leading block of the Gram of `phi`, which is x x^H up to rounding, and
+    with U its eigenvectors the rows are
 
       k = n            the rows of `phi` themselves
       2 <= k < n       [W; conj(W); x |x|^2], with W = U_k^H x the burst
@@ -362,10 +368,14 @@ def _projection(
     would be dependent as well (see `cancel_slot`).
     """
     n, samples = x.shape
+    level = max(n, samples) * np.finfo(float).eps
+    if n > 1:
+        eig = np.linalg.eigvalsh(x @ x.conj().T)
+        if np.count_nonzero(eig > eig[-1] * level) < 2:
+            return None
     gram = phi @ phi.conj().T
     if not np.all(gram.diagonal().real > 0):
         return None
-    level = max(n, samples) * np.finfo(float).eps
     eig, vec = np.linalg.eigh(gram[:n, :n])
     streams = np.count_nonzero(eig > eig[-1] * level)
     basis = phi
@@ -415,7 +425,9 @@ def cancel_slot(
     would serve: that projection moves d's rates in their last bits, and
     d's DOA step, which scores every angle alike when a single receive
     chain survives saturation and so picks one by float noise, turns any
-    such change into a different curve.
+    such change into a different curve.  `_projection` refuses such a
+    burst from the eigenvalues of x x^H alone, so its fit pays for no
+    Gram of the regressors.
     """
     x = np.asarray(tx_baseband, dtype=complex)
     y = np.asarray(rx_rows, dtype=complex)

@@ -287,8 +287,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Checked before the sweep, so a typo does not cost a whole run.
         print(f"fdmimo: config error: no directory for --out {args.out}", file=sys.stderr)
         return 1
-    from fdmimo.link import run_scenario  # the simulator, and numpy, load for `run` alone
+    # The simulator, and numpy, load for `run` alone.
+    from fdmimo.link import fix_malloc_thresholds, run_scenario
 
+    fix_malloc_thresholds()  # this process may run the trials itself
     try:
         points = run_scenario(cfg)
     except Exception as exc:  # noqa: BLE001  simulation faults map to exit 2

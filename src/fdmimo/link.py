@@ -59,9 +59,11 @@ table, `_DRIVERS`, gives each scenario its draw, prepare, per-power stage,
 rate pass and the share of its rates a half-duplex scheme keeps, and
 `_eval_draw` gives the trial its shape: it flattens the items for the rate
 pass, applies that share and regroups the pairs per power.  d's HD and
-warm-up slots take their angle from one step, `_d_angle`: the DOA sweep
-over the chains that escaped clipping, refined by an adjacent pair of
-them, or the first codeword's angle when every chain clipped.
+warm-up slots take their angle from one step, `_d_angle`: the phase slope
+of an adjacent pair of the chains that escaped clipping, the DOA sweep
+over those chains only where no such pair exists (one chain survives, the
+first two survivors are not adjacent, or they are uncorrelated), or the
+first codeword's angle when every chain clipped.
 
 Each hardware block has one owner too.  Every burst goes through the TX
 chain, drive level included, in `impairments.apply_tx_chain`; each analog
@@ -76,7 +78,8 @@ scales with the power, takes the same stages split at the amplitude
 (`_stage_probe`, `_probe_receive`).  Both run the digital canceller
 through `cancellation.cancel_slot`, which projects every burst of a, b and
 c onto its regressors' row space and fits every burst of d, one stream on
-two chains, by minimum-norm `lstsq`.
+two chains, by minimum-norm `lstsq`; such a burst is refused from the
+count of its streams alone, before the regressors' Gram is formed.
 
 The trials of a run are shared among worker processes forked after the
 per-run stage (`_pooled_rates`), one contiguous chunk of trial indices
@@ -87,8 +90,11 @@ the number of workers; with one, and wherever `_forks` says no, the trials
 run in the calling process.  Each worker runs numpy's bundled OpenBLAS on
 one thread, since the workers already fill the cores, and fixes glibc's
 malloc thresholds, so that it reuses its heap from trial to trial whatever
-its parent did before the fork (`_serve`).  Trials run in the calling process
-keep its allocator settings, so profile them with that in mind.
+its parent did before the fork (`_serve`).  `fdmimo run` fixes the same
+thresholds in its own process (`fix_malloc_thresholds`), so that the
+trials it runs itself reuse their heap too.  Trials a library caller runs
+in its own process keep that process's allocator settings, so profile
+them with that in mind.
 
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Arrays of
@@ -756,32 +762,37 @@ def _draw_d(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     }
 
 
-def _interferometric_doa(z: np.ndarray, rows: np.ndarray, coarse: float) -> float:
-    """Refine a grid DOA with the phase slope of an adjacent chain pair.
+def _interferometric_doa(z: np.ndarray, rows: np.ndarray) -> Optional[float]:
+    """The DOA from the phase slope of the first two of the chains `rows`;
+    None when they are fewer than two, not adjacent, or uncorrelated
+    (a correlation of exactly 0).
 
     The beam grid is coarser than the pointing accuracy a long transmit
     array needs: a grid step of sin(theta) scrambles the inter-subarray
     phase completely.  The half-wavelength pair resolves sin(theta)
-    continuously and without ambiguity inside the served sector, so the
-    coarse beam only arbitrates wild estimates.
+    continuously and without ambiguity inside the served sector, so where
+    it exists it replaces the grid estimate outright.
     """
     if len(rows) < 2 or rows[1] - rows[0] != 1:
-        return coarse
+        return None
     corr = np.mean(z[rows[1]] * np.conj(z[rows[0]]))
     if corr == 0:
-        return coarse
+        return None
     return float(np.arcsin(np.angle(corr) / np.pi))
 
 
 def _d_angle(consts: dict, z: np.ndarray, alive: np.ndarray) -> float:
     """Scenario d's pointing angle from a training slot `z` at the receive
-    chains: the DOA sweep over the chains flagged in `alive`, refined by
-    the phase slope of an adjacent pair of them; the first codeword's
-    angle when every chain clipped."""
+    chains: the phase slope of an adjacent pair of the chains flagged in
+    `alive`, or, where that pair does not exist, the DOA sweep over those
+    chains; the first codeword's angle when every chain clipped.  The
+    sweep runs only when its angle is the one returned."""
     if not np.any(alive):
         return float(consts["d_angles"][0])  # training slot lost to clipping
-    coarse = doa_estimate(z[alive], consts["d_sweep"][:, alive], consts["d_angles"])
-    return _interferometric_doa(z, np.flatnonzero(alive), coarse)
+    theta = _interferometric_doa(z, np.flatnonzero(alive))
+    if theta is None:
+        theta = doa_estimate(z[alive], consts["d_sweep"][:, alive], consts["d_angles"])
+    return theta
 
 
 @dataclass(frozen=True)
@@ -1185,10 +1196,29 @@ def _openblas() -> Optional[object]:
     return None
 
 
-# glibc's `mallopt` settings for a trial worker, (parameter, bytes):
-# M_MMAP_THRESHOLD, so that blocks under 4 MiB come from the heap, and
-# M_TRIM_THRESHOLD, so that up to 8 MiB of free heap top stays mapped.
+# glibc's `mallopt` settings for a process that runs trials, (parameter,
+# bytes): M_MMAP_THRESHOLD, so that blocks under 4 MiB come from the heap,
+# and M_TRIM_THRESHOLD, so that up to 8 MiB of free heap top stays mapped.
 _MALLOPT = ((-3, 4 << 20), (-1, 8 << 20))
+
+
+def fix_malloc_thresholds() -> None:
+    """Fix the C allocator's thresholds in this process (`_MALLOPT`), so
+    that trial after trial reuses the heap.
+
+    glibc serves a block over its mmap threshold by mmap and returns it
+    to the kernel on free, so a trial may fault its packet-length arrays
+    in afresh.  Whether it does depends on how far the process's earlier
+    frees have raised glibc's dynamic threshold: on one CPU, `fdmimo run
+    --config scenario_a` took about 860k minor faults without fixed
+    thresholds and 12k with them.  Where the C library has no `mallopt`,
+    they stay unset."""
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt.restype = ctypes.c_int
+        for param, value in _MALLOPT:
+            libc.mallopt(param, value)
 
 
 def _serve(cfg: ScenarioConfig, consts: dict) -> None:
@@ -1200,27 +1230,18 @@ def _serve(cfg: ScenarioConfig, consts: dict) -> None:
     thread per core, scenario c's default run took 1.9-2.6 s on 2
     workers against 1.3-1.7 s serially.
 
-    glibc serves a block over its mmap threshold by mmap and returns it
-    to the kernel on free, so a trial may fault its packet-length arrays
-    in afresh.  Whether it does depends on how far the process's earlier
-    frees have raised glibc's dynamic threshold, and a worker inherits
-    that from its parent: on 2 cores, a default 20-trial scenario-a run
-    with the modules' bytecode cached took 88k minor faults in its two
-    workers.  Fixed thresholds make a worker reuse its heap whatever its
-    parent did; the same run then takes about 5.5k faults, the fork's
-    own.  Where the C library has no `mallopt`, they stay unset."""
+    A worker inherits its parent's dynamic mmap threshold: on 2 cores, a
+    default 20-trial scenario-a run with the modules' bytecode cached took
+    88k minor faults in its two workers.  Fixed thresholds make a worker
+    reuse its heap whatever its parent did; the same run then takes about
+    5.5k faults, the fork's own."""
     global _SERVED
     _SERVED = cfg, consts
     lib = _openblas()
     name = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
     if name is not None:
         getattr(lib, name)(1)
-    libc = ctypes.CDLL(None)
-    if hasattr(libc, "mallopt"):
-        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        libc.mallopt.restype = ctypes.c_int
-        for param, value in _MALLOPT:
-            libc.mallopt(param, value)
+    fix_malloc_thresholds()
 
 
 def _chunk_rates(start: int, stop: int) -> np.ndarray:

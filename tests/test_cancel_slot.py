@@ -17,16 +17,18 @@ that a rank cutoff which drops a real stream fails the tolerance.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdmimo import cancellation, link, run_scenario
 from fdmimo.cancellation import (
     RegressorRankError,
     _fit,
+    _gram_root,
     _projection,
     _regressors,
     apply_digital_canceller,
@@ -168,6 +170,56 @@ def test_cancel_slot_writes_no_input(slot):
     cancel_slot(x, y[0], seed[0])
     for a, b in zip((x, y, seed), kept):
         assert np.array_equal(a, b)
+
+
+def _routing_before_the_early_refusal(x, phi):
+    """`_projection` as it was before one-stream bursts were refused from
+    x x^H ahead of the regressors' Gram: the rule `cancel_slot` keeps."""
+    n, samples = x.shape
+    gram = phi @ phi.conj().T
+    if not np.all(gram.diagonal().real > 0):
+        return None
+    level = max(n, samples) * np.finfo(float).eps
+    eig, vec = np.linalg.eigh(gram[:n, :n])
+    streams = np.count_nonzero(eig > eig[-1] * level)
+    basis = phi
+    if streams < n:
+        if streams < 2:
+            return None
+        coords = vec.conj().T @ x
+        if not np.linalg.norm(coords[: n - streams]) <= np.sqrt(eig[-1]) * level:
+            return None
+        basis = np.empty((2 * streams + n, samples), dtype=complex)
+        basis[:streams] = coords[n - streams :]
+        np.conj(coords[n - streams :], out=basis[streams : 2 * streams])
+        basis[2 * streams :] = phi[2 * n :]
+        gram = basis @ basis.conj().T
+    root = _gram_root(gram)
+    return None if root is None else (basis, root)
+
+
+def _three_chain_slot(streams):
+    """Two members of four receive rows over a burst of `streams` on three
+    chains: the chain count at which the leading block of the regressors'
+    Gram is not x x^H bit for bit."""
+    rng = np.random.default_rng(streams)
+    x = _cn(rng, 3, streams) @ _cn(rng, streams, 200)
+    return x, _cn(rng, 2, 4, 3) @ x + 1e-3 * _cn(rng, 2, 4, 200), _cn(rng, 2, 4, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot=slots())
+@example(slot=_three_chain_slot(1))
+@example(slot=_three_chain_slot(2))
+@example(slot=_three_chain_slot(3))
+def test_cancel_slot_routes_every_burst_as_before_the_early_refusal(slot):
+    # Refusing a one-stream burst before the regressors' Gram changes no
+    # route and no bit: the rows equal those of the earlier rule.
+    x, y, seed = slot
+    z = cancel_slot(x, y, seed)
+    with mock.patch.object(cancellation, "_projection", _routing_before_the_early_refusal):
+        expected = cancel_slot(x, y, seed)
+    assert np.array_equal(z, expected)
 
 
 @pytest.mark.parametrize("code", "abcd")

@@ -62,11 +62,38 @@ def test_d_angle_is_the_sweep_and_refinement_or_the_first_codeword(
     noise = rng.standard_normal((chains, samples)) + 1j * rng.standard_normal((chains, samples))
     a = np.exp(1j * np.pi * np.arange(chains) * np.sin(angle))[:, None]
     z = 10.0 ** (snr_db / 20.0) * a * rng.standard_normal((1, samples)) + noise
-    coarse = estimation.doa_estimate(z, consts["d_sweep"], consts["d_angles"])
-    expected = link._interferometric_doa(z, np.arange(chains), coarse)
+    expected = link._interferometric_doa(z, np.arange(chains))
+    if expected is None:
+        expected = estimation.doa_estimate(z, consts["d_sweep"], consts["d_angles"])
     assert link._d_angle(consts, z, np.ones(chains, dtype=bool)) == expected
     clipped = link._d_angle(consts, z, np.zeros(chains, dtype=bool))
     assert clipped == float(consts["d_angles"][0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(chains=st.integers(1, 4), survivor=st.integers(0, 3), seed=seeds)
+def test_d_angle_of_one_surviving_chain_is_the_sweep_over_it(chains, survivor, seed):
+    # One chain has no pair to refine with, so its row's sweep is the angle.
+    cfg = default_scenario("d")
+    cfg = dataclasses.replace(cfg, arch=dataclasses.replace(cfg.arch, n_rx=chains, n_rx_rf=chains))
+    consts = link._run_constants(cfg)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((chains, 40)) + 1j * rng.standard_normal((chains, 40))
+    alive = np.arange(chains) == survivor % chains
+    expected = estimation.doa_estimate(z[alive], consts["d_sweep"][:, alive], consts["d_angles"])
+    assert link._d_angle(consts, z, alive) == expected
+
+
+def test_the_doa_sweep_runs_only_where_no_chain_pair_refines(count_calls):
+    # A 30-trial run at seed 1 sweeps on the 5 full-duplex training slots
+    # that saturation leaves one chain; its 595 other full-duplex slots and
+    # 30 HD slots take the phase slope alone.  Sweeping every slot made 630
+    # calls.
+    cfg = dataclasses.replace(default_scenario("d"), trials=30, seed=1)
+    sweeps = count_calls(link, "doa_estimate")
+    run_scenario(cfg, jobs=1)
+    assert len(sweeps) == 5
+    assert all(len(call.args[0]) == 1 for call in sweeps)
 
 
 @st.composite
