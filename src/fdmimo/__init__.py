@@ -4,10 +4,10 @@ Building blocks: the scenario config types (`config`), fading channel
 generators (`channel`), transmit-chain impairment models (`impairments`),
 analog/digital beamforming (`beamforming`), multi-tap analog plus
 nonlinear digital self-interference cancellation (`cancellation`),
-pilot-based channel and direction estimation (`estimation`), and the
-Monte Carlo link simulator (`link`).  The bundled JSON configs define the
-four scenarios; `cli` reads them and the `fdmimo` console script drives
-everything from them.
+pilot-based channel and direction estimation (`estimation`), the Monte
+Carlo link simulator (`link`) and the processes its trials run in
+(`trials`).  The bundled JSON configs define the four scenarios; `cli`
+reads them and the `fdmimo` console script drives everything from them.
 
 Importing the package loads `config` alone, which needs no numpy; the
 names of the simulator modules load on first use.

@@ -288,9 +288,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"fdmimo: config error: no directory for --out {args.out}", file=sys.stderr)
         return 1
     # The simulator, and numpy, load for `run` alone.
-    from fdmimo.link import fix_malloc_thresholds, run_scenario
+    from fdmimo.link import run_scenario
 
-    fix_malloc_thresholds()  # this process may run the trials itself
     try:
         points = run_scenario(cfg)
     except Exception as exc:  # noqa: BLE001  simulation faults map to exit 2

@@ -81,21 +81,6 @@ c onto its regressors' row space and fits every burst of d, one stream on
 two chains, by minimum-norm `lstsq`; such a burst is refused from the
 count of its streams alone, before the regressors' Gram is formed.
 
-The trials of a run are shared among worker processes forked after the
-per-run stage (`_pooled_rates`), one contiguous chunk of trial indices
-each, so the per-run constants reach every worker through the fork and
-stay read-only.  Each chunk's rows are written back by trial index, and
-every trial draws from its own child seed, so the curves do not depend on
-the number of workers; with one, and wherever `_forks` says no, the trials
-run in the calling process.  Each worker runs numpy's bundled OpenBLAS on
-one thread, since the workers already fill the cores, and fixes glibc's
-malloc thresholds, so that it reuses its heap from trial to trial whatever
-its parent did before the fork (`_serve`).  `fdmimo run` fixes the same
-thresholds in its own process (`fix_malloc_thresholds`), so that the
-trials it runs itself reuse their heap too.  Trials a library caller runs
-in its own process keep that process's allocator settings, so profile
-them with that in mind.
-
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Arrays of
 packet length built at a power point do not outlive it; c's probe slot
@@ -109,10 +94,7 @@ already weighted, so DL + UL is always the headline sum rate.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import os
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -152,6 +134,7 @@ from fdmimo.channel import (
 from fdmimo.config import _PLANS, CurvePoint, LinkBudget, ScenarioConfig, _Plan, dbm_to_watt
 from fdmimo.estimation import Pilots, doa_estimate, mmse_estimate, mmse_shrink, orthogonal_pilots
 from fdmimo.impairments import apply_tx_chain
+from fdmimo.trials import TrialError, _rates
 
 
 def dl_rate(
@@ -1057,15 +1040,6 @@ _DRIVERS: Dict[str, _Driver] = {
 }
 
 
-class TrialError(RuntimeError):
-    """A trial of `run_scenario` failed.
-
-    The message names the scenario, seed, trial index and, as far as the
-    trial got, the power and scheme, so that `run_trial` can replay it.
-    The original fault is chained as `__cause__`.
-    """
-
-
 def _trial_label(cfg: ScenarioConfig, trial: int) -> str:
     return f"scenario {cfg.scenario}, seed {cfg.seed}, trial {trial}"
 
@@ -1164,172 +1138,6 @@ def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
     return out
 
 
-# Fewest trials a worker process is given by default: below it, forking
-# the pool costs more than the trials it shares out.
-_MIN_TRIALS_PER_WORKER = 3
-
-# The run a trial worker serves: set by `_serve` in each forked worker as
-# it starts, never in the calling process.
-_SERVED: Optional[Tuple[ScenarioConfig, dict]] = None
-
-
-# Thread-count setters of the OpenBLAS that numpy's wheels bundle, newest
-# releases first.
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads",
-)
-
-
-def _openblas() -> Optional[object]:
-    """The OpenBLAS library that numpy's wheel bundles (`numpy.libs` on
-    Linux, `numpy/.dylibs` on macOS), or None: another BLAS, or numpy
-    built some other way."""
-    root = os.path.dirname(np.__file__)
-    for folder in (root + ".libs", os.path.join(root, ".dylibs")):
-        try:
-            names = sorted(os.listdir(folder))
-        except OSError:
-            continue
-        for name in names:
-            if "openblas" in name:
-                return ctypes.CDLL(os.path.join(folder, name))
-    return None
-
-
-# glibc's `mallopt` settings for a process that runs trials, (parameter,
-# bytes): M_MMAP_THRESHOLD, so that blocks under 4 MiB come from the heap,
-# and M_TRIM_THRESHOLD, so that up to 8 MiB of free heap top stays mapped.
-_MALLOPT = ((-3, 4 << 20), (-1, 8 << 20))
-
-
-def fix_malloc_thresholds() -> None:
-    """Fix the C allocator's thresholds in this process (`_MALLOPT`), so
-    that trial after trial reuses the heap.
-
-    glibc serves a block over its mmap threshold by mmap and returns it
-    to the kernel on free, so a trial may fault its packet-length arrays
-    in afresh.  Whether it does depends on how far the process's earlier
-    frees have raised glibc's dynamic threshold: on one CPU, `fdmimo run
-    --config scenario_a` took about 860k minor faults without fixed
-    thresholds and 12k with them.  Where the C library has no `mallopt`,
-    they stay unset."""
-    libc = ctypes.CDLL(None)
-    if hasattr(libc, "mallopt"):
-        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        libc.mallopt.restype = ctypes.c_int
-        for param, value in _MALLOPT:
-            libc.mallopt(param, value)
-
-
-def _serve(cfg: ScenarioConfig, consts: dict) -> None:
-    """Start a trial worker: keep the run, cut BLAS to one thread, and
-    fix the C allocator's thresholds.
-
-    The pool runs one worker per core, so BLAS threads on top of it
-    oversubscribe the cores: on 2 cores at OpenBLAS's default of a
-    thread per core, scenario c's default run took 1.9-2.6 s on 2
-    workers against 1.3-1.7 s serially.
-
-    A worker inherits its parent's dynamic mmap threshold: on 2 cores, a
-    default 20-trial scenario-a run with the modules' bytecode cached took
-    88k minor faults in its two workers.  Fixed thresholds make a worker
-    reuse its heap whatever its parent did; the same run then takes about
-    5.5k faults, the fork's own."""
-    global _SERVED
-    _SERVED = cfg, consts
-    lib = _openblas()
-    name = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
-    if name is not None:
-        getattr(lib, name)(1)
-    fix_malloc_thresholds()
-
-
-def _chunk_rates(start: int, stop: int) -> np.ndarray:
-    cfg, consts = _SERVED
-    return np.stack([_trial_rates(cfg, consts, t) for t in range(start, stop)])
-
-
-def _forks() -> bool:
-    """Whether trials may run on forked workers.  Not where the platform
-    cannot fork, and not on Python 3.12 or later: there `os.fork` warns
-    (DeprecationWarning) in a process that has threads, as numpy's BLAS
-    pool does, and the fork-after-threads hazard behind that warning has
-    not been checked on those versions."""
-    if sys.version_info >= (3, 12):
-        return False
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _workers(trials: int, jobs: Optional[int]) -> int:
-    """Worker processes for a run of `trials`; 1 runs the trials in this
-    process.  By default one per available core, each with at least
-    `_MIN_TRIALS_PER_WORKER` trials; never more than one per trial, and
-    none where trials may not fork (`_forks`)."""
-    if jobs is None:
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except AttributeError:  # no CPU affinity on this platform
-            cores = os.cpu_count() or 1
-        jobs = max(1, min(cores, trials // _MIN_TRIALS_PER_WORKER))
-    elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    jobs = min(jobs, trials)
-    if jobs > 1 and not _forks():
-        return 1
-    return jobs
-
-
-def _pooled_rates(cfg: ScenarioConfig, consts: dict, jobs: int, rates: np.ndarray) -> None:
-    """Fill `rates` on `jobs` forked workers, each given one contiguous
-    chunk of trials, and write each chunk back by trial index.
-
-    The workers inherit `cfg` and `consts` from the fork, not as pickled
-    copies, so the shared arrays stay read-only.  A chunk that fails is
-    replayed here: trials are deterministic, so the replay raises the same
-    first TrialError as the serial loop, with its own cause rather than
-    the pool's stand-in for the worker's traceback.  A worker that dies
-    breaks every unfinished chunk, so the TrialError it raises names the
-    trials from the first unfinished chunk to the last trial, and the
-    serial loop (`jobs=1`) finds the one that failed.  Every worker has
-    exited when this returns or raises.
-    """
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    def submit(start: int, stop: int) -> Future:
-        # The first submit forks every worker, so one can die, and break
-        # the pool, before the last chunk is queued.
-        try:
-            return pool.submit(_chunk_rates, start, stop)
-        except BrokenProcessPool as exc:
-            future = Future()
-            future.set_exception(exc)
-            return future
-
-    edges = [cfg.trials * k // jobs for k in range(jobs + 1)]
-    chunks = list(zip(edges[:-1], edges[1:]))
-    with ProcessPoolExecutor(
-        jobs, mp_context=multiprocessing.get_context("fork"),
-        initializer=_serve, initargs=(cfg, consts),
-    ) as pool:
-        futures = [submit(start, stop) for start, stop in chunks]
-        for (start, stop), future in zip(chunks, futures):
-            try:
-                rates[start:stop] = future.result()
-            except BrokenProcessPool as exc:
-                raise TrialError(
-                    f"scenario {cfg.scenario}, seed {cfg.seed}, trials {start}-{cfg.trials - 1}: "
-                    f"a worker process died in one of them ({exc}); "
-                    f"run them with jobs=1 to find the trial"
-                ) from exc
-            except Exception:  # noqa: BLE001  any fault is replayed as the serial loop meets it
-                for t in range(start, stop):
-                    rates[t] = _trial_rates(cfg, consts, t)
-
-
 def run_scenario(cfg: ScenarioConfig, jobs: Optional[int] = None) -> List[CurvePoint]:
     """Sweep power and schemes over `cfg.trials` Monte Carlo trials.
 
@@ -1342,23 +1150,17 @@ def run_scenario(cfg: ScenarioConfig, jobs: Optional[int] = None) -> List[CurveP
     Python 3.12 or later, or no `fork`).  The default is one worker per
     available core, with at least `_MIN_TRIALS_PER_WORKER` trials each.
     Each trial draws from its own child seed and fills its own row, so
-    the curves do not depend on `jobs`.  Functions patched in this
-    process reach the workers, but what the workers record (call counts,
-    traces, profiles) stays in theirs; count or profile with `jobs=1`.
+    the curves do not depend on `jobs`.  Every process that runs trials,
+    this one too, fixes glibc's malloc thresholds for good (`trials`).
+    Patches made here reach the workers, but what they record (call
+    counts, traces, profiles) stays in theirs; count or profile with `jobs=1`.
     With trials=1 each point equals `run_trial` seeded with
     SeedSequence(entropy=seed, spawn_key=(0,)).  A failing trial, or one
     that scores a non-finite rate, raises TrialError, the same one
     whatever `jobs` is; so does a worker that dies.  No worker outlives
     the call.
     """
-    consts = _run_constants(cfg)
-    rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
-    jobs = _workers(cfg.trials, jobs)
-    if jobs > 1:
-        _pooled_rates(cfg, consts, jobs, rates)
-    else:
-        for t in range(cfg.trials):
-            rates[t] = _trial_rates(cfg, consts, t)
+    rates = _rates(cfg, partial(_trial_rates, cfg, _run_constants(cfg)), jobs)
     points = []
     for isch, scheme in enumerate(cfg.schemes):
         for ip, p in enumerate(cfg.power_sweep_dbm):

@@ -12,11 +12,14 @@ canceller built its regressors with `vstack` and copied them and the
 target out of place, and about 980 since the slot path builds each
 packet-length array once. The ceiling sits below half the first count.
 
-`fdmimo run` on one CPU runs its trials in its own process, so the same
-churn would show there whenever nothing it did first raised glibc's mmap
-threshold; it fixes the allocator's thresholds itself.
+A process that runs trials itself, `fdmimo run` on one CPU or a library
+call with `jobs=1`, would show the same churn whenever nothing it did first
+raised glibc's mmap threshold; `fdmimo.trials` fixes the allocator's
+thresholds in every process that runs trials, so neither has to.
 """
 
+import ctypes
+import dataclasses
 import os
 import subprocess
 import sys
@@ -25,6 +28,8 @@ from pathlib import Path
 import pytest
 
 import fdmimo
+from fdmimo.cli import default_scenario, main
+from fdmimo.link import run_scenario
 
 FAULT_CEILING = 4_500
 
@@ -88,3 +93,58 @@ def test_fdmimo_run_on_one_cpu_reuses_its_heap():
     assert code == 0, proc.stderr
     assert proc.stdout.startswith("power_dbm,scheme,")
     assert faults <= 20_000, f"{faults} minor faults in a 6-trial serial fdmimo run"
+
+
+# A library call with `jobs=1` on one CPU, its modules' bytecode cached as
+# an installed package's is: the process's own minor faults, startup and
+# numpy's import included.
+_SERIAL_LIBRARY_RUN = """
+import dataclasses, os, resource
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from fdmimo import default_scenario, run_scenario
+run_scenario(dataclasses.replace(default_scenario("a"), trials=6), jobs=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+def test_a_serial_library_run_on_one_cpu_reuses_its_heap(tmp_path):
+    # Measured with Python 3.11, numpy 2.4 and OpenBLAS on one thread: about
+    # 30.6k minor faults when the calling process kept glibc's default
+    # thresholds, and 6.3k, mostly numpy's import, with them fixed.
+    # Compiling the modules on import would raise the dynamic threshold
+    # and hide the churn, so the second run imports cached bytecode.
+    src = str(Path(fdmimo.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    for _ in range(2):  # the first run compiles what the second imports
+        proc = subprocess.run(
+            [sys.executable, "-c", _SERIAL_LIBRARY_RUN], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    assert faults <= 12_000, f"{faults} minor faults in a 6-trial serial library run"
+
+
+def test_runs_succeed_where_the_c_library_cannot_be_opened_by_none(
+    tmp_path, monkeypatch, capsys
+):
+    # On Windows `ctypes.CDLL(None)` raises TypeError; `fdmimo run` died of
+    # it before any trial.
+    cdll = ctypes.CDLL
+
+    def windows_cdll(name, *args, **kwargs):
+        if name is None:
+            raise TypeError("argument of type 'NoneType' is not iterable")
+        return cdll(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", windows_cdll)
+    cfg = dataclasses.replace(default_scenario("a"), trials=1, power_sweep_dbm=(20.0,))
+    assert len(run_scenario(cfg, jobs=1)) == len(cfg.schemes)
+    out = tmp_path / "curves.csv"
+    argv = ["run", "--config", "scenario_a", "--trials", "1", "--out", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert out.read_text().startswith("power_dbm,scheme,")

@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdmimo
-from fdmimo import config, link
+from fdmimo import config, link, trials
 from fdmimo.beamforming import SingularChannelError
 from fdmimo.cli import default_scenario, format_csv, main
 from fdmimo.config import doppler_correlation
@@ -34,7 +34,7 @@ from fdmimo.link import TrialError, run_scenario
 
 # Tests of the pool itself; elsewhere `jobs` > 1 runs the trials serially.
 needs_fork = pytest.mark.skipif(
-    not link._forks(), reason="trials run serially without fork or on Python >= 3.12"
+    not trials._forks(), reason="trials run serially without fork or on Python >= 3.12"
 )
 
 
@@ -74,7 +74,7 @@ def test_each_trial_fills_its_own_row():
     cfg = _small("b", 5)
     consts = link._run_constants(cfg)
     rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
-    link._pooled_rates(cfg, consts, 3, rates)
+    trials._pooled_rates(cfg, partial(link._trial_rates, cfg, consts), 3, rates)
     for t in range(cfg.trials):
         assert np.array_equal(rates[t], link._trial_rates(cfg, consts, t)), t
 
@@ -228,19 +228,19 @@ def test_forking_after_blas_threads_start_does_not_hang():
 
 def test_python_3_12_runs_the_trials_serially(monkeypatch):
     # There os.fork warns in a process with threads, such as BLAS's pool.
-    monkeypatch.setattr(link, "sys", SimpleNamespace(version_info=(3, 12, 0)))
-    assert not link._forks()
-    assert link._workers(12, None) == link._workers(12, 4) == 1
+    monkeypatch.setattr(trials, "sys", SimpleNamespace(version_info=(3, 12, 0)))
+    assert not trials._forks()
+    assert trials._workers(12, None) == trials._workers(12, 4) == 1
 
 
 def _blas_threads() -> int:
-    lib = link._openblas()
-    name = next(name for name in link._OPENBLAS_SETTERS if hasattr(lib, name))
+    lib = trials._openblas()
+    name = next(name for name in trials._OPENBLAS_SETTERS if hasattr(lib, name))
     return getattr(lib, name.replace("_set_", "_get_"))()
 
 
 @needs_fork
-@pytest.mark.skipif(link._openblas() is None, reason="numpy does not bundle OpenBLAS here")
+@pytest.mark.skipif(trials._openblas() is None, reason="numpy does not bundle OpenBLAS here")
 def test_a_worker_runs_blas_on_one_thread():
     # One worker per core already fills the cores; BLAS threads would crowd them.
     before = _blas_threads()
@@ -248,9 +248,17 @@ def test_a_worker_runs_blas_on_one_thread():
     consts = link._run_constants(cfg)
     with ProcessPoolExecutor(
         1, mp_context=multiprocessing.get_context("fork"),
-        initializer=link._serve, initargs=(cfg, consts),
+        initializer=trials._serve, initargs=(partial(link._trial_rates, cfg, consts),),
     ) as pool:
         assert pool.submit(_blas_threads).result() == 1
+    assert _blas_threads() == before
+
+
+@pytest.mark.skipif(trials._openblas() is None, reason="numpy does not bundle OpenBLAS here")
+def test_trials_run_in_the_calling_process_leave_its_blas_threads():
+    # Only workers share the cores; a caller keeps its own BLAS threading.
+    before = _blas_threads()
+    run_scenario(_small("a", 1, powers=1), jobs=1)
     assert _blas_threads() == before
 
 
