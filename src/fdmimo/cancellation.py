@@ -20,10 +20,10 @@ solvers:
               rows that span the burst's row space when 2 <= k < n.  The least-squares residual is unique and is
               computed as the target minus its projection onto that row
               space, member by member
-  otherwise   the minimum-norm `lstsq` fit, subtracted on all rows at
-              once: a silent chain, one stream on two or more chains, a
-              rank in doubt, or rows too ill-conditioned for the
-              projection to keep its accuracy
+  otherwise   the minimum-norm `lstsq` fit of each member's rows alone,
+              subtracted from them: a silent chain, one stream on two or
+              more chains, a rank in doubt, or rows too ill-conditioned
+              for the projection to keep its accuracy
 
 One stream on two or more chains is refused from the burst's own Gram
 x x^H, before the regressors' Gram is formed.  `train_digital_canceller`,
@@ -412,13 +412,13 @@ def cancel_slot(
     seeded target, it is z = t - (t B^H) G^-1 B, with G^-1 = K^H K.  B is
     Phi itself for a burst with as many streams as chains, and a reduced
     basis for one with two or more streams on more chains, whose Phi is
-    dependent.  The products run member by member on the stack, so a
-    member's rows come out the same whatever else shares the call.
-    Otherwise (a silent chain, one stream on two or more chains, a rank
-    in doubt, or rows too ill-conditioned for the projection to keep its
-    accuracy) every member's rows take one minimum-norm `lstsq` fit
-    (`_fit`), whose reconstruction is subtracted from them: what
-    `apply_digital_canceller` does with the fit.
+    dependent.  Otherwise (a silent chain, one stream on two or more
+    chains, a rank in doubt, or rows too ill-conditioned for the
+    projection to keep its accuracy) each member's rows take their own
+    minimum-norm `lstsq` fit (`_fit`) on their own seed, whose
+    reconstruction is subtracted from them: what `apply_digital_canceller`
+    does with the fit.  Either route runs member by member on the stack,
+    so a member's rows come out as they do alone, whatever shares the call.
 
     One stream on two or more chains, every burst of scenario d, stays on
     the fit although a basis of one x row, its conjugate and one cubic row
@@ -435,10 +435,11 @@ def cancel_slot(
     phi = _regressors(x)
     projection = _projection(x, phi)
     if projection is None:
-        rows = y.reshape(-1, y.shape[-1])
-        seed = np.broadcast_to(r, y.shape[:-1] + r.shape[-1:]).reshape(-1, x.shape[0])
-        z = _fit(phi, x, rows, seed) @ phi
-        return np.subtract(rows, z, out=z).reshape(y.shape)
+        seeds = np.broadcast_to(r, y.shape[:-1] + r.shape[-1:])
+        z = np.empty(y.shape, dtype=complex)
+        for i in np.ndindex(y.shape[:-2]):  # one fit per member: () for one slot
+            np.matmul(_fit(phi, x, y[i], seeds[i]), phi, out=z[i])
+        return np.subtract(y, z, out=z)
     basis, root = projection
     gram_inv = root.conj().T @ root
     t = y - r @ x

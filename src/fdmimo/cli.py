@@ -283,9 +283,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(complexity_report(cfg.arch), indent=2, sort_keys=True))
         return 0
 
-    if args.out is not None and not Path(args.out).absolute().parent.is_dir():
-        # Checked before the sweep, so a typo does not cost a whole run.
-        print(f"fdmimo: config error: no directory for --out {args.out}", file=sys.stderr)
+    out = None if args.out is None else Path(args.out).absolute()
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):  # before a whole run
+        print(f"fdmimo: config error: --out {args.out} is no file in a directory", file=sys.stderr)
         return 1
     # The simulator, and numpy, load for `run` alone.
     from fdmimo.link import run_scenario
@@ -296,11 +296,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"fdmimo: runtime error: {exc}", file=sys.stderr)
         return 2
     text = format_csv(points)
-    if args.out is None:
+    if out is None:
         sys.stdout.write(text)
         return 0
     try:
-        Path(args.out).write_text(text)
+        out.write_text(text)
     except OSError as exc:
         print(f"fdmimo: config error: cannot write --out: {exc}", file=sys.stderr)
         return 1

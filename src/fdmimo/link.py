@@ -219,9 +219,9 @@ def _fd_receive(
     A stack of radiated versions of one burst, `x_tx` of shape (members,
     chains, samples), is received in one pass, with one seed for all
     members.  `cancel_slot` routes the stack as one burst, by the
-    rank and the conditioning of the regressors of `x` built once for all:
-    either each member gets the unique residual of its own rows by a
-    projection, or all members' rows take one minimum-norm `lstsq` fit.
+    rank and the conditioning of the regressors of `x` built once for all,
+    and cancels each member as it would alone: by a projection onto that
+    row space, or by a minimum-norm `lstsq` fit of the member's own rows.
     """
     r_si = taps.leak(x, x_tx)
     r = r_si + ul + noise
@@ -493,14 +493,11 @@ def _receive_ab(
     n = len(plans)
     si_cov = [ctx["no_si"]] * n  # residual SI at the BS
     alive = [ctx["all_alive"]] * n  # chains that escaped saturation
-    # BLAS takes vector kernels for a lone receive row, which round unlike
-    # a stack of rows; a one-chain receiver receives each scheme on its own.
-    solo = arch.n_rx_rf == 1
-    for key, members in _groups(f + (solo and i,) for i, f in enumerate(fields)).items():
-        taps, _, duplex, digital, _ = key
+    for key, members in _groups(fields).items():
+        taps, _, duplex, digital = key
         if duplex == "hd":
             continue
-        w = precoders[key[:4]][0]
+        w = precoders[key][0]
         z_si, _, saturated = _fd_receive(
             ctx["taps"][taps], burst(members[0])[0], np.stack([burst(i)[1] for i in members]),
             ul_sym, ctx["noise_b"], digital and w is not None, bud.rx_saturation_w,

@@ -1,11 +1,13 @@
 """Shared fixtures: the JSON keys each scenario's config accepts, those
-it does not read, and a recorder of the calls a run makes."""
+it does not read, a recorder of the calls a run makes, and the OpenBLAS
+thread count of the test process."""
 
 import dataclasses
 import json
 
 import pytest
 
+from fdmimo import trials
 from fdmimo.cli import ConfigError, default_scenario, parse_config
 
 # JSON section -> ScenarioConfig field.
@@ -113,3 +115,25 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+def openblas_threads(n=None):
+    """The thread count of the OpenBLAS that numpy bundles, in this process;
+    with `n`, set to `n` first.  A module-level function, so that a forked
+    worker can be handed it."""
+    lib = trials._openblas()
+    name = next(name for name in trials._OPENBLAS_SETTERS if hasattr(lib, name))
+    if n is not None:
+        getattr(lib, name)(n)
+    return getattr(lib, name.replace("_set_", "_get_"))()
+
+
+@pytest.fixture
+def blas_threads():
+    """`openblas_threads`, with the count it had put back after the test;
+    skips where numpy bundles no OpenBLAS."""
+    if trials._openblas() is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    before = openblas_threads()
+    yield openblas_threads
+    openblas_threads(before)

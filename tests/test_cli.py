@@ -186,12 +186,12 @@ def test_run_out_needs_a_writable_path(tmp_path, monkeypatch, capsys):
         assert main(["run", "--config", src, "--out", str(missing)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and str(missing) in err
-    # The directory exists but the path cannot be written: still a config error.
-    taken = tmp_path / "taken"
-    taken.mkdir()
-    assert main(["run", "--config", src, "--out", str(taken)]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+        # The path is a directory itself: refused before the sweep as well.
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["run", "--config", src, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and str(taken) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("scenario", ["c", "d"])

@@ -1,6 +1,7 @@
 """Scenario orchestration: rates, configs, determinism, invariants."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -314,20 +315,21 @@ def test_run_scenario_seed_changes_output():
 
 
 def test_one_chain_receiver_matches_run_trial():
-    # With one receive chain BLAS takes vector kernels whose rounding a
-    # stack of rows would not reproduce, so such schemes are not stacked;
-    # run_scenario must still equal run_trial exactly.
+    # Schemes are received in one stack whatever the chain count, and each
+    # member's lone receive row must come out as it does alone, on both of
+    # `cancel_slot`'s routes: one DL UE antenna sends one-stream bursts,
+    # which take the `lstsq` fit; four send bursts it projects.
     arch = ArchitectureConfig(4, 1, 4, 1, phase_bits=3, num_taps=4)
     base = dataclasses.replace(
         default_scenario("a"), arch=arch, trials=1, power_sweep_dbm=(0.0, 20.0, 40.0),
         ul_ue_antennas=1,
     )
-    for seed in range(3):
-        cfg = dataclasses.replace(base, seed=seed)
+    for dl_ue_antennas, seed in itertools.product((4, 1), range(3)):
+        cfg = dataclasses.replace(base, seed=seed, dl_ue_antennas=dl_ue_antennas)
         for point in run_scenario(cfg):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
             dl, ul = run_trial(cfg, point.power_dbm, point.scheme, rng)
-            assert point.mean_rate_bps_hz == dl + ul, (seed, point)
+            assert point.mean_rate_bps_hz == dl + ul, (dl_ue_antennas, seed, point)
 
 
 def test_stacked_fault_names_a_scheme_run_trial_reproduces(monkeypatch):

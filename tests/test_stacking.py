@@ -1,4 +1,4 @@
-"""Stacked rate and canceller calls equal the 2-D calls, member for member.
+"""Stacked rate and combiner calls equal the 2-D calls, member for member.
 
 Scenarios a and b receive all schemes of a power point as one stack and
 score every (power, scheme) of a trial in one rate pass, each item at its
@@ -13,19 +13,19 @@ equal rating each item alone.  The staging itself is guarded too: sounding
 pilots are built once per run and power, eigen precoders once per (trial,
 power, streams), a's and b's codebooks once per run, a's UL combiners in
 one call per trial and surviving-chain count, and each distinct precoder's
-burst through the TX chain at most once.
+burst through the TX chain at most once.  The slot canceller's stacks
+are checked in `test_cancel_slot.py`.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fdmimo import beamforming, cancellation, estimation, link
+from fdmimo import beamforming, estimation, link
 from fdmimo.beamforming import mmse_combiner
-from fdmimo.cancellation import RegressorRankError, apply_digital_canceller, train_digital_canceller
 from fdmimo.cli import default_scenario
 from fdmimo.config import AgingParams, ArchitectureConfig, allowed_schemes
 from fdmimo.link import dl_rate, run_scenario, run_trial, ul_rate
@@ -37,11 +37,6 @@ seeds = st.integers(0, 2**32 - 1)
 
 def _cn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _min_norm_fit(x, y, r):
-    """The minimum-norm `lstsq` fit behind `train_digital_canceller`, unchecked."""
-    return cancellation._fit(cancellation._regressors(x), x, y, r)
 
 
 def _hpd(rng, *batch, n):
@@ -96,39 +91,6 @@ def test_stacked_ul_rate_is_exact(batch, chains, streams, seed):
     for k in range(batch):
         for j in range(2):
             assert np.array_equal(both[k, j], ul_rate(h[k], u[k], 3.0, pairs[k, j]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    members=batches,
-    rx=st.integers(2, 8),  # a lone row takes BLAS vector kernels; never stacked
-    tx=dims,
-    streams=dims,
-    extra=st.integers(0, 200),
-    seed=seeds,
-)
-def test_stacked_canceller_fit_is_exact(members, rx, tx, streams, extra, seed):
-    rng = np.random.default_rng(seed)
-    samples = 3 * tx + extra
-    # Fewer streams than chains leaves the regressors dependent, which
-    # takes the minimum-norm fit instead of the checked one.
-    x = _cn(rng, tx, min(streams, tx)) @ _cn(rng, min(streams, tx), samples)
-    resid = _cn(rng, rx, tx)
-    ys = [_cn(rng, rx, samples) for _ in range(members)]
-    rows = np.vstack(ys)
-    seed_rows = np.tile(resid, (members, 1))
-    try:
-        stacked = train_digital_canceller(x, rows, seed_rows)
-        fit = train_digital_canceller
-    except RegressorRankError:
-        stacked = _min_norm_fit(x, rows, seed_rows)
-        fit = _min_norm_fit
-    cleaned = apply_digital_canceller(stacked, x, rows)
-    for k, y in enumerate(ys):
-        block = slice(k * rx, (k + 1) * rx)
-        coeffs = fit(x, y, resid)
-        assert np.array_equal(stacked[block], coeffs)
-        assert np.array_equal(cleaned[block], apply_digital_canceller(coeffs, x, y))
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,12 +199,24 @@ def small_ab_configs(draw):
     )
 
 
-@settings(max_examples=25, deadline=None)
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(cfg=small_ab_configs())
-def test_run_scenario_is_run_trial_on_small_ab_configs(cfg):
+# Five chains sending one-stream bursts take the canceller's `lstsq` fit;
+# under two BLAS threads a fit shared by several members rounds each unlike
+# its fit alone, which made 4 of these 6 points differ from `run_trial`.
+@example(cfg=dataclasses.replace(
+    default_scenario("a"), arch=ArchitectureConfig(5, 5, 5, 5, num_taps=5), trials=1, seed=0,
+    power_sweep_dbm=(0.0, 20.0, 40.0), schemes=("proposed", "proposed-ideal"),
+    dl_ue_antennas=1, packet_symbols=1000,
+))
+def test_run_scenario_is_run_trial_on_small_ab_configs(blas_threads, cfg):
     """Every point is its `run_trial`, whose DL and UL rates are finite and
-    non-negative.  That UL stays within its interference-free bound needs
-    no check here: `_score_ab` raises at any point where it does not."""
+    non-negative, under two BLAS threads.  That UL stays within its
+    interference-free bound needs no check here: `_score_ab` raises at any
+    point where it does not."""
+    blas_threads(2)
     points = run_scenario(cfg)
     assert len(points) == len(cfg.schemes) * len(cfg.power_sweep_dbm)
     for point in points:

@@ -233,33 +233,25 @@ def test_python_3_12_runs_the_trials_serially(monkeypatch):
     assert trials._workers(12, None) == trials._workers(12, 4) == 1
 
 
-def _blas_threads() -> int:
-    lib = trials._openblas()
-    name = next(name for name in trials._OPENBLAS_SETTERS if hasattr(lib, name))
-    return getattr(lib, name.replace("_set_", "_get_"))()
-
-
 @needs_fork
-@pytest.mark.skipif(trials._openblas() is None, reason="numpy does not bundle OpenBLAS here")
-def test_a_worker_runs_blas_on_one_thread():
+def test_a_worker_runs_blas_on_one_thread(blas_threads):
     # One worker per core already fills the cores; BLAS threads would crowd them.
-    before = _blas_threads()
+    before = blas_threads()
     cfg = _small("a", 2)
     consts = link._run_constants(cfg)
     with ProcessPoolExecutor(
         1, mp_context=multiprocessing.get_context("fork"),
         initializer=trials._serve, initargs=(partial(link._trial_rates, cfg, consts),),
     ) as pool:
-        assert pool.submit(_blas_threads).result() == 1
-    assert _blas_threads() == before
+        assert pool.submit(blas_threads).result() == 1
+    assert blas_threads() == before
 
 
-@pytest.mark.skipif(trials._openblas() is None, reason="numpy does not bundle OpenBLAS here")
-def test_trials_run_in_the_calling_process_leave_its_blas_threads():
+def test_trials_run_in_the_calling_process_leave_its_blas_threads(blas_threads):
     # Only workers share the cores; a caller keeps its own BLAS threading.
-    before = _blas_threads()
+    before = blas_threads()
     run_scenario(_small("a", 1, powers=1), jobs=1)
-    assert _blas_threads() == before
+    assert blas_threads() == before
 
 
 # A default 20-trial scenario-a run on two workers: their minor page
