@@ -1141,16 +1141,18 @@ def run_scenario(cfg: ScenarioConfig, jobs: Optional[int] = None) -> List[CurveP
     Work is staged by what it depends on, as the module docstring sets
     out: per run, per trial, and per power up to one rate pass per trial.
 
-    Trials run on `jobs` worker processes forked from this one, each
-    given one contiguous chunk of trial indices.  `jobs=1` runs them in
-    this process, as does every run where trials may not fork (`_forks`:
-    Python 3.12 or later, or no `fork`).  The default is one worker per
-    available core, with at least `_MIN_TRIALS_PER_WORKER` trials each.
-    Each trial draws from its own child seed and fills its own row, so
-    the curves do not depend on `jobs`.  Every process that runs trials,
-    this one too, fixes glibc's malloc thresholds for good (`trials`).
-    Patches made here reach the workers, but what they record (call
-    counts, traces, profiles) stays in theirs; count or profile with `jobs=1`.
+    Trials run in `jobs` processes, each given one contiguous chunk of
+    trial indices: this one runs the first chunk, and a worker forked from
+    it runs each other chunk.  `jobs=1` runs them all in this process, as
+    does every run where trials may not fork (`_forks`: Python 3.12 or
+    later, or no `fork`).  The default is one process per available core,
+    with at least `_MIN_TRIALS_PER_WORKER` trials each.  Each trial draws
+    from its own child seed and fills its own row, so the curves do not
+    depend on `jobs`.  Every process that runs trials, this one too, fixes
+    glibc's malloc thresholds for good (`trials`).  Patches made here
+    reach the workers, but what they record (call counts, traces,
+    profiles) stays in theirs, so that `count_calls` and cProfile see
+    this process's chunk only; count or profile with `jobs=1`.
     With trials=1 each point equals `run_trial` seeded with
     SeedSequence(entropy=seed, spawn_key=(0,)).  A failing trial, or one
     that scores a non-finite rate, raises TrialError, the same one

@@ -1,22 +1,24 @@
 """Where the trials of a run execute, and how each process running them is set up.
 
-The trials of a run are shared among worker processes forked after the
-per-run stage (`_pooled_rates`), one contiguous chunk each, so the per-run
-constants reach every worker through the fork and stay read-only.  Every
-trial draws from its own child seed and fills its own row, so the curves
-do not depend on the number of workers; with one, and wherever `_forks`
-says no, the trials run in the calling process (`_run_here`).  Every
-process that runs trials fixes glibc's malloc thresholds first, so that
-it reuses its heap from trial to trial whatever it did before: each
-forked worker (`_serve`), and the calling process whenever it runs
-trials, a failed chunk's replay included, and keeps them, since glibc
-cannot read them back.  Only the workers also cut OpenBLAS to one thread.
+A run's trials are split into `jobs` contiguous chunks, and the calling
+process is one of the `jobs` processes that run them (`_pooled_rates`):
+after the per-run stage, whose constants reach the workers read-only, it
+forks a worker per chunk after the first and runs the first chunk itself.
+Each trial draws from its own child seed and fills its own row, so the
+curves do not depend on `jobs`; with one, or where `_forks` says no, the
+caller runs every trial (`_run_here`).  What a worker records stays in it:
+`count_calls` and cProfile in the caller see its chunk only, so count with
+`jobs=1`.  Every process that runs trials fixes glibc's malloc thresholds.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import glob
+import mmap
 import os
+import signal
 import sys
 from typing import Callable, Optional
 
@@ -40,29 +42,39 @@ class TrialError(RuntimeError):
 # the pool costs more than the trials it shares out.
 _MIN_TRIALS_PER_WORKER = 3
 
-_SERVED: Optional[_Trial] = None  # the trial a forked worker serves, set by `_serve`
-
-# Thread-count setters of the OpenBLAS that numpy's wheels bundle, newest
-# releases first.
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads",
+# Thread-count getters and setters ("get", "set") of the OpenBLAS that
+# numpy's wheels bundle, newest releases first.
+_OPENBLAS_THREADS = (
+    "scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads",
 )
 
 
-def _openblas() -> Optional[object]:
-    """The OpenBLAS library that numpy's wheel bundles (`numpy.libs` on
-    Linux, `numpy/.dylibs` on macOS), or None: another BLAS, or numpy
-    built some other way."""
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[tuple]:
+    """The thread-count (getter, setter) of the OpenBLAS in numpy's wheel
+    (`numpy.libs` on Linux, `numpy/.dylibs` on macOS), looked up once per
+    process; None for another BLAS, or numpy built some other way."""
     root = os.path.dirname(np.__file__)
-    for folder in (root + ".libs", os.path.join(root, ".dylibs")):
-        try:
-            names = sorted(os.listdir(folder))
-        except OSError:
-            continue
-        for name in names:
-            if "openblas" in name:
-                return ctypes.CDLL(os.path.join(folder, name))
+    for pattern in (root + ".libs/*openblas*", root + "/.dylibs/*openblas*"):
+        lib = next((ctypes.CDLL(path) for path in sorted(glob.glob(pattern))), None)
+        name = next((name for name in _OPENBLAS_THREADS if hasattr(lib, name.format("set"))), None)
+        if name is not None:
+            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
     return None
+
+
+def _blas_threads(n: Optional[int] = None) -> Optional[int]:
+    """The thread count of numpy's bundled OpenBLAS in this process; with
+    `n`, set to `n` first.  None, setting nothing, without that OpenBLAS."""
+    if _openblas() is None:
+        return None
+    get, put = _openblas()
+    if n is not None:
+        put(n)
+    return get()
 
 
 # glibc's `mallopt` settings for a process that runs trials, (parameter,
@@ -71,40 +83,28 @@ def _openblas() -> Optional[object]:
 _MALLOPT = ((-3, 4 << 20), (-1, 8 << 20))
 
 
+@functools.lru_cache(maxsize=None)
+def _mallopt() -> Optional[Callable[[int, int], int]]:
+    """The C library's `mallopt`, opened once per process, or None."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # Windows' CDLL takes no None
+        return None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
 def _fix_malloc_thresholds() -> None:
     """Fix the C allocator's thresholds in this process (`_MALLOPT`), unless
     the C library cannot be opened so (Windows) or has no `mallopt`.  glibc
     returns a block over its mmap threshold to the kernel on free: a serial
     20-trial scenario-a run on one CPU, faulting its packet-length arrays in
     afresh slot after slot, took 81.5k minor faults, and 1.0k with them."""
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):  # Windows' CDLL takes no None
-        return
-    if hasattr(libc, "mallopt"):
-        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        libc.mallopt.restype = ctypes.c_int
+    mallopt = _mallopt()
+    if mallopt is not None:
         for param, value in _MALLOPT:
-            libc.mallopt(param, value)
-
-
-def _serve(trial_rates: _Trial) -> None:
-    """Start a trial worker: keep the trial it serves, cut BLAS to one
-    thread (on 2 cores at OpenBLAS's default, c's default run took 1.9-2.6
-    s on 2 workers against 1.3-1.7 s serially), and fix the allocator's
-    thresholds (a 20-trial scenario-a run's two workers, forked with
-    cached bytecode, took 88k minor faults without, and 5.5k with them)."""
-    global _SERVED
-    _SERVED = trial_rates
-    lib = _openblas()
-    name = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
-    if name is not None:
-        getattr(lib, name)(1)
-    _fix_malloc_thresholds()
-
-
-def _chunk_rates(start: int, stop: int) -> np.ndarray:
-    return np.stack([_SERVED(t) for t in range(start, stop)])
+            mallopt(param, value)
 
 
 def _run_here(trial_rates: _Trial, rates: np.ndarray, start: int, stop: int) -> None:
@@ -115,23 +115,18 @@ def _run_here(trial_rates: _Trial, rates: np.ndarray, start: int, stop: int) -> 
 
 
 def _forks() -> bool:
-    """Whether trials may run on forked workers.  Not where the platform
-    cannot fork, and not on Python 3.12 or later: there `os.fork` warns
+    """Whether trials may run on forked workers: not where the platform
+    cannot fork, nor on Python 3.12 or later, where `os.fork` warns
     (DeprecationWarning) in a process that has threads, as numpy's BLAS
-    pool does, and the fork-after-threads hazard behind that warning has
-    not been checked on those versions."""
-    if sys.version_info >= (3, 12):
-        return False
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
+    pool does, and the hazard behind that warning has not been checked."""
+    return sys.version_info < (3, 12) and hasattr(os, "fork")
 
 
 def _workers(trials: int, jobs: Optional[int]) -> int:
-    """Worker processes for a run of `trials`; 1 runs the trials in this
-    process.  By default one per available core, each with at least
-    `_MIN_TRIALS_PER_WORKER` trials; never more than one per trial, and
-    none where trials may not fork (`_forks`)."""
+    """Processes for a run of `trials`, this one included; 1 runs the trials
+    in this process.  By default one per available core, each with at least
+    `_MIN_TRIALS_PER_WORKER` trials; never more than one per trial, and one
+    where trials may not fork (`_forks`)."""
     if jobs is None:
         try:
             cores = len(os.sched_getaffinity(0))
@@ -147,48 +142,53 @@ def _workers(trials: int, jobs: Optional[int]) -> int:
 
 
 def _pooled_rates(cfg: ScenarioConfig, trial_rates: _Trial, jobs: int, rates: np.ndarray) -> None:
-    """Fill `rates` on `jobs` forked workers, each given one contiguous
-    chunk of `cfg`'s trials, and write each chunk back by trial index.
-
-    The workers inherit `trial_rates` and what it holds from the fork, not
-    as pickled copies.  A chunk that fails is replayed here: trials are
-    deterministic, so the replay raises the serial loop's first TrialError,
-    with its own cause.  A worker that dies breaks every unfinished chunk,
-    so its TrialError names the trials from the first unfinished chunk to
-    the last, and `jobs=1` finds the one that failed.  Every worker has
-    exited when this returns or raises."""
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    def submit(start: int, stop: int) -> Future:
-        # The first submit forks every worker, so one can die, and break
-        # the pool, before the last chunk is queued.
-        try:
-            return pool.submit(_chunk_rates, start, stop)
-        except BrokenProcessPool as exc:
-            future = Future()
-            future.set_exception(exc)
-            return future
-
+    """Fill `rates` in `jobs` processes, one chunk of `cfg`'s trials each:
+    fork a worker per chunk after the first, which inherits `trial_rates`
+    and writes into a shared mapping, run the first chunk here, and copy
+    the workers' rows back by trial index.  All run OpenBLAS on one thread
+    (at its default, c's default run took 1.9-2.6 s on 2 workers against
+    1.3-1.7 s serially, on 2 cores).  Chunks are checked in order: a worker
+    that raised is replayed here, raising the serial loop's first TrialError,
+    and one that died otherwise is a TrialError.  No worker outlives the call."""
     edges = [cfg.trials * k // jobs for k in range(jobs + 1)]
-    chunks = list(zip(edges[:-1], edges[1:]))
-    with ProcessPoolExecutor(
-        jobs, mp_context=multiprocessing.get_context("fork"),
-        initializer=_serve, initargs=(trial_rates,),
-    ) as pool:
-        futures = [submit(start, stop) for start, stop in chunks]
-        for (start, stop), future in zip(chunks, futures):
-            try:
-                rates[start:stop] = future.result()
-            except BrokenProcessPool as exc:
-                raise TrialError(
-                    f"scenario {cfg.scenario}, seed {cfg.seed}, trials {start}-{cfg.trials - 1}: "
-                    f"a worker process died in one of them ({exc}); "
-                    f"run them with jobs=1 to find the trial"
-                ) from exc
-            except Exception:  # noqa: BLE001  any fault is replayed as the serial loop meets it
+    first, *others = zip(edges, edges[1:])
+    shared = np.ndarray(rates.shape, rates.dtype, mmap.mmap(-1, rates.nbytes))
+    workers = []  # (pid, start, stop) of each worker not yet reaped, in chunk order
+    try:
+        for start, stop in others:
+            pid = os.fork()
+            if pid == 0:  # a worker: it leaves with 0, or 1 if anything raised
+                code = 1
+                try:
+                    _blas_threads(1)
+                    _run_here(trial_rates, shared, start, stop)
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers.append((pid, start, stop))
+        threads = _blas_threads()
+        try:
+            _blas_threads(1)
+            _run_here(trial_rates, rates, *first)
+        finally:
+            _blas_threads(threads)  # only reads where there is no OpenBLAS
+        for pid, start, stop in list(workers):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.remove((pid, start, stop))
+            if code == 0:
+                rates[start:stop] = shared[start:stop]
+            elif code == 1:
                 _run_here(trial_rates, rates, start, stop)
+            else:
+                raise TrialError(
+                    f"scenario {cfg.scenario}, seed {cfg.seed}, trials {start}-{stop - 1}: "
+                    f"a worker process died in one of them (exit code {code}); "
+                    f"run them with jobs=1 to find the trial"
+                )
+    finally:
+        for pid, _, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _rates(cfg: ScenarioConfig, trial_rates: _Trial, jobs: Optional[int]) -> np.ndarray:

@@ -99,7 +99,8 @@ class Call:
 def count_calls(monkeypatch):
     """`count_calls(owner, name)` wraps `owner.name` for the test and
     returns the list it appends one `Call` to per call.  Calls made in
-    forked trial workers are not seen, so count with `jobs=1`."""
+    forked trial workers are not seen, only those of the calling process's
+    own chunk, so count with `jobs=1`."""
 
     def count(owner, name):
         calls = []
@@ -117,23 +118,13 @@ def count_calls(monkeypatch):
     return count
 
 
-def openblas_threads(n=None):
-    """The thread count of the OpenBLAS that numpy bundles, in this process;
-    with `n`, set to `n` first.  A module-level function, so that a forked
-    worker can be handed it."""
-    lib = trials._openblas()
-    name = next(name for name in trials._OPENBLAS_SETTERS if hasattr(lib, name))
-    if n is not None:
-        getattr(lib, name)(n)
-    return getattr(lib, name.replace("_set_", "_get_"))()
-
-
 @pytest.fixture
 def blas_threads():
-    """`openblas_threads`, with the count it had put back after the test;
-    skips where numpy bundles no OpenBLAS."""
-    if trials._openblas() is None:
+    """`trials._blas_threads`, the OpenBLAS thread count of the test
+    process, with the count it had put back after the test; skips where
+    numpy bundles no OpenBLAS."""
+    before = trials._blas_threads()
+    if before is None:
         pytest.skip("numpy does not bundle OpenBLAS here")
-    before = openblas_threads()
-    yield openblas_threads
-    openblas_threads(before)
+    yield trials._blas_threads
+    trials._blas_threads(before)

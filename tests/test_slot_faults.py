@@ -20,6 +20,7 @@ thresholds in every process that runs trials, so neither has to.
 
 import ctypes
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import fdmimo
+from fdmimo import trials
 from fdmimo.cli import default_scenario, main
 from fdmimo.link import run_scenario
 
@@ -142,6 +144,9 @@ def test_runs_succeed_where_the_c_library_cannot_be_opened_by_none(
         return cdll(name, *args, **kwargs)
 
     monkeypatch.setattr(ctypes, "CDLL", windows_cdll)
+    # `_mallopt` opens the C library once per process: a fresh cache, so that
+    # this run opens it under the patch.
+    monkeypatch.setattr(trials, "_mallopt", functools.lru_cache(trials._mallopt.__wrapped__))
     cfg = dataclasses.replace(default_scenario("a"), trials=1, power_sweep_dbm=(20.0,))
     assert len(run_scenario(cfg, jobs=1)) == len(cfg.schemes)
     out = tmp_path / "curves.csv"
