@@ -100,8 +100,12 @@ class ArchitectureConfig:
             raise ValueError("cannot have more RF chains than antennas")
         if self.n_tx % self.n_tx_rf or self.n_rx % self.n_rx_rf:
             raise ValueError("antennas must split evenly across RF chains")
-        if self.phase_bits < 1:
-            raise ValueError("phase_bits must be >= 1")
+        # On a grid of 2^64 phases per turn, a DFT phase of a sub-array of up
+        # to 2048 elements is at least 2^53 steps, which a float holds only
+        # as an integer, so more bits change no codeword; past about 1020
+        # bits the grid overflows the float range.
+        if not 1 <= self.phase_bits <= 64:
+            raise ValueError(f"phase_bits must lie within [1, 64], got {self.phase_bits!r}")
         if not 0 <= self.num_taps <= self.n_tx_rf * self.n_rx_rf:
             raise ValueError("num_taps must lie in [0, n_tx_rf * n_rx_rf]")
 
@@ -226,8 +230,13 @@ class LinkBudget:
     ul_power_dbm: float = 10.0
 
     def __post_init__(self):
-        if min(self.dl_pathloss_db, self.ul_pathloss_db, self.si_isolation_db) < 0:
-            raise ValueError("pathloss and isolation must be nonnegative dB losses")
+        # Past 300 dB, the bound of the K-factors, a loss is a config error:
+        # at 2000 dB or Infinity the gain 10^(-L/10) leaves the rates NaN or
+        # an SVD unconverged, while every loss up to 600 dB ran.
+        for name in ("dl_pathloss_db", "ul_pathloss_db", "si_isolation_db"):
+            if not 0.0 <= getattr(self, name) <= 300.0:
+                raise ValueError(f"{name} must be a finite dB loss within [0, 300], "
+                                 f"got {getattr(self, name)!r}")
         for name in ("bs_noise_dbm", "ue_noise_dbm", "rx_saturation_dbm", "ul_power_dbm"):
             check_dbm(name, getattr(self, name))
         for name in ("bs_noise_dbm", "ue_noise_dbm"):

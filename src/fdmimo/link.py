@@ -1148,8 +1148,10 @@ def run_scenario(cfg: ScenarioConfig, jobs: Optional[int] = None) -> List[CurveP
     later, or no `fork`).  The default is one process per available core,
     with at least `_MIN_TRIALS_PER_WORKER` trials each.  Each trial draws
     from its own child seed and fills its own row, so the curves do not
-    depend on `jobs`.  Every process that runs trials, this one too, fixes
-    glibc's malloc thresholds for good (`trials`).  Patches made here
+    depend on `jobs`.  The run sets up its processes once, in this one
+    before it forks (`trials`): glibc's malloc thresholds, fixed for good,
+    and for a shared run OpenBLAS on one thread; after the run this
+    process's BLAS thread count is restored.  Patches made here
     reach the workers, but what they record (call counts, traces,
     profiles) stays in theirs, so that `count_calls` and cProfile see
     this process's chunk only; count or profile with `jobs=1`.

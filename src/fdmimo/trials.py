@@ -1,14 +1,16 @@
-"""Where the trials of a run execute, and how each process running them is set up.
+"""Where the trials of a run execute, and how the processes running them are set up.
 
-A run's trials are split into `jobs` contiguous chunks, and the calling
-process is one of the `jobs` processes that run them (`_pooled_rates`):
-after the per-run stage, whose constants reach the workers read-only, it
-forks a worker per chunk after the first and runs the first chunk itself.
-Each trial draws from its own child seed and fills its own row, so the
-curves do not depend on `jobs`; with one, or where `_forks` says no, the
-caller runs every trial (`_run_here`).  What a worker records stays in it:
-`count_calls` and cProfile in the caller see its chunk only, so count with
-`jobs=1`.  Every process that runs trials fixes glibc's malloc thresholds.
+A run's trials are split into `jobs` contiguous chunks, one per process,
+and one loop runs them all (`_rates`): the calling process forks a worker
+per chunk after the first, after the per-run stage, whose constants reach
+the workers read-only, and runs the first chunk itself.  With one chunk,
+or where `_forks` says no, it forks nothing.  A run sets up its processes
+once, before it forks: glibc's malloc thresholds, and for a shared run
+OpenBLAS on one thread, are process memory that every worker inherits.
+After the run the caller's BLAS thread count is restored.  Each trial
+draws from its own child seed and fills its own row, so the curves do not
+depend on `jobs`.  What a worker records stays in it: `count_calls` and
+cProfile in the caller see its chunk only, so count with `jobs=1`.
 """
 
 from __future__ import annotations
@@ -107,13 +109,6 @@ def _fix_malloc_thresholds() -> None:
             mallopt(param, value)
 
 
-def _run_here(trial_rates: _Trial, rates: np.ndarray, start: int, stop: int) -> None:
-    """Fill rows `start` to `stop` of `rates` in this process."""
-    _fix_malloc_thresholds()
-    for t in range(start, stop):
-        rates[t] = trial_rates(t)
-
-
 def _forks() -> bool:
     """Whether trials may run on forked workers: not where the platform
     cannot fork, nor on Python 3.12 or later, where `os.fork` warns
@@ -141,62 +136,56 @@ def _workers(trials: int, jobs: Optional[int]) -> int:
     return jobs
 
 
-def _pooled_rates(cfg: ScenarioConfig, trial_rates: _Trial, jobs: int, rates: np.ndarray) -> None:
-    """Fill `rates` in `jobs` processes, one chunk of `cfg`'s trials each:
-    fork a worker per chunk after the first, which inherits `trial_rates`
-    and writes into a shared mapping, run the first chunk here, and copy
-    the workers' rows back by trial index.  All run OpenBLAS on one thread
-    (at its default, c's default run took 1.9-2.6 s on 2 workers against
-    1.3-1.7 s serially, on 2 cores).  Chunks are checked in order: a worker
-    that raised is replayed here, raising the serial loop's first TrialError,
-    and one that died otherwise is a TrialError.  No worker outlives the call."""
+def _rates(cfg: ScenarioConfig, trial_rates: _Trial, jobs: Optional[int]) -> np.ndarray:
+    """The (trial, power, scheme) rates of `cfg`'s trials, written by
+    `_workers` processes into one shared mapping.  Every process runs
+    OpenBLAS on one thread when there are several (at its default, c's
+    default run took 1.9-2.6 s on 2 workers against 1.3-1.7 s serially, on
+    2 cores).  Chunks are checked in order: a worker that raised is
+    replayed here, raising the serial loop's first TrialError, and one that
+    died otherwise is a TrialError.  No worker outlives the call."""
+    jobs = _workers(cfg.trials, jobs)
+    shape = (cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes))
+    rates = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))  # zero-filled
     edges = [cfg.trials * k // jobs for k in range(jobs + 1)]
     first, *others = zip(edges, edges[1:])
-    shared = np.ndarray(rates.shape, rates.dtype, mmap.mmap(-1, rates.nbytes))
+
+    def fill(start: int, stop: int) -> None:
+        for t in range(start, stop):
+            rates[t] = trial_rates(t)
+
+    _fix_malloc_thresholds()
+    threads = _blas_threads()
     workers = []  # (pid, start, stop) of each worker not yet reaped, in chunk order
     try:
+        if others:
+            _blas_threads(1)
         for start, stop in others:
             pid = os.fork()
             if pid == 0:  # a worker: it leaves with 0, or 1 if anything raised
                 code = 1
                 try:
-                    _blas_threads(1)
-                    _run_here(trial_rates, shared, start, stop)
+                    fill(start, stop)
                     code = 0
                 finally:
                     os._exit(code)
             workers.append((pid, start, stop))
-        threads = _blas_threads()
-        try:
-            _blas_threads(1)
-            _run_here(trial_rates, rates, *first)
-        finally:
-            _blas_threads(threads)  # only reads where there is no OpenBLAS
-        for pid, start, stop in list(workers):
+        fill(*first)
+        while workers:
+            pid, start, stop = workers[0]
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.remove((pid, start, stop))
-            if code == 0:
-                rates[start:stop] = shared[start:stop]
-            elif code == 1:
-                _run_here(trial_rates, rates, start, stop)
-            else:
+            del workers[0]
+            if code == 1:
+                fill(start, stop)
+            elif code != 0:
                 raise TrialError(
                     f"scenario {cfg.scenario}, seed {cfg.seed}, trials {start}-{stop - 1}: "
                     f"a worker process died in one of them (exit code {code}); "
                     f"run them with jobs=1 to find the trial"
                 )
     finally:
+        _blas_threads(threads)  # only reads where there is no OpenBLAS
         for pid, _, _ in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _rates(cfg: ScenarioConfig, trial_rates: _Trial, jobs: Optional[int]) -> np.ndarray:
-    """The (trial, power, scheme) rates of `cfg`'s trials, on `_workers`."""
-    rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
-    jobs = _workers(cfg.trials, jobs)
-    if jobs > 1:
-        _pooled_rates(cfg, trial_rates, jobs, rates)
-    else:
-        _run_here(trial_rates, rates, 0, cfg.trials)
     return rates

@@ -600,6 +600,31 @@ def test_pa_drive_past_the_turnover_exits_one(tmp_path, capsys):
         assert "config error" in err and "drive_dbm" in err and "turns over" in err
 
 
+@pytest.mark.parametrize("key", ["dl_pathloss_db", "ul_pathloss_db", "si_isolation_db"])
+def test_link_losses_past_300_db_exit_one(tmp_path, capsys, key):
+    # An infinite ul_pathloss_db exited 2 from an SVD in c, and 2000 dB with
+    # a NaN rate in a and b.
+    for loss in (float("inf"), 301, 2000):
+        src = _write(tmp_path, {"scenario": "a", "budget": {key: loss}})
+        assert main(["run", "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "[0, 300]" in err
+    for scenario in "abcd":
+        payload = {"scenario": scenario, "trials": 1, "power_sweep_dbm": [30], "budget": {key: 300}}
+        assert main(["run", "--config", _write(tmp_path, payload)]) == 0, scenario
+        capsys.readouterr()
+
+
+def test_phase_bits_past_64_exit_one(tmp_path, capsys):
+    # From 1024 bits the codebook's grid step left the float range and b
+    # and d exited 2 naming no scenario; at 1023, d's SVD failed.
+    for bits in (65, 1023, 1024):
+        src = _write(tmp_path, {"scenario": "d", "architecture": {"phase_bits": bits}})
+        assert main(["run", "--config", src]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "phase_bits" in err and "[1, 64]" in err
+
+
 def test_repeated_schemes_exit_one(capsys):
     # A repeated scheme ran, exited 0 and wrote each of its rows twice.
     for command in ("validate", "run"):

@@ -78,8 +78,7 @@ def test_each_trial_fills_its_own_row():
     # The CSV's means hide the order of rows; the rates do not.
     cfg = _small("b", 5)
     consts = link._run_constants(cfg)
-    rates = np.zeros((cfg.trials, len(cfg.power_sweep_dbm), len(cfg.schemes)))
-    trials._pooled_rates(cfg, partial(link._trial_rates, cfg, consts), 3, rates)
+    rates = trials._rates(cfg, partial(link._trial_rates, cfg, consts), 3)
     for t in range(cfg.trials):
         assert np.array_equal(rates[t], link._trial_rates(cfg, consts, t)), t
 
@@ -295,6 +294,29 @@ def test_the_caller_runs_its_chunk_on_one_blas_thread_and_restores_its_count(
     run_scenario(_small("a", 2), jobs=2)
     assert draws()[0] == (os.getpid(), "1")
     assert blas_threads() == 2
+
+
+@needs_fork
+def test_the_caller_alone_sets_up_the_runs_processes(blas_threads, tmp_path, monkeypatch):
+    # The malloc thresholds and the BLAS thread count are process memory,
+    # which a forked worker inherits; so only the caller sets them.
+    log = tmp_path / "set-up"
+
+    def logged(call):
+        def wrapper(*args):
+            with log.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+            return call(*args)
+
+        return wrapper
+
+    get, put = trials._openblas()
+    monkeypatch.setattr(trials, "_openblas", lambda: (get, logged(put)))
+    monkeypatch.setattr(trials, "_fix_malloc_thresholds", logged(trials._fix_malloc_thresholds))
+    draws = _log_draws(monkeypatch, tmp_path, "a")
+    run_scenario(_small("a", 2), jobs=2)
+    assert draws()[1][0] != os.getpid()  # trial 1 ran in a worker
+    assert set(log.read_text().split()) == {str(os.getpid())}
 
 
 def test_trials_run_in_the_calling_process_leave_its_blas_threads(blas_threads):
