@@ -20,8 +20,12 @@ class SingularChannelError(np.linalg.LinAlgError):
 
 def _snap_phases(phases: np.ndarray, phase_bits: int) -> np.ndarray:
     """Nearest point of the 2^bits phase grid, ties toward the smaller phase."""
-    if phase_bits < 1:
-        raise ValueError("phase_bits must be >= 1")
+    # ArchitectureConfig's range.  From 64 bits on the grid is finer than a
+    # float resolves at the phases' scale, so no codeword changes; at 1023
+    # bits the larger phases over the step overflow and their entries are
+    # NaN, and at 1024 2**bits is too large for a float.
+    if not 1 <= phase_bits <= 64:
+        raise ValueError(f"phase_bits must lie within [1, 64], got {phase_bits!r}")
     step = 2.0 * np.pi / (2**phase_bits)
     # ceil(x - 0.5) rounds to nearest with exact halves going down
     return step * np.ceil(np.asarray(phases) / step - 0.5)

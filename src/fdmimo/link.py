@@ -58,7 +58,10 @@ Each decision of the trial has one owner.  The config holds the sweep, so
 table, `_DRIVERS`, gives each scenario its draw, prepare, per-power stage,
 rate pass and the share of its rates a half-duplex scheme keeps, and
 `_eval_draw` gives the trial its shape: it flattens the items for the rate
-pass, applies that share and regroups the pairs per power.  d's HD and
+pass, applies that share and regroups the pairs per power.  `run_trial`
+alone locates a fault: `_trial_rates` replays a failing trial through it
+point by point, in sweep order, and names the first point that raises,
+or none when only the stack does.  d's HD and
 warm-up slots take their angle from one step, `_d_angle`: the phase slope
 of an adjacent pair of the chains that escaped clipping, the DOA sweep
 over those chains only where no such pair exists (one chain survives, the
@@ -97,7 +100,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -1037,12 +1041,8 @@ _DRIVERS: Dict[str, _Driver] = {
 }
 
 
-def _trial_label(cfg: ScenarioConfig, trial: int) -> str:
-    return f"scenario {cfg.scenario}, seed {cfg.seed}, trial {trial}"
-
-
 def _eval_draw(
-    cfg: ScenarioConfig, consts: dict, rng: np.random.Generator, trial: Optional[int] = None
+    cfg: ScenarioConfig, consts: dict, rng: np.random.Generator
 ) -> List[List[Tuple[float, float]]]:
     """(DL, UL) rates per power and scheme of `cfg` for one trial drawn
     from `rng`.
@@ -1050,59 +1050,21 @@ def _eval_draw(
     Draws the trial and builds its context once, then takes every power
     through the per-power stage; one rate pass then scores the whole
     trial, whose pairs are regrouped per power, half-duplex schemes at
-    their share.  Given the `trial` index, a fault is re-raised as
-    TrialError naming where it happened.
+    their share.
     """
     plans = [_PLANS[cfg.scenario][s] for s in cfg.schemes]
     drv = _DRIVERS[cfg.scenario]
-    ctx = power_dbm = None
-    try:
-        ctx = drv.prepare(cfg, consts, drv.draw(cfg, rng), plans)
-        items = []
-        for power_dbm in cfg.power_sweep_dbm:
-            items += drv.stage(cfg, consts, ctx, power_dbm, plans)
-        power_dbm = None
-        pairs = iter(drv.finish(cfg, ctx, items))  # one power's row at a time, below
-    except Exception as exc:
-        if trial is None:
-            raise
-        where = _trial_label(cfg, trial)
-        if ctx is None:
-            where += " (set-up)"
-        else:
-            # A fault in the rate pass may lie at any power.
-            tried = cfg.power_sweep_dbm if power_dbm is None else [power_dbm]
-            power_dbm, scheme = _failing_point(cfg, consts, ctx, drv, tried)
-            if power_dbm is not None:
-                where += f", power {power_dbm:g} dBm"
-            if scheme is not None:
-                where += f", scheme {scheme}"
-        raise TrialError(f"{where}: {type(exc).__name__}: {exc}") from exc
+    ctx = drv.prepare(cfg, consts, drv.draw(cfg, rng), plans)
+    items = []
+    for power_dbm in cfg.power_sweep_dbm:
+        items += drv.stage(cfg, consts, ctx, power_dbm, plans)
+    pairs = iter(drv.finish(cfg, ctx, items))  # one power's row at a time, below
     share = drv.hd_share(cfg)
     return [
         [(share * dl, share * ul) if plan.duplex == "hd" else (dl, ul)
          for plan, (dl, ul) in zip(plans, pairs)]
         for _ in cfg.power_sweep_dbm
     ]
-
-
-def _failing_point(
-    cfg, consts, ctx, drv: _Driver, powers: Sequence[float]
-) -> Tuple[Optional[float], Optional[str]]:
-    """The first (power, scheme) of the tried `powers` that also fails when
-    scored alone, as `run_trial` scores it: a failed stack does not say
-    which member.  When no single point reproduces the fault, the scheme
-    is None, and so is the power unless only one was tried."""
-    if len(powers) * len(cfg.schemes) == 1:
-        return powers[0], cfg.schemes[0]
-    for p in powers:
-        for scheme in cfg.schemes:
-            plan = [_PLANS[cfg.scenario][scheme]]
-            try:
-                drv.finish(cfg, ctx, drv.stage(cfg, consts, ctx, p, plan))
-            except Exception:  # noqa: BLE001  any fault reproduces the stacked one
-                return p, scheme
-    return (powers[0] if len(powers) == 1 else None), None
 
 
 def run_trial(
@@ -1113,15 +1075,40 @@ def run_trial(
     return _eval_draw(cfg, _run_constants(cfg), rng)[0][0]
 
 
+def _trial_rng(cfg: ScenarioConfig, trial: int) -> np.random.Generator:
+    """The RNG of trial `trial` of `cfg`: its own child of the run's seed."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,)))
+
+
 def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,)))
-    pairs = _eval_draw(cfg, consts, rng, trial)
+    """The (power, scheme) sum rates of trial `trial` of `cfg`.
+
+    A fault raises TrialError naming the trial and the first point of the
+    sweep, power by power and scheme by scheme, at which `run_trial` on the
+    trial's RNG raises too: a stacked trial does not say which of its
+    points failed, and a fault of the draw or set-up raises at the first.
+    When no point raises alone, the fault is the stack's, and the error
+    names the trial only.  A rate that is not finite is a TrialError
+    naming its point, and an ideal-CSI rate that falls with the power one
+    naming its scheme.
+    """
+    where = f"scenario {cfg.scenario}, seed {cfg.seed}, trial {trial}"
+    try:
+        pairs = _eval_draw(cfg, consts, _trial_rng(cfg, trial))
+    except Exception as exc:
+        for power_dbm, scheme in product(cfg.power_sweep_dbm, cfg.schemes):
+            try:
+                run_trial(cfg, power_dbm, scheme, _trial_rng(cfg, trial))
+            except Exception:  # noqa: BLE001  any fault reproduces the stacked one
+                where += f", power {power_dbm:g} dBm, scheme {scheme}"
+                break
+        raise TrialError(f"{where}: {type(exc).__name__}: {exc}") from exc
     out = np.array([[dl + ul for dl, ul in row] for row in pairs])
     bad = np.argwhere(~np.isfinite(out))
     if len(bad):
         ip, isch = bad[0]
         raise TrialError(
-            f"{_trial_label(cfg, trial)}, power {cfg.power_sweep_dbm[ip]:g} dBm, "
+            f"{where}, power {cfg.power_sweep_dbm[ip]:g} dBm, "
             f"scheme {cfg.schemes[isch]}: rate is not finite ({out[ip, isch]})"
         )
     order = np.argsort(cfg.power_sweep_dbm, kind="stable")
@@ -1129,9 +1116,7 @@ def _trial_rates(cfg: ScenarioConfig, consts: dict, trial: int) -> np.ndarray:
         plan = _PLANS[cfg.scenario][scheme]
         if plan.csi == "perfect" and not plan.impaired:
             if np.any(np.diff(out[order, isch]) < -1e-9):
-                raise TrialError(
-                    f"{_trial_label(cfg, trial)}, scheme {scheme}: rate decreased with power"
-                )
+                raise TrialError(f"{where}, scheme {scheme}: rate decreased with power")
     return out
 
 
@@ -1158,8 +1143,11 @@ def run_scenario(cfg: ScenarioConfig, jobs: Optional[int] = None) -> List[CurveP
     With trials=1 each point equals `run_trial` seeded with
     SeedSequence(entropy=seed, spawn_key=(0,)).  A failing trial, or one
     that scores a non-finite rate, raises TrialError, the same one
-    whatever `jobs` is; so does a worker that dies.  No worker outlives
-    the call.
+    whatever `jobs` is; so does a worker that dies.  A fault names the
+    first (power, scheme) of the sweep at which `run_trial`, given the
+    trial's child seed, raises too, the first of all for a fault of the
+    draw or set-up, and no point when none does (`_trial_rates`).  No
+    worker outlives the call.
     """
     rates = _rates(cfg, partial(_trial_rates, cfg, _run_constants(cfg)), jobs)
     points = []

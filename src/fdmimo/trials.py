@@ -34,8 +34,8 @@ _Trial = Callable[[int], np.ndarray]  # a trial's (power, scheme) rates, by tria
 class TrialError(RuntimeError):
     """A trial of `run_scenario` failed.
 
-    The message names the scenario, seed, trial index and, as far as the
-    trial got, the power and scheme, so that `run_trial` can replay it.
+    The message names the scenario, seed, trial index and, for a fault,
+    the first power and scheme at which `run_trial` raises too, if any.
     The original fault is chained as `__cause__`.
     """
 

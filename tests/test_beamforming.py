@@ -76,6 +76,16 @@ def test_dft_codebook_coarse_bits():
     assert np.allclose(np.abs(book), 1.0 / np.sqrt(8))
 
 
+def test_dft_codebook_takes_the_configs_phase_bits_only():
+    # Past 64 bits no codeword changes; 1023 bits gave NaN entries and
+    # 1024 overflowed, so the codebook takes ArchitectureConfig's range.
+    for bits in (65, 1024):
+        with pytest.raises(ValueError, match="phase_bits"):
+            dft_codebook(32, bits)
+    for n in (16, 32):
+        assert np.array_equal(dft_codebook(n, 64), dft_codebook(n, 60))
+
+
 def test_dft_beam_angles_frozen():
     assert np.allclose(np.sin(dft_beam_angles(4)), [0.0, -0.5, -1.0, 0.5])
     sines = np.sin(dft_beam_angles(16))

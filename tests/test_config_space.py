@@ -1,5 +1,7 @@
 """Every config the CLI accepts runs: its points are finite and
-non-negative, or the run raises a TrialError that `run_trial` reproduces.
+non-negative, or the run raises a TrialError that `run_trial` reproduces
+at the point it names, or that names no point, and then `run_trial` runs
+at every point of the trial.
 
 Configs are drawn over each scenario's accepted geometry, as config
 objects merged over the bundled ones by `cli._scenario_config`: a and c
@@ -72,14 +74,24 @@ def test_an_accepted_config_runs_or_raises_a_trial_error_that_run_trial_reproduc
     try:
         points = run_scenario(cfg, jobs=1)
     except TrialError as exc:
-        named = re.match(r"scenario \w, seed \d+, trial (\d+), power (\S+) dBm, scheme (\S+?):",
-                         str(exc))
-        if named is None:  # the fault lies in the trial's set-up or across its powers
+        named = re.match(
+            r"scenario \w, seed \d+, trial (\d+)(?:, power (\S+) dBm)?(?:, scheme (\S+?))?:",
+            str(exc),
+        )
+        assert named is not None, str(exc)
+        trial = int(named[1])
+
+        def replay(power, scheme):
+            seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,))
+            return run_trial(cfg, power, scheme, np.random.default_rng(seed))
+
+        if named[2] is None:  # no point fails alone: each runs, as run_trial scores it
+            for power in cfg.power_sweep_dbm:
+                for scheme in cfg.schemes:
+                    replay(power, scheme)
             return
-        trial, power, scheme = int(named[1]), float(named[2]), named[3]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,)))
         try:
-            dl, ul = run_trial(cfg, power, scheme, rng)
+            dl, ul = replay(float(named[2]), named[3])
         except Exception:  # noqa: BLE001  any fault reproduces it
             return
         assert not np.isfinite(dl + ul), f"{exc} did not reproduce: {dl}, {ul}"

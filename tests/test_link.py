@@ -379,6 +379,30 @@ def test_stacked_fault_in_scenario_c_names_a_scheme_run_trial_reproduces(monkeyp
         run_trial(cfg, 20.0, scheme, np.random.default_rng(seed))
 
 
+def test_a_fault_of_the_stack_alone_names_no_point(monkeypatch):
+    # The rate pass fails only when it scores more than one item, so every
+    # point runs as run_trial scores it, and the error names the trial only.
+    cfg = dataclasses.replace(
+        default_scenario("a"), trials=1, power_sweep_dbm=(20.0, 30.0), schemes=("proposed", "hd")
+    )
+    drv = link._DRIVERS["a"]
+
+    def finish(cfg, ctx, items):
+        if len(items) > 1:
+            raise RuntimeError("planted in a stack")
+        return drv.finish(cfg, ctx, items)
+
+    monkeypatch.setitem(link._DRIVERS, "a", dataclasses.replace(drv, finish=finish))
+    with pytest.raises(TrialError) as info:
+        run_scenario(cfg)
+    assert str(info.value) == "scenario a, seed 1, trial 0: RuntimeError: planted in a stack"
+    assert isinstance(info.value.__cause__, RuntimeError)
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
+    for power in cfg.power_sweep_dbm:
+        for scheme in cfg.schemes:
+            run_trial(cfg, power, scheme, np.random.default_rng(seed))
+
+
 def test_fewer_surviving_chains_than_ul_streams_is_an_outage():
     # At 50 dBm saturation leaves fewer receive chains than the 4 UL
     # streams; such a slot scores UL 0, as a fully saturated one does,

@@ -126,7 +126,8 @@ def test_a_failing_chunk_raises_the_serial_loops_first_fault(tmp_path, monkeypat
         raised[jobs] = info.value
         _no_children()
     assert str(raised[3]) == str(raised[2]) == str(raised[1]) == (
-        "scenario a, seed 3, trial 2 (set-up): SingularChannelError: planted in trial 2"
+        "scenario a, seed 3, trial 2, power 50 dBm, scheme proposed: "
+        "SingularChannelError: planted in trial 2"
     )
     assert type(raised[2].__cause__) is type(raised[3].__cause__) is SingularChannelError
 
@@ -134,7 +135,10 @@ def test_a_failing_chunk_raises_the_serial_loops_first_fault(tmp_path, monkeypat
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "a", "seed": 3, "trials": 6}))
     assert main(["run", "--config", str(path)]) == 2
-    assert "runtime error: scenario a, seed 3, trial 2 (set-up)" in capsys.readouterr().err
+    assert (
+        "runtime error: scenario a, seed 3, trial 2, power -10 dBm, scheme proposed: "
+        "SingularChannelError: planted in trial 2"
+    ) in capsys.readouterr().err
 
 
 @needs_fork
@@ -156,7 +160,8 @@ def test_a_fault_in_the_callers_chunk_is_raised_without_waiting_for_the_workers(
         run_scenario(cfg, jobs=3)
     assert time.monotonic() - start < 10
     assert str(pooled.value) == str(serial.value) == (
-        "scenario a, seed 3, trial 0 (set-up): SingularChannelError: planted in trial 0"
+        "scenario a, seed 3, trial 0, power 50 dBm, scheme proposed: "
+        "SingularChannelError: planted in trial 0"
     )
     _no_children()
 
