@@ -17,19 +17,21 @@ solvers:
               scaled to unit diagonal, has a Cholesky factor L with
               m ||L^-1||_F^2 <= 1e5 (`_gram_root`): the regressors
               themselves when k = n, or [W; conj(W); x |x|^2] with W k
-              rows that span the burst's row space when 2 <= k < n.  The least-squares residual is unique and is
-              computed as the target minus its projection onto that row
-              space, member by member
+              rows that span the burst's row space when 2 <= k < n.
+              The least-squares residual is unique and is computed as
+              the target minus its projection onto that row space,
+              member by member
   otherwise   the minimum-norm `lstsq` fit of each member's rows alone,
               subtracted from them: a silent chain, one stream on two or
               more chains, a rank in doubt, or rows too ill-conditioned
               for the projection to keep its accuracy
 
-One stream on two or more chains is refused from the burst's own Gram
-x x^H, before the regressors' Gram is formed.  `train_digital_canceller`,
-whose two rank tests reject every dependent burst, stays as the checked
-reference.  Both solvers work on arrays built once per slot, which keeps
-a slot's heap peak small.
+One eigendecomposition of the burst's own Gram x x^H counts its streams,
+refuses one stream on two or more chains and gives W; the one Gram of
+regressor rows formed is that of the rows projected on.
+`train_digital_canceller`, whose two rank tests reject every dependent
+burst, stays as the checked reference.  Both solvers work on arrays
+built once per slot, which keeps a slot's heap peak small.
 """
 
 from __future__ import annotations
@@ -315,8 +317,9 @@ def _gram_root(gram: np.ndarray) -> Optional[np.ndarray]:
     limit; the test is written so that a NaN bound fails it.  This is a
     conditioning test, not a rank test: a singular G leaves D G D either
     without a Cholesky factor or with one whose inverse is of the order of
-    1/eps, far past the limit, but `_projection` decides the rank before it
-    asks, so that a dependent burst's rows are reduced instead of rejected.
+    1/eps, far past the limit, but `_projection` counts the streams on
+    x x^H before it forms a Gram, so that a dependent burst's rows are
+    reduced instead of rejected.
     The scaling matters because the x |x|^2 block grows as the burst
     amplitude cubed, and G squares the rows' condition number.
     """
@@ -339,49 +342,41 @@ def _projection(
     the root K of their Gram (`_gram_root`); None when `cancel_slot` takes
     the `lstsq` fit instead.
 
-    This is the slot canceller's routing rule.  With n chains, T samples
-    and level = max(n, T) eps, the k streams of `x` are the eigenvalues of
-    its Gram x x^H above lambda_max level.  A burst of n >= 2 chains whose
-    own Gram x x^H holds fewer than two streams, every burst of scenario
-    d, is refused first, before the Gram of `phi` is formed: nothing of it
-    would be used.  Past that, the streams are counted again on the
-    leading block of the Gram of `phi`, which is x x^H up to rounding, and
-    with U its eigenvectors the rows are
+    This is the slot canceller's routing rule, and one eigendecomposition
+    x x^H = U diag(lambda) U^H settles what it needs of the burst.  With
+    n chains, T samples and level = max(n, T) eps, the k streams of `x`
+    are the eigenvalues above lambda_max level, and the rows are
 
       k = n            the rows of `phi` themselves
       2 <= k < n       [W; conj(W); x |x|^2], with W = U_k^H x the burst
                        along its k leading eigenvectors, when the burst
                        along the other n - k is at rounding level,
                        ||U_{n-k}^H x||_F <= sqrt(lambda_max) level
-      otherwise        None: a silent chain, one stream on two or more
-                       chains, or a rank in doubt
+      otherwise        None: one stream on two or more chains (every
+                       burst of scenario d), a silent burst, or a rank
+                       in doubt
 
-    and None too when `_gram_root` rejects the Gram of the rows.  An
-    eigenvalue is a squared singular value, so the cutoff on eigenvalues
-    alone would read a stream 1e-9 below the others as a dependent chain,
-    whose row the reduced basis then drops.  The second test tells the two
-    apart: for any n - k orthonormal columns Q, ||Q^H x||_F bounds the
-    n - k smallest singular values of x from above, so whatever the
-    rounding in U, it passes only when each of them is at rounding level,
-    sigma <= sigma_max level.  One
+    Only then is a Gram formed, that of the rows alone, and the route is
+    None too when one of them is silent (a silent chain's rows of `phi`
+    are zero, and so is its cubic row in the reduced basis) or when
+    `_gram_root` rejects that Gram.  An eigenvalue is a squared singular
+    value, so the cutoff on eigenvalues alone would read a stream 1e-9
+    below the others as a dependent chain, whose row the reduced basis
+    then drops.  The second test tells the two apart: for any n - k
+    orthonormal columns Q, ||Q^H x||_F bounds the n - k smallest singular
+    values of x from above, so whatever the rounding in U, it passes only
+    when each of them is at rounding level, sigma <= sigma_max level.  One
     stream on several chains has a rank-1 cubic block, so its reduced rows
     would be dependent as well (see `cancel_slot`).
     """
     n, samples = x.shape
     level = max(n, samples) * np.finfo(float).eps
-    if n > 1:
-        eig = np.linalg.eigvalsh(x @ x.conj().T)
-        if np.count_nonzero(eig > eig[-1] * level) < 2:
-            return None
-    gram = phi @ phi.conj().T
-    if not np.all(gram.diagonal().real > 0):
-        return None
-    eig, vec = np.linalg.eigh(gram[:n, :n])
+    eig, vec = np.linalg.eigh(x @ x.conj().T)
     streams = np.count_nonzero(eig > eig[-1] * level)
+    if streams < min(n, 2):
+        return None
     basis = phi
     if streams < n:
-        if streams < 2:
-            return None
         coords = vec.conj().T @ x
         if not np.linalg.norm(coords[: n - streams]) <= np.sqrt(eig[-1]) * level:
             return None
@@ -389,7 +384,9 @@ def _projection(
         basis[:streams] = coords[n - streams :]
         np.conj(coords[n - streams :], out=basis[streams : 2 * streams])
         basis[2 * streams :] = phi[2 * n :]
-        gram = basis @ basis.conj().T
+    gram = basis @ basis.conj().T
+    if not np.all(gram.diagonal().real > 0):
+        return None
     root = _gram_root(gram)
     return None if root is None else (basis, root)
 
@@ -426,8 +423,8 @@ def cancel_slot(
     d's DOA step, which scores every angle alike when a single receive
     chain survives saturation and so picks one by float noise, turns any
     such change into a different curve.  `_projection` refuses such a
-    burst from the eigenvalues of x x^H alone, so its fit pays for no
-    Gram of the regressors.
+    burst on the eigendecomposition of x x^H that routes every burst, so
+    its fit pays for no Gram of the regressors.
     """
     x = np.asarray(tx_baseband, dtype=complex)
     y = np.asarray(rx_rows, dtype=complex)

@@ -81,8 +81,9 @@ scales with the power, takes the same stages split at the amplitude
 (`_stage_probe`, `_probe_receive`).  Both run the digital canceller
 through `cancellation.cancel_slot`, which projects every burst of a, b and
 c onto its regressors' row space and fits every burst of d, one stream on
-two chains, by minimum-norm `lstsq`; such a burst is refused from the
-count of its streams alone, before the regressors' Gram is formed.
+two chains, by minimum-norm `lstsq`.  One eigendecomposition of the
+burst's x x^H counts its streams and picks the route, and the only Gram
+formed is that of the rows a burst is projected on.
 
 Arrays shared across schemes or powers are read-only, so an in-place
 write by one scheme fails instead of leaking into the next.  Arrays of
@@ -222,10 +223,10 @@ def _fd_receive(
 
     A stack of radiated versions of one burst, `x_tx` of shape (members,
     chains, samples), is received in one pass, with one seed for all
-    members.  `cancel_slot` routes the stack as one burst, by the
-    rank and the conditioning of the regressors of `x` built once for all,
-    and cancels each member as it would alone: by a projection onto that
-    row space, or by a minimum-norm `lstsq` fit of the member's own rows.
+    members.  `cancel_slot` routes the stack as one burst, by the streams
+    of `x` counted on x x^H and the conditioning of the rows it projects
+    on, and cancels each member as it would alone: by a projection, or
+    by a minimum-norm `lstsq` fit of the member's own rows.
     """
     r_si = taps.leak(x, x_tx)
     r = r_si + ul + noise

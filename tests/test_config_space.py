@@ -5,11 +5,12 @@ at every point of the trial.
 
 Configs are drawn over each scenario's accepted geometry, as config
 objects merged over the bundled ones by `cli._scenario_config`: a and c
-are fully digital, c with as many transmit as receive antennas, b splits
-its arrays into whole sub-arrays, and d receives on every antenna's own
-chain.  Taps range over [0, n_tx_rf * n_rx_rf], and powers over the
-bundled sweep widened by 60 dBm each way.  Trials run in the calling
-process (`jobs=1`), so each draw also sets that process up for trials.
+are fully digital on 1-8 chains, c with as many transmit as receive
+antennas, b splits its arrays into whole sub-arrays, and d receives on
+every antenna's own chain.  Taps range over [0, n_tx_rf * n_rx_rf], and
+powers over the bundled sweep widened by 60 dBm each way.  Trials run in
+the calling process (`jobs=1`), so each draw also sets that process up
+for trials.
 """
 
 import re
@@ -26,8 +27,8 @@ from fdmimo.link import TrialError, run_scenario, run_trial
 def _geometry(draw, scenario: str) -> dict:
     chains = st.integers(1, 3)
     if scenario in "ac":
-        n_tx = n_tx_rf = draw(st.integers(1, 6))
-        n_rx = n_rx_rf = n_tx if scenario == "c" else draw(st.integers(1, 6))
+        n_tx = n_tx_rf = draw(st.integers(1, 8))
+        n_rx = n_rx_rf = n_tx if scenario == "c" else draw(st.integers(1, 8))
     else:
         n_tx_rf, n_rx_rf = draw(chains), draw(chains)
         n_tx = n_tx_rf * draw(st.integers(1, 16))
