@@ -109,19 +109,37 @@ def zf_precoder(h: np.ndarray) -> np.ndarray:
 
     Returns W = H^H (H H^H)^-1 = V diag(1/s) U^H, from one SVD of H,
     normalized to unit Frobenius norm, so H W is diagonal.  A Gram matrix
-    H H^H of condition (s_max / s_min)^2 above 1e12 is singular.
+    H H^H of condition (s_max / s_min)^2 above 1e12 is singular, and the
+    2-D call raises SingularChannelError for it.
+
+    Leading axes stack independent channels under one SVD call; each
+    precoder of the stack equals the 2-D call on its own channel, bit for
+    bit.  A stack reports its singular members one by one: each is NaN
+    throughout, and the others are returned as usual.
     """
     h = np.asarray(h, dtype=complex)
-    users, chains = h.shape
+    users, chains = h.shape[-2:]
     if users > chains:
         raise ValueError("more streams than transmit chains")
     u, s, vh = np.linalg.svd(h, full_matrices=False)
     # (s_max / s_min)^2 > 1e12, written without a division: a zero s_min
-    # raises here, and no ratio can overflow.
-    if not (s[-1] > 0 and s[0] <= 1e6 * s[-1]):
-        raise SingularChannelError(f"channel singular values {s[0]:.3e} to {s[-1]:.3e}")
-    w = (vh.conj().T / s) @ u.conj().T
-    return w / np.linalg.norm(w)
+    # fails here, and no ratio can overflow.
+    fit = (s[..., -1] > 0) & (s[..., 0] <= 1e6 * s[..., -1])
+
+    def member(i: tuple) -> np.ndarray:
+        w = (vh[i].conj().T / s[i]) @ u[i].conj().T
+        return w / np.linalg.norm(w)
+
+    if h.ndim == 2:
+        if not fit:
+            raise SingularChannelError(f"channel singular values {s[0]:.3e} to {s[-1]:.3e}")
+        return member(())
+    # Member by member, so each takes the 2-D call's matmul and norm, and
+    # a singular member is never divided by its singular values.
+    w = np.full(h.shape[:-2] + (chains, users), np.nan, dtype=complex)
+    for i in zip(*np.nonzero(fit)):
+        w[i] = member(i)
+    return w
 
 
 def mmse_combiner(h: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:

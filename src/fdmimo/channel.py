@@ -57,7 +57,13 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
     """Circularly symmetric complex Gaussian matrix with unit entry variance."""
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    # Each part times 1/sqrt(2) rounds as (re + 1j im) / sqrt(2) does: numpy
+    # divides by a real number as it multiplies by its reciprocal.
+    z = np.empty((rows, cols), dtype=complex)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(re, scale, out=z.real)
+    np.multiply(im, scale, out=z.imag)
+    return z
 
 
 def gen_rayleigh(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

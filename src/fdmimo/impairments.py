@@ -76,5 +76,7 @@ def apply_tx_chain(x: np.ndarray, cfg: TxImpairmentConfig) -> np.ndarray:
     live = p > 0
     scale[live] = np.sqrt(dbm_to_watt(cfg.drive_dbm) / p[live])
     y = pa_nonlinearity(iq_imbalance(x * scale, cfg.irr_db), cfg.iip3_dbm)
-    y /= scale
+    # numpy divides by a real scale as it multiplies by its reciprocal, so
+    # this rounds as y / scale does, without the complex division.
+    y *= 1.0 / scale
     return y

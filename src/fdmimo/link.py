@@ -30,7 +30,11 @@ The trial loop is staged by what each quantity depends on:
              full-duplex scheme (`_prepare_c`): its probe burst, its sounded
              pilots correlated with the pilot matrix, and its probe slot,
              received once at unit amplitude with one canceller fit and kept
-             as per-chain second moments (`_stage_probe`).  In d, the HD
+             as per-chain second moments (`_stage_probe`); from these, its
+             precoder at every power (`_c_fd_precoders`): the residual SI
+             and clipped chains of each power from the moments, the
+             correlations scaled into each power's LMMSE estimate, and one
+             `zf_precoder` call on the stack of estimates.  In d, the HD
              angle estimate (trained at the fixed UL power), the UL pilot
              and noise of the full-duplex slot (`_prepare_d`), and a memo
              keyed by codeword of each beam's DL and SI channels, SI
@@ -46,11 +50,9 @@ The trial loop is staged by what each quantity depends on:
              saturation flags (`_receive_ab`).  In c and d (`_point_dl`):
              the fixed pointings scaled to the power, and each full-duplex
              pointing (rows, precoder), whose burst is formed and distorted
-             there.  In c a full-duplex scheme takes its probe slot's
-             residual SI and saturated chains at the power from the moments
-             (`_probe_receive`), scales its correlations into an LMMSE
-             estimate and zero-forces (`_c_fd_point`); in d it projects its
-             precoder, receives the warm-up slot and points the scored slot
+             there.  In c a full-duplex scheme takes the precoder staged
+             for the power (`_c_fd_point`); in d it projects its precoder,
+             receives the warm-up slot and points the scored slot
              (`_d_fd_point`)
 
 Each decision of the trial has one owner.  The config holds the sweep, so
@@ -576,16 +578,21 @@ def _draw_c(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     }
 
 
-def _zf_or_none(h: np.ndarray) -> Optional[np.ndarray]:
-    """Zero-forcing precoder, or None when the channel is singular.
+def _zf_or_none(h: np.ndarray) -> Optional[np.ndarray] | List[Optional[np.ndarray]]:
+    """Zero-forcing precoder, read-only, or None when the channel is singular.
 
-    Singularity does not depend on the transmit power, so a scheme whose
-    precoder is None scores zero at every power of the trial.
+    A stack of channels gives a list with one such entry per member.  A
+    scheme whose precoder is None scores zero at that point.  The channels
+    of the ideal-CSI, half-duplex and probe pointings are fixed for the
+    trial, so they are singular at every power or at none.  Those of the
+    full-duplex pointings are not: the estimate rows of chains that clip
+    are zeroed, and which chains clip depends on the power.
     """
     try:
-        return _ro(zf_precoder(h))
+        w = _ro(zf_precoder(h))
     except SingularChannelError:
         return None
+    return w if w.ndim == 2 else [None if np.isnan(m[0, 0]) else m for m in w]
 
 
 def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]) -> dict:
@@ -593,7 +600,8 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
     what follows from it: the ideal-CSI and HD pointings for `_point_dl`,
     and for each full-duplex scheme with a probe precoder its record in
     `ctx["probe"]`: the probe burst, its sounded pilots correlated with
-    the pilot matrix, and its probe slot's moments (`_stage_probe`)."""
+    the pilot matrix, and its probe slot's moments (`_stage_probe`); and
+    in `ctx["fd_w"]` its precoder at every power (`_c_fd_precoders`)."""
     bud = cfg.budget
     u = cfg.num_ue
     g = draw["g_slots"]
@@ -611,6 +619,7 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
         pil_rx = np.sqrt(bud.ul_gain) * (g[5] @ consts["ul_joint"].matrix)
         ctx["ul_noise"] = _ro(pil_rx + np.sqrt(bud.bs_noise_w) * draw["n_burst"])
         ctx["probe"] = {}  # plan -> (burst, correlations, moments), given a probe precoder
+        ctx["fd_w"] = {}  # plan -> {power in watts: precoder or None}, given a probe precoder
         for plan in fd:
             if plan.csi == "sequential":
                 # One UE sounds per slot with the full pilot budget; the
@@ -631,6 +640,7 @@ def _prepare_c(cfg: ScenarioConfig, consts: dict, draw: dict, plans: List[_Plan]
             ph = pil.conj().T
             corr = [(_ro(y @ ph), _ro(n @ ph)) for y, n in zip(sounded, draw["n_pilot"])]
             ctx["probe"][plan] = (burst, corr, _stage_probe(cfg, ctx, plan, burst))
+            ctx["fd_w"][plan] = _c_fd_precoders(cfg, consts, ctx, plan)
     if any(plan.duplex == "hd" for plan in plans):
         # Train in the reserved slice of the previous slot, apply now.
         pil = consts["ul_hd"]
@@ -689,37 +699,53 @@ def _stage_probe(
 
 
 def _probe_receive(
-    ctx: dict, plan: _Plan, p_w: float, sat_w: float
+    ctx: dict, plan: _Plan, p_w: float | np.ndarray, sat_w: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The per-chain power of the SI left after the last stage of `plan`'s
     probe slot at power `p_w`, and the chains whose input exceeds `sat_w`
     watts; both from the moments `_stage_probe` kept, with no sample of
-    the slot touched."""
+    the slot touched.  A column of powers gives one row per power."""
     m_in, m_out = ctx["probe"][plan][2]
     return _power_at(m_out, p_w), check_saturation(_power_at(m_in, p_w), sat_w)
+
+
+def _c_fd_precoders(
+    cfg: ScenarioConfig, consts: dict, ctx: dict, plan: _Plan
+) -> Dict[float, Optional[np.ndarray]]:
+    """Full duplex: measure the steady-state residual with the stale-truth
+    probe burst, then estimate under that interference level and zero-force,
+    at every power of the sweep at once.  Returns each power's precoder,
+    keyed by the power in watts, None where the estimate is singular.
+
+    The probe slot's moments give the residual SI and the clipped chains of
+    every power (`_probe_receive`), its kept correlations scale into the
+    LMMSE estimates of every power, and one `zf_precoder` call takes the
+    stack.  Each precoder equals the one a power-by-power pass computes,
+    bit for bit.
+    """
+    bud = cfg.budget
+    p_w = [dbm_to_watt(p) for p in cfg.power_sweep_dbm]
+    resid_w, saturated = _probe_receive(ctx, plan, np.array(p_w)[:, None], bud.rx_saturation_w)
+    noise_eff = bud.bs_noise_w + np.mean(resid_w, axis=-1)
+    pil = consts["ul_single" if plan.csi == "sequential" else "ul_joint"]
+    shrink = mmse_shrink(pil, noise_eff, bud.ul_gain)[:, None, None]
+    amp = np.sqrt(noise_eff)[:, None, None]
+    g_hat = np.concatenate(
+        [shrink * (yp + amp * n_p) for yp, n_p in ctx["probe"][plan][1]], axis=-1
+    )
+    g_hat = g_hat / np.sqrt(bud.ul_gain) * np.sqrt(bud.dl_gain)  # reciprocity
+    g_hat[saturated] = 0.0  # clipped chains yield no usable estimate
+    return dict(zip(p_w, _zf_or_none(g_hat.swapaxes(-1, -2))))
 
 
 def _c_fd_point(
     cfg: ScenarioConfig, consts: dict, ctx: dict, p_w: float, plan: _Plan
 ) -> Optional[tuple]:
-    """Full duplex: measure the steady-state residual with the stale-truth
-    probe burst, then estimate under that interference level and zero-force.
-    Returns the pointing (rows, w) for `_point_dl`, or None without a
-    precoder."""
-    bud = cfg.budget
-    if plan not in ctx["probe"]:
-        return None  # no probe precoder
-    resid_w, saturated = _probe_receive(ctx, plan, p_w, bud.rx_saturation_w)
-    noise_eff = bud.bs_noise_w + float(np.mean(resid_w))
-    pil = consts["ul_single" if plan.csi == "sequential" else "ul_joint"]
-    shrink = mmse_shrink(pil, noise_eff, bud.ul_gain)
-    amp = np.sqrt(noise_eff)
-    g_hat = np.hstack([shrink * (yp + amp * n_p) for yp, n_p in ctx["probe"][plan][1]])
-    g_hat = g_hat / np.sqrt(bud.ul_gain) * np.sqrt(bud.dl_gain)  # reciprocity
-    g_hat[saturated, :] = 0.0  # clipped chains yield no usable estimate
-    w = _zf_or_none(g_hat.T)
-    # The scored slot only needs the TX distortion the UEs see, which
-    # `_point_dl` takes; its receive side was already measured with the probe.
+    """Full duplex: the pointing (rows, w) for `_point_dl` that
+    `_prepare_c` staged at `p_w`, or None without a precoder.  The scored
+    slot only needs the TX distortion the UEs see, which `_point_dl`
+    takes; its receive side was already measured with the probe."""
+    w = ctx["fd_w"].get(plan, {}).get(p_w)
     return None if w is None else (ctx["rows"], w)
 
 
@@ -913,9 +939,10 @@ def _point_dl(
     without a precoder, else (power, UE rows with the DL gain, unit-norm
     precoder, per-UE TX distortion power).  Ideal CSI and half duplex
     point once per trial, so the power only scales their distortion; each
-    full-duplex plan trains and points again through the scenario's
-    `fd_point`, and its burst sqrt(p) w s_dl is formed and distorted here,
-    one burst at a time.
+    full-duplex plan takes its pointing at the power from the scenario's
+    `fd_point` (c's were staged per trial, d trains and points again), and
+    its burst sqrt(p) w s_dl is formed and distorted here, one burst at a
+    time.
     """
     p_w = dbm_to_watt(power_dbm)
     out: List[Optional[tuple]] = []

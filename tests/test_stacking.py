@@ -2,11 +2,12 @@
 
 Scenarios a and b receive all schemes of a power point as one stack and
 score every (power, scheme) of a trial in one rate pass, each item at its
-own power.  Their CSVs stay byte-identical to scoring each point alone
+own power, and c zero-forces its full-duplex estimates of every power
+in one call.  Their CSVs stay byte-identical to scoring each point alone
 only if every stacked call returns exactly (`np.array_equal`), not
-approximately, what the 2-D call on each member returns; `run_scenario`
-is checked against `run_trial` on random small configs of a, b and c for
-the same reason.  On every scenario checked there the rates must also be
+approximately, what the 2-D call on each member returns, singular ZF
+members included; `run_scenario` is checked against `run_trial` on random
+small configs of a, b and c for the same reason.  On every scenario checked there the rates must also be
 finite and non-negative, and on c ideal-CSI rates monotone in power.  c
 and d rate every (power, scheme) of a trial in one pass too, which must
 equal rating each item alone.  The staging itself is guarded too: sounding
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fdmimo import beamforming, estimation, link
-from fdmimo.beamforming import mmse_combiner
+from fdmimo.beamforming import SingularChannelError, mmse_combiner, zf_precoder
 from fdmimo.cli import default_scenario
 from fdmimo.config import AgingParams, ArchitectureConfig, allowed_schemes
 from fdmimo.link import dl_rate, run_scenario, run_trial, ul_rate
@@ -69,6 +70,40 @@ def test_stacked_mmse_combiner_is_exact(batch, chains, streams, seed):
     stacked = mmse_combiner(h, cov)
     for k in range(batch):
         assert np.array_equal(stacked[k], mmse_combiner(h[k], cov[k]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=batches, users=dims, chains=dims,
+    defects=st.lists(st.sampled_from(["", "zero", "repeat", "scale"]), min_size=5, max_size=5),
+    seed=seeds,
+)
+def test_stacked_zf_precoder_is_exact(batch, users, chains, defects, seed):
+    # c zero-forces the channel estimates of every power in one call;
+    # zeroed rows (clipped chains) and repeated ones make members singular.
+    users = min(users, chains)
+    rng = np.random.default_rng(seed)
+    h = _cn(rng, batch, users, chains)
+    for k, defect in enumerate(defects[:batch]):
+        if defect == "zero":
+            h[k, -1] = 0.0
+        elif defect == "repeat" and users > 1:
+            h[k, -1] = h[k, 0]
+        elif defect == "scale":
+            h[k, -1] *= 1e-9  # condition 1e18 or so: singular, yet no zero
+    stacked = zf_precoder(h)
+    assert stacked.shape == (batch, chains, users)
+    for k in range(batch):
+        try:
+            alone = zf_precoder(h[k])
+        except SingularChannelError:
+            assert np.isnan(stacked[k]).all()
+        else:
+            assert np.array_equal(stacked[k], alone)
+    # Two leading axes, each member as alone.
+    pairs = zf_precoder(np.stack([h, h[::-1]], axis=1))
+    assert np.array_equal(pairs[:, 0], stacked, equal_nan=True)
+    assert np.array_equal(pairs[:, 1], stacked[::-1], equal_nan=True)
 
 
 @settings(max_examples=60, deadline=None)
